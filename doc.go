@@ -137,8 +137,9 @@
 //     points are free and concurrent duplicates compute once. Whole
 //     campaigns are content-addressed the same way (sorted point
 //     keys), so resubmitting a sweep returns the aggregated result
-//     without touching a single point (>= 10x, measured >1000x for
-//     trace campaigns — BENCH_SERVE.json).
+//     without touching a single point (measure cold and warm with
+//     bash simbench/run.sh --workload cold_trace_campaign and
+//     --workload warm_query_mix).
 //   - Bounded job queue. POST /v1/campaigns enqueues onto a fixed
 //     worker pool (the PR-1 harness pool pattern made long-lived);
 //     the pending queue is bounded and overflow returns 429 with a
@@ -163,7 +164,8 @@
 //     connections and then the job queue.
 //
 // See examples/service for programmatic submission against an
-// in-process server, and BENCH_SERVE.json for the serving baselines.
+// in-process server, and bash simbench/run.sh --workload <name> (see
+// simbench/README.md) for the serving benchmarks.
 //
 // # Advisory service
 //

@@ -46,6 +46,14 @@ const (
 	FidelityReplay = "replay"
 )
 
+// traceStreamVersion versions the synthetic access streams of
+// FidelityTrace points and is part of their keys only, so outcomes of
+// an earlier stream derivation persisted in a data directory are never
+// served, nor mixed with current ones. Version 2 seeds a stream from
+// the point with its config cleared, so every memory configuration of
+// one (SKU, workload, size) replays the identical stream.
+const traceStreamVersion = 2
+
 // normalizeFidelity maps the empty string to FidelityModel and
 // rejects unknown levels.
 func normalizeFidelity(f string) (string, error) {
@@ -131,7 +139,7 @@ func (p Point) Key() string {
 	if fid == "" {
 		fid = FidelityModel
 	}
-	return keys.New("point").
+	b := keys.New("point").
 		Str("w", p.Workload).
 		Int("k", int64(p.Config.Kind)).
 		Float("f", p.Config.HybridFlatFraction).
@@ -140,8 +148,11 @@ func (p Point) Key() string {
 		Str("sku", p.SKU).
 		Str("fid", fid).
 		Int("n", int64(p.Nodes)).
-		Str("tr", p.TraceID).
-		Sum()
+		Str("tr", p.TraceID)
+	if fid == FidelityTrace {
+		b.Int("sv", traceStreamVersion)
+	}
+	return b.Sum()
 }
 
 // String renders the point for logs and progress lines. Cluster

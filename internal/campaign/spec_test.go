@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/keys"
 	"repro/internal/units"
 )
 
@@ -83,6 +84,30 @@ func TestPointKeyStability(t *testing.T) {
 	d.Config = engine.MemoryConfig{Kind: engine.Hybrid, HybridFlatFraction: 0.5}
 	if a.Key() == d.Key() {
 		t.Fatal("different config must hash differently")
+	}
+}
+
+// TestTraceKeyCarriesStreamVersion pins that only trace-fidelity keys
+// carry the stream version: the other families keep their keys, so
+// their persisted results stay valid.
+func TestTraceKeyCarriesStreamVersion(t *testing.T) {
+	legacy := func(p Point, fid string) string {
+		return keys.New("point").Str("w", p.Workload).Int("k", int64(p.Config.Kind)).
+			Float("f", p.Config.HybridFlatFraction).Int("b", int64(p.Size)).Int("t", int64(p.Threads)).
+			Str("sku", p.SKU).Str("fid", fid).Int("n", int64(p.Nodes)).Str("tr", p.TraceID).Sum()
+	}
+	p := Point{Workload: "GUPS", Config: engine.HBM, Size: units.GB(8), SKU: "7210"}
+	for _, fid := range []string{FidelityModel, FidelityAdvise, FidelityCluster, FidelityReplay} {
+		q := p
+		q.Fidelity = fid
+		if q.Key() != legacy(q, fid) {
+			t.Errorf("%s key changed", fid)
+		}
+	}
+	q := p
+	q.Fidelity = FidelityTrace
+	if q.Key() == legacy(q, FidelityTrace) {
+		t.Error("trace key lacks the stream version")
 	}
 }
 

@@ -13,10 +13,10 @@ import (
 	"repro/internal/tracesim"
 )
 
-// benchTraceSpec is the headline sweep for BENCH_SERVE.json: trace
-// fidelity (functional cache-hierarchy replay, milliseconds per
-// point), 2 workloads x 3 paper configs x a 4-point geometric size
-// grid = 24 points. This is the expensive recurring query class the
+// benchTraceSpec is the headline cold/warm sweep: trace fidelity
+// (functional cache-hierarchy replay, milliseconds per point), 2
+// workloads x 3 paper configs x a 4-point geometric size grid = 24
+// points. This is the expensive recurring query class the
 // content-addressed cache amortizes.
 func benchTraceSpec() campaign.Spec {
 	return campaign.Spec{
@@ -104,7 +104,9 @@ func benchCampaign(b *testing.B, spec campaign.Spec) {
 
 // BenchmarkServeCampaign is the acceptance benchmark: a repeated
 // trace-fidelity campaign must be served >= 10x faster from the
-// result cache. The recorded baseline lives in BENCH_SERVE.json.
+// result cache. The end-to-end numbers come from
+// bash simbench/run.sh --workload cold_trace_campaign (cold) and
+// --workload warm_query_mix (warm resubmits).
 func BenchmarkServeCampaign(b *testing.B) {
 	benchCampaign(b, benchTraceSpec())
 }

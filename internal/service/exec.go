@@ -71,7 +71,7 @@ func (e *Executor) RunPoint(ctx context.Context, p campaign.Point) (campaign.Out
 	switch p.Fidelity {
 	case "", campaign.FidelityModel:
 	case campaign.FidelityTrace:
-		return e.runTracePoint(p)
+		return e.runTracePoint(ctx, p)
 	case campaign.FidelityAdvise:
 		return e.runAdvisePoint(p)
 	case campaign.FidelityCluster:

@@ -379,22 +379,25 @@ func (s *Server) handleExperiments(w http.ResponseWriter, _ *http.Request) {
 // are persisted to the durable result store so a restart serves them
 // from a warm cache instead of recomputing.
 func (s *Server) runPoint(ctx context.Context, p campaign.Point) (campaign.Outcome, bool, error) {
+	return s.lookupPoint(ctx, p, func(ctx context.Context, _ *obs.Span) (campaign.Outcome, error) {
+		if p.Fidelity == campaign.FidelityReplay {
+			return s.runReplayPoint(ctx, p)
+		}
+		return s.exec.RunPoint(ctx, p)
+	})
+}
+
+// lookupPoint serves p from the point cache, running compute under a
+// compute span on a miss and persisting what it returns.
+func (s *Server) lookupPoint(ctx context.Context, p campaign.Point, compute func(context.Context, *obs.Span) (campaign.Outcome, error)) (campaign.Outcome, bool, error) {
 	ctx, lookupSpan := obs.StartSpan(ctx, "cache.point")
 	lookupSpan.SetAttr("key", p.Key())
 	lookup := time.Now()
 	out, cached, err := s.points.GetOrCompute(p.Key(), func() (campaign.Outcome, error) {
-		var (
-			out campaign.Outcome
-			err error
-		)
 		computeCtx, computeSpan := obs.StartSpan(ctx, "compute")
 		computeSpan.SetAttr("workload", p.Workload)
-		compute := time.Now()
-		if p.Fidelity == campaign.FidelityReplay {
-			out, err = s.runReplayPoint(computeCtx, p)
-		} else {
-			out, err = s.exec.RunPoint(computeCtx, p)
-		}
+		start := time.Now()
+		out, err := compute(computeCtx, computeSpan)
 		computeSpan.SetError(err != nil)
 		computeSpan.End()
 		if err == nil {
@@ -402,7 +405,7 @@ func (s *Server) runPoint(ctx context.Context, p campaign.Point) (campaign.Outco
 			if fidelity == "" {
 				fidelity = campaign.FidelityModel
 			}
-			s.metrics.ObservePoint(fidelity, time.Since(compute).Seconds())
+			s.metrics.ObservePoint(fidelity, time.Since(start).Seconds())
 			_, persistSpan := obs.StartSpan(computeCtx, "persist")
 			s.persistResult("point", p.Key(), out)
 			persistSpan.End()
@@ -670,9 +673,11 @@ func (s *Server) computeCampaign(ctx context.Context, jobID, key string, spec ca
 		}
 	}
 
+	// Cancellation is honoured at group boundaries.
+	groups := pointGroups(s.exec, points)
 	workers := s.queue.Workers()
-	if workers > len(points) {
-		workers = len(points)
+	if workers > len(groups) {
+		workers = len(groups)
 	}
 	var next int
 	var idxMu sync.Mutex
@@ -686,22 +691,31 @@ func (s *Server) computeCampaign(ctx context.Context, jobID, key string, spec ca
 					return
 				}
 				idxMu.Lock()
-				i := next
+				g := next
 				next++
 				idxMu.Unlock()
-				if i >= len(points) {
+				if g >= len(groups) {
 					return
 				}
-				outcomes[i], cachedFlags[i], errs[i] = s.runPoint(ctx, points[i])
-				if jobID != "" {
-					ev := events.Event{Job: jobID, Type: events.TypePoint,
-						Point: points[i].Key(), Workload: points[i].Workload, Cached: cachedFlags[i]}
-					if errs[i] != nil {
-						ev.Error = errs[i].Error()
+				grp := groups[g]
+				for j, i := range grp.idx {
+					if grp.trace == nil {
+						outcomes[i], cachedFlags[i], errs[i] = s.runPoint(ctx, points[i])
+					} else {
+						outcomes[i], cachedFlags[i], errs[i] = s.lookupPoint(ctx, points[i], func(ctx context.Context, span *obs.Span) (campaign.Outcome, error) {
+							return grp.trace.outcome(ctx, j, span)
+						})
 					}
-					s.events.Publish(ev)
+					if jobID != "" {
+						ev := events.Event{Job: jobID, Type: events.TypePoint,
+							Point: points[i].Key(), Workload: points[i].Workload, Cached: cachedFlags[i]}
+						if errs[i] != nil {
+							ev.Error = errs[i].Error()
+						}
+						s.events.Publish(ev)
+					}
+					bump()
 				}
-				bump()
 			}
 		}()
 	}

@@ -1,12 +1,15 @@
 package service
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
+	"strconv"
 
 	"repro/internal/cache"
 	"repro/internal/campaign"
 	"repro/internal/engine"
+	"repro/internal/obs"
 	"repro/internal/tracesim"
 	"repro/internal/units"
 	"repro/internal/workload"
@@ -22,7 +25,12 @@ import (
 // Footprints are scaled 1:1024 (a full-size MCDRAM would need
 // gigabyte traces — see tracesim.DefaultConfig) and bounded so one
 // point stays in the low-millisecond range. Seeds derive from the
-// point, so a trace outcome is deterministic and cache-coherent.
+// point with its config cleared, so a trace outcome is deterministic
+// and cache-coherent, and every memory configuration of one (SKU,
+// workload, size, threads) replays the identical stream: only the
+// memory below the L2 changes between them, as in the paper's
+// same-application comparison. That is what lets RunTraceGroup replay
+// the stream once, with one tracesim memory lane per configuration.
 
 // traceScaleShift is the footprint scale: 1/1024.
 const traceScaleShift = 10
@@ -37,9 +45,18 @@ const (
 // second pass measures warm-cache behaviour).
 const tracePasses = 2
 
-// traceSeed derives a deterministic generator seed from the point.
+// TraceGroupKey identifies the access stream of a FidelityTrace point:
+// the key of the point with its memory configuration cleared. Points
+// with equal group keys replay the same stream.
+func TraceGroupKey(p campaign.Point) string {
+	p.Config = engine.MemoryConfig{}
+	return p.Key()
+}
+
+// traceSeed derives a deterministic generator seed from the point's
+// stream, so it is the same for every memory configuration.
 func traceSeed(p campaign.Point) int64 {
-	k := p.Key()
+	k := TraceGroupKey(p)
 	var buf [8]byte
 	copy(buf[:], k)
 	return int64(binary.LittleEndian.Uint64(buf[:]) >> 1)
@@ -97,15 +114,46 @@ func (e *Executor) replayHierarchy(sku string, mc engine.MemoryConfig) (tracesim
 	return cfg, nil
 }
 
-// runTracePoint executes one FidelityTrace point.
-func (e *Executor) runTracePoint(p campaign.Point) (campaign.Outcome, error) {
-	sys, err := e.System(p.SKU)
+// runTracePoint executes one FidelityTrace point as a group of one.
+func (e *Executor) runTracePoint(ctx context.Context, p campaign.Point) (campaign.Outcome, error) {
+	outs, err := e.RunTraceGroup(ctx, []campaign.Point{p})
 	if err != nil {
 		return campaign.Outcome{}, err
 	}
+	return outs[0], nil
+}
+
+// RunTraceGroup executes FidelityTrace points that share one stream
+// (equal TraceGroupKey) in a single replay, one memory lane per point:
+// outcome i equals RunPoint(points[i]) exactly. Cancellation is
+// checked before the replay starts, so a group is the unit of work.
+func (e *Executor) RunTraceGroup(ctx context.Context, points []campaign.Point) ([]campaign.Outcome, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if len(points) == 0 {
+		return nil, nil
+	}
+	p := points[0]
+	stream := TraceGroupKey(p)
+	cfgs := make([]tracesim.Config, len(points))
+	for i, q := range points {
+		if q.Fidelity != campaign.FidelityTrace || TraceGroupKey(q) != stream {
+			return nil, fmt.Errorf("service: trace point %s does not share the stream of %s", q, p)
+		}
+		cfg, err := e.traceConfig(q)
+		if err != nil {
+			return nil, err
+		}
+		cfgs[i] = cfg
+	}
+	sys, err := e.System(p.SKU)
+	if err != nil {
+		return nil, err
+	}
 	mdl, err := sys.Workload(p.Workload)
 	if err != nil {
-		return campaign.Outcome{}, err
+		return nil, err
 	}
 	info := mdl.Info()
 
@@ -117,13 +165,9 @@ func (e *Executor) runTracePoint(p campaign.Point) (campaign.Outcome, error) {
 		foot = traceMaxFootprint
 	}
 
-	cfg, err := e.traceConfig(p)
+	sim, err := tracesim.NewLanes(cfgs)
 	if err != nil {
-		return campaign.Outcome{}, err
-	}
-	sim, err := tracesim.New(cfg)
-	if err != nil {
-		return campaign.Outcome{}, err
+		return nil, err
 	}
 
 	var gen tracesim.Generator
@@ -134,26 +178,88 @@ func (e *Executor) runTracePoint(p campaign.Point) (campaign.Outcome, error) {
 		gen, err = tracesim.NewSequential(0, uint64(foot), uint64(units.CacheLine), cache.Read)
 	}
 	if err != nil {
-		return campaign.Outcome{}, err
+		return nil, err
 	}
-	res, err := sim.RunPasses(gen, tracePasses)
-	if err != nil {
-		return campaign.Outcome{}, err
+	if _, err := sim.RunPasses(gen, tracePasses); err != nil {
+		return nil, err
 	}
 
-	out := campaign.Outcome{
-		Point:  p,
-		Metric: "ns/access",
-		Value:  res.AvgLatencyNS(),
-		Trace: &campaign.TraceStats{
-			Accesses:     res.Accesses,
-			L1HitRate:    res.L1.HitRatio(),
-			L2HitRate:    res.L2.HitRatio(),
-			MCHitRate:    res.MemCache.HitRatio(),
-			MemReads:     res.MemReads,
-			MemWrites:    res.MemWrites,
-			AvgLatencyNS: res.AvgLatencyNS(),
-		},
+	outs := make([]campaign.Outcome, len(points))
+	for i, q := range points {
+		res := sim.LaneResult(i)
+		outs[i] = campaign.Outcome{
+			Point:  q,
+			Metric: "ns/access",
+			Value:  res.AvgLatencyNS(),
+			Trace: &campaign.TraceStats{
+				Accesses:     res.Accesses,
+				L1HitRate:    res.L1.HitRatio(),
+				L2HitRate:    res.L2.HitRatio(),
+				MCHitRate:    res.MemCache.HitRatio(),
+				MemReads:     res.MemReads,
+				MemWrites:    res.MemWrites,
+				AvgLatencyNS: res.AvgLatencyNS(),
+			},
+		}
 	}
-	return out, nil
+	return outs, nil
+}
+
+// traceGroupMemo is a campaign task's memo for one trace stream: the
+// first member that misses the point cache replays the whole group,
+// and the later misses are served from the memo.
+type traceGroupMemo struct {
+	exec   *Executor
+	points []campaign.Point
+	outs   []campaign.Outcome
+	err    error
+	ran    bool
+}
+
+// outcome returns member i's outcome, replaying the group on first
+// use. The compute span of the member that replayed the group carries
+// lanes=<n>; a member served from the memo carries shared=true.
+func (m *traceGroupMemo) outcome(ctx context.Context, i int, span *obs.Span) (campaign.Outcome, error) {
+	if m.ran {
+		span.SetAttr("shared", "true")
+	} else {
+		m.ran = true
+		span.SetAttr("lanes", strconv.Itoa(len(m.points)))
+		m.outs, m.err = m.exec.RunTraceGroup(ctx, m.points)
+	}
+	if m.err != nil {
+		return campaign.Outcome{}, m.err
+	}
+	return m.outs[i], nil
+}
+
+// pointGroup is one pool task of a campaign: the indices of its
+// points, plus the memo they share when they are one trace stream.
+type pointGroup struct {
+	idx   []int
+	trace *traceGroupMemo // nil for a single non-trace point
+}
+
+// pointGroups partitions a campaign's points into pool tasks: trace
+// points that share a stream (equal TraceGroupKey) form one group, in
+// order of first appearance; every other point is a group of its own.
+func pointGroups(exec *Executor, points []campaign.Point) []pointGroup {
+	var groups []pointGroup
+	byStream := make(map[string]int)
+	for i, p := range points {
+		if p.Fidelity != campaign.FidelityTrace {
+			groups = append(groups, pointGroup{idx: []int{i}})
+			continue
+		}
+		k := TraceGroupKey(p)
+		g, ok := byStream[k]
+		if !ok {
+			g = len(groups)
+			byStream[k] = g
+			groups = append(groups, pointGroup{trace: &traceGroupMemo{exec: exec}})
+		}
+		groups[g].idx = append(groups[g].idx, i)
+		groups[g].trace.points = append(groups[g].trace.points, p)
+	}
+	return groups
 }

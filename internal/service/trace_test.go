@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"repro/internal/campaign"
@@ -153,4 +154,151 @@ func TestTraceHybridAndInterleave(t *testing.T) {
 			t.Fatalf("%v: non-positive latency", cfg)
 		}
 	}
+}
+
+// shareSpec is a 12-point trace campaign: two workloads (sequential and
+// random) times three memory configs times two sizes, one on each side
+// of the scaled MCDRAM.
+var shareSpec = campaign.Spec{
+	Fidelity:  "trace",
+	Workloads: []string{"STREAM", "GUPS"},
+	Configs:   []string{"dram", "hbm", "cache"},
+	Sizes:     []string{"2GB", "20GB"},
+}
+
+// TestTraceCampaignSharesStreams pins the per-stream grouping of trace
+// campaigns: each stream is replayed once with one memory lane per
+// config, every outcome still equals a single-point RunPoint exactly,
+// and cache accounting stays per point.
+func TestTraceCampaignSharesStreams(t *testing.T) {
+	ctx := context.Background()
+	points, _, err := shareSpec.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	exec := NewExecutor()
+	want := map[string]campaign.Outcome{}
+	for _, p := range points {
+		if want[p.Key()], err = exec.RunPoint(ctx, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(res *CampaignResult) map[string]RunResponse {
+		t.Helper()
+		if res.Points != 12 || len(res.Results) != 12 {
+			t.Fatalf("points = %d (%d results), want 12", res.Points, len(res.Results))
+		}
+		got := map[string]RunResponse{}
+		for _, r := range res.Results {
+			w, ok := want[r.Key]
+			if !ok {
+				t.Fatalf("unexpected point %s", r.Key)
+			}
+			if r.Value != w.Value || r.Trace == nil || *r.Trace != *w.Trace {
+				t.Errorf("%s/%s/%s: grouped %+v != RunPoint %+v", r.Workload, r.Config, r.Size, r.Trace, w.Trace)
+			}
+			got[r.Key] = r
+		}
+		return got
+	}
+
+	t.Run("cold", func(t *testing.T) {
+		const rid = "share-streams-1"
+		_, c := newTestServer(t)
+		c.RequestID = rid
+		resp, err := c.SubmitCampaign(ctx, shareSpec, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.RequestID = ""
+		if resp.Result.CacheHits != 0 {
+			t.Errorf("first submission CacheHits = %d, want 0", resp.Result.CacheHits)
+		}
+		check(resp.Result)
+
+		streams := map[string][]campaign.Outcome{}
+		for _, p := range points {
+			streams[TraceGroupKey(p)] = append(streams[TraceGroupKey(p)], want[p.Key()])
+		}
+		if len(streams) != 4 {
+			t.Fatalf("%d streams, want 4", len(streams))
+		}
+		for _, members := range streams {
+			byKind := map[engine.ConfigKind]*campaign.TraceStats{}
+			for _, o := range members {
+				a, b := members[0].Trace, o.Trace
+				if a.Accesses != b.Accesses || a.L1HitRate != b.L1HitRate || a.L2HitRate != b.L2HitRate {
+					t.Errorf("%s: stream members disagree above the memory system: %+v vs %+v", o.Point, a, b)
+				}
+				byKind[o.Point.Config.Kind] = o.Trace
+			}
+			d, h := byKind[engine.BindDRAM], byKind[engine.BindHBM]
+			if d.MemReads != h.MemReads || d.MemWrites != h.MemWrites {
+				t.Errorf("%s: dram/hbm traffic %d/%d vs %d/%d", members[0].Point.Workload, d.MemReads, d.MemWrites, h.MemReads, h.MemWrites)
+			}
+			if members[0].Point.Workload == "GUPS" && h.AvgLatencyNS <= d.AvgLatencyNS {
+				t.Errorf("GUPS %v: hbm %v ns/access not slower than dram %v", members[0].Point.Size, h.AvgLatencyNS, d.AvgLatencyNS)
+			}
+		}
+
+		tr, err := c.DebugTrace(ctx, rid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var lanes, shared int
+		for _, sp := range tr.Spans {
+			for _, a := range sp.Attrs {
+				if sp.Name == "compute" && a.Key == "lanes" && a.Value == "3" {
+					lanes++
+				}
+				if sp.Name == "compute" && a.Key == "shared" && a.Value == "true" {
+					shared++
+				}
+			}
+		}
+		if lanes != 4 || shared != 8 {
+			t.Errorf("compute spans: %d with lanes=3, %d shared, want 4 and 8", lanes, shared)
+		}
+	})
+
+	t.Run("partially-cached", func(t *testing.T) {
+		_, c := newTestServer(t)
+		run, err := c.Run(ctx, RunRequest{Workload: "GUPS", Config: "dram", Size: "2GB", Fidelity: "trace"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := c.SubmitCampaign(ctx, shareSpec, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Result.CacheHits != 1 {
+			t.Errorf("CacheHits = %d, want 1", resp.Result.CacheHits)
+		}
+		for key, r := range check(resp.Result) {
+			if r.Cached != (key == run.Key) {
+				t.Errorf("%s/%s/%s: cached = %v", r.Workload, r.Config, r.Size, r.Cached)
+			}
+		}
+	})
+
+	t.Run("cancel-at-group-boundary", func(t *testing.T) {
+		srv := NewServer(Options{Workers: 1, QueueDepth: 4})
+		t.Cleanup(func() { _ = srv.Close(context.Background()) })
+		cctx, cancel := context.WithCancel(ctx)
+		defer cancel()
+		// Cancel after the first member of the first group: the rest of
+		// that group is already replayed, so it completes; no other
+		// group starts.
+		_, _, err := srv.runCampaign(cctx, "", shareSpec, func(done, _ int) {
+			if done == 1 {
+				cancel()
+			}
+		})
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("err = %v, want context.Canceled", err)
+		}
+		if n := srv.points.Len(); n != 3 {
+			t.Errorf("%d points computed, want the 3 of the first group", n)
+		}
+	})
 }

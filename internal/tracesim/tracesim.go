@@ -31,6 +31,19 @@
 //     Aggregate hit/miss/writeback counts match scalar replay exactly.
 //
 // See the repository doc.go for how to benchmark the three gears.
+//
+// # Memory lanes
+//
+// Memory configurations that differ only below the L2 (flat DDR, flat
+// MCDRAM, cache mode, hybrid) see the identical L1/L2/prefetcher
+// behaviour for one stream, so a Simulator can carry several memory
+// lanes (NewLanes): one upper hierarchy feeds N independent memory
+// systems, each with its own memory-side cache, traffic counters and
+// demand-fill time. A stream is replayed once for all of them, and
+// LaneResult(i) is exactly the Result a single-lane New(cfg_i) replay
+// of the same stream produces. Lanes work under every gear that drives
+// the Simulator (scalar, batched, block-fed); they are not a gear of
+// their own.
 package tracesim
 
 import (
@@ -313,10 +326,11 @@ func psFromNS(ns float64) uint64 {
 }
 
 // memSys is the memory system below the L2: the optional memory-side
-// cache plus traffic counters. The scalar simulator owns one; each
-// shard worker owns one shard of it — sharing the implementation is
-// what keeps the two replay paths' latency/traffic models in
-// lock-step, which the exact-equivalence guarantee depends on.
+// cache plus traffic counters. Each lane of the scalar simulator owns
+// one; each shard worker owns one shard of it — sharing the
+// implementation is what keeps the two replay paths' latency/traffic
+// models in lock-step, which the exact-equivalence guarantee depends
+// on.
 type memSys struct {
 	mc        *cache.MemSideCache
 	mcPS      uint64 // memory-side cache hit latency
@@ -388,6 +402,20 @@ func (m *memSys) resetStats() {
 	}
 }
 
+// lane is one memory system below the shared L2: its own memSys plus
+// the demand-fill time it has charged.
+type lane struct {
+	memSys
+	fillPS uint64
+}
+
+// demandFill fetches a demand-missed line and charges its latency.
+func (l *lane) demandFill(line uint64) uint64 {
+	ps := l.fillLine(line)
+	l.fillPS += ps
+	return ps
+}
+
 // Simulator replays access streams.
 type Simulator struct {
 	cfg       Config
@@ -396,10 +424,12 @@ type Simulator struct {
 	l2PS      uint64 // quantized L2 hit latency
 	l1        *cache.SetAssoc
 	l2        *cache.SetAssoc
-	mem       memSys
+	lanes     []lane // memory systems below the L2; lane 0 is Result's
 	pf        *cache.StreamPrefetcher
-	res       Result
-	tick      uint64
+	// res holds the counters the lanes share; its TotalTimePS is the
+	// L1/L2 hit time only, each lane adding its own fill time.
+	res  Result
+	tick uint64
 
 	// Same-line coalescing: the line touched by the previous access
 	// is guaranteed resident in L1, so a repeat reference is an L1
@@ -414,15 +444,35 @@ type Simulator struct {
 
 // New builds a simulator.
 func New(cfg Config) (*Simulator, error) {
+	return NewLanes([]Config{cfg})
+}
+
+// NewLanes builds a simulator with one memory lane per config. The
+// configs must agree on everything above the memory system (L1, L2,
+// prefetcher, L1/L2 latencies), which lane 0 defines; they may differ
+// in MemCache, MemCacheLat and MemLat.
+func NewLanes(cfgs []Config) (*Simulator, error) {
+	if len(cfgs) == 0 {
+		return nil, fmt.Errorf("tracesim: need at least one lane")
+	}
+	cfg := cfgs[0]
+	lanes := make([]lane, len(cfgs))
+	for i, c := range cfgs {
+		if c.L1Size != cfg.L1Size || c.L1Ways != cfg.L1Ways || c.L2Size != cfg.L2Size || c.L2Ways != cfg.L2Ways ||
+			c.Prefetcher != cfg.Prefetcher || c.L1Lat != cfg.L1Lat || c.L2Lat != cfg.L2Lat {
+			return nil, fmt.Errorf("tracesim: lane %d differs from lane 0 above the memory system", i)
+		}
+		mem, err := newMemSys(c, c.MemCache)
+		if err != nil {
+			return nil, err
+		}
+		lanes[i].memSys = mem
+	}
 	l1, err := cache.NewSetAssoc("L1D", cfg.L1Size, cfg.L1Ways, units.CacheLine)
 	if err != nil {
 		return nil, err
 	}
 	l2, err := cache.NewSetAssoc("L2", cfg.L2Size, cfg.L2Ways, units.CacheLine)
-	if err != nil {
-		return nil, err
-	}
-	mem, err := newMemSys(cfg, cfg.MemCache)
 	if err != nil {
 		return nil, err
 	}
@@ -433,7 +483,7 @@ func New(cfg Config) (*Simulator, error) {
 		l2PS:      psFromNS(cfg.L2Lat),
 		l1:        l1,
 		l2:        l2,
-		mem:       mem,
+		lanes:     lanes,
 	}
 	if cfg.Prefetcher {
 		s.pf = cache.NewStreamPrefetcher(16, 8, units.CacheLine)
@@ -442,13 +492,13 @@ func New(cfg Config) (*Simulator, error) {
 }
 
 // Access performs one reference through the hierarchy and returns its
-// latency in nanoseconds.
+// latency in nanoseconds (lane 0's).
 func (s *Simulator) Access(a Access) float64 {
 	return float64(s.accessLine(a.Addr>>s.lineShift, a.Kind)) * 1e-3
 }
 
 // accessLine is the replay fast path, operating on line addresses. It
-// returns the access latency in picoseconds.
+// returns lane 0's access latency in picoseconds.
 func (s *Simulator) accessLine(line uint64, kind cache.AccessKind) uint64 {
 	s.tick++
 	s.res.Accesses++
@@ -474,9 +524,11 @@ func (s *Simulator) accessLine(line uint64, kind cache.AccessKind) uint64 {
 			// candidate instead of a ContainsLine/InstallLine pair.
 			if installed, _, wb := s.l2.InstallLineIfAbsent(pl); installed {
 				s.res.Prefetches++
-				s.mem.fillLine(pl) // prefetch fills do not add replay time
-				if wb {
-					s.mem.memWrites++
+				for i := range s.lanes {
+					s.lanes[i].fillLine(pl) // prefetch fills do not add replay time
+					if wb {
+						s.lanes[i].memWrites++
+					}
 				}
 			}
 		}
@@ -485,15 +537,20 @@ func (s *Simulator) accessLine(line uint64, kind cache.AccessKind) uint64 {
 	// (write-allocate) and a dirty victim may need writing back.
 	hit, wbLine, wb := s.l2.AccessLine(line, kind)
 	if wb {
-		s.mem.writebackLine(wbLine)
+		for i := range s.lanes {
+			s.lanes[i].writebackLine(wbLine)
+		}
 	}
 	if hit {
 		s.res.TotalTimePS += s.l2PS
 		return s.l2PS
 	}
-	// L2 miss: fetch from memory (possibly via the memory-side cache).
-	lat := s.mem.fillLine(line)
-	s.res.TotalTimePS += lat
+	// L2 miss: every lane fetches from its memory (possibly via its
+	// memory-side cache).
+	lat := s.lanes[0].demandFill(line)
+	for i := 1; i < len(s.lanes); i++ {
+		s.lanes[i].demandFill(line)
+	}
 	return lat
 }
 
@@ -512,7 +569,10 @@ func (s *Simulator) AccessBatch(batch []Access) {
 	for i, a := range batch {
 		if j := i + touchAhead; j < len(batch) {
 			nl := batch[j].Addr >> shift
-			sink ^= s.l2.TouchTagSet(nl) ^ s.mem.touchTags(nl)
+			sink ^= s.l2.TouchTagSet(nl)
+			for k := range s.lanes {
+				sink ^= s.lanes[k].touchTags(nl)
+			}
 		}
 		s.accessLine(a.Addr>>shift, a.Kind)
 	}
@@ -591,16 +651,23 @@ func (s *Simulator) RunBlockPasses(src BlockSource, passes int) (Result, error) 
 	return s.Result(), nil
 }
 
-// Result returns the accumulated statistics.
-func (s *Simulator) Result() Result {
+// Result returns the accumulated statistics of lane 0.
+func (s *Simulator) Result() Result { return s.LaneResult(0) }
+
+// LaneResult returns the accumulated statistics of lane i: exactly
+// what a single-lane simulator built from that lane's config reports
+// for the same stream.
+func (s *Simulator) LaneResult(i int) Result {
+	l := &s.lanes[i]
 	r := s.res
 	r.L1 = s.l1.Stats()
 	r.L2 = s.l2.Stats()
-	r.MemReads = s.mem.memReads
-	r.MemWrites = s.mem.memWrites
-	if s.mem.mc != nil {
-		r.MemCache = s.mem.mc.Stats()
+	r.MemReads = l.memReads
+	r.MemWrites = l.memWrites
+	if l.mc != nil {
+		r.MemCache = l.mc.Stats()
 	}
+	r.TotalTimePS += l.fillPS
 	r.TotalTimeNS = float64(r.TotalTimePS) * 1e-3
 	return r
 }
@@ -611,5 +678,8 @@ func (s *Simulator) ResetStats() {
 	s.res = Result{}
 	s.l1.ResetStats()
 	s.l2.ResetStats()
-	s.mem.resetStats()
+	for i := range s.lanes {
+		s.lanes[i].resetStats()
+		s.lanes[i].fillPS = 0
+	}
 }

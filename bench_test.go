@@ -209,8 +209,11 @@ func BenchmarkAblationPrefetch(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		sim.Run(g)
-		return sim.Result().AvgLatencyNS()
+		res, err := sim.Run(g, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return res.AvgLatencyNS()
 	}
 	var with, without float64
 	for i := 0; i < b.N; i++ {
@@ -347,40 +350,54 @@ func BenchmarkClusterStrongScaling(b *testing.B) {
 	b.ReportMetric(sweet, "hbm-sweet-spot-nodes")
 }
 
-// BenchmarkTraceReplayBatched streams a footprint ~10x the old test
-// sizes through the cache-mode hierarchy using the batched fast path.
-func BenchmarkTraceReplayBatched(b *testing.B) {
+// BenchmarkTraceReplay replays the same two 40 MiB streams (sequential
+// and uniform random, 655,360 accesses each) through the cache-mode
+// hierarchy with the scalar simulator and with 2 and 4 shards, so the
+// simulators are compared on identical work.
+func BenchmarkTraceReplay(b *testing.B) {
 	const footprint = 40 << 20
-	b.SetBytes(footprint)
-	for i := 0; i < b.N; i++ {
-		sim, err := tracesim.New(tracesim.DefaultConfig(8 << 20))
-		if err != nil {
-			b.Fatal(err)
-		}
-		g, err := tracesim.NewSequential(0, footprint, 64, cache.Read)
-		if err != nil {
-			b.Fatal(err)
-		}
-		sim.Run(g)
+	cfg := tracesim.DefaultConfig(8 << 20)
+	type replayer interface {
+		Run(tracesim.BlockSource, int) (tracesim.Result, error)
 	}
-}
-
-// BenchmarkTraceReplaySharded replays the same stream through four
-// set-interleaved workers (identical aggregate counts, concurrent
-// simulation).
-func BenchmarkTraceReplaySharded(b *testing.B) {
-	const footprint = 40 << 20
-	b.SetBytes(footprint)
-	for i := 0; i < b.N; i++ {
-		sim, err := tracesim.NewSharded(tracesim.DefaultConfig(8<<20), 4)
-		if err != nil {
-			b.Fatal(err)
+	sims := []struct {
+		name string
+		mk   func() (replayer, error)
+	}{
+		{"scalar", func() (replayer, error) { return tracesim.New(cfg) }},
+		{"sharded=2", func() (replayer, error) { return tracesim.NewSharded(cfg, 2) }},
+		{"sharded=4", func() (replayer, error) { return tracesim.NewSharded(cfg, 4) }},
+	}
+	streams := []struct {
+		name string
+		mk   func() (tracesim.BlockSource, error)
+	}{
+		{"seq", func() (tracesim.BlockSource, error) {
+			return tracesim.NewSequential(0, footprint, 64, cache.Read)
+		}},
+		{"random", func() (tracesim.BlockSource, error) {
+			return tracesim.NewUniformRandom(0, footprint, footprint/64, cache.Read, 1)
+		}},
+	}
+	for _, sm := range sims {
+		for _, st := range streams {
+			b.Run(sm.name+"/"+st.name, func(b *testing.B) {
+				b.SetBytes(footprint)
+				for i := 0; i < b.N; i++ {
+					sim, err := sm.mk()
+					if err != nil {
+						b.Fatal(err)
+					}
+					src, err := st.mk()
+					if err != nil {
+						b.Fatal(err)
+					}
+					if _, err := sim.Run(src, 1); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
-		g, err := tracesim.NewUniformRandom(0, footprint, footprint/64, cache.Read, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		sim.Run(g)
 	}
 }
 

@@ -31,7 +31,7 @@ import (
 
 // replayer is satisfied by both the scalar and the sharded simulator.
 type replayer interface {
-	RunPasses(tracesim.Generator, int) (tracesim.Result, error)
+	Run(tracesim.BlockSource, int) (tracesim.Result, error)
 }
 
 func main() {
@@ -70,7 +70,7 @@ func run(args []string, stdout io.Writer) error {
 	if *writes {
 		kind = cache.Write
 	}
-	var gen tracesim.Generator
+	var gen tracesim.BlockSource
 	switch *pattern {
 	case "seq":
 		gen, err = tracesim.NewSequential(0, uint64(fp), 64, kind)
@@ -108,7 +108,7 @@ func run(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	res, err := sim.RunPasses(gen, *passes)
+	res, err := sim.Run(gen, *passes)
 	if err != nil {
 		return err
 	}

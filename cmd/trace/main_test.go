@@ -59,7 +59,7 @@ func TestExportIngestReplayRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := ref.RunPasses(gen, 2)
+	want, err := ref.Run(gen, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestExportIngestReplayRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := sim.RunPasses(prov, 2)
+	got, err := sim.Run(prov.Blocks(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,37 +71,37 @@
 // The hot path of the repository is trace replay: driving synthetic
 // access streams through the functional cache hierarchy to validate
 // the analytic models (internal/tracesim, internal/cache). It is
-// organised in four gears:
+// organised as follows:
 //
-//   - Batched replay. Generators implement tracesim.BatchGenerator
-//     and deliver accesses in ~4k chunks, so the per-access cost is a
-//     direct call, not an interface dispatch. The caches themselves
-//     index with shift/mask only (power-of-two geometry), keep tags
-//     line-granular in a contiguous array (SoA), unroll the tag scan
-//     for the 4/8/16-way geometries, and short-circuit repeated
-//     references to the most recently touched line. Batched and
-//     scalar replay produce bit-identical Results.
-//   - Sharded replay. tracesim.ShardedSimulator partitions the L2 and
-//     MCDRAM cache across N workers by set interleaving (per-tile-L2
-//     semantics) while the dispatcher retains the core-private L1 and
-//     stream prefetcher. Because every cache set belongs to exactly
-//     one worker and operations are enqueued in stream order,
-//     aggregate hit/miss/writeback counts are exactly equal to scalar
-//     replay — the equivalence tests in internal/tracesim enforce
-//     this. Sharding pays a queueing overhead, so it wins on
-//     multi-core hosts for miss-heavy streams and loses on a single
-//     core.
-//   - Block-fed replay. Stored traces skip the staging copy entirely:
-//     tracestore.Decoder exposes each decoded varint-delta block as a
-//     view of its reusable buffer (Provider.Blocks, a
-//     tracesim.BlockSource) and the simulators walk the block in
-//     place, pre-touching upcoming L2/MCDRAM tag sets so the host's
-//     cache misses on the tag arrays overlap. Ingest feeding the
-//     store is two-tier (allocation-free byte-slice scanners, with a
+//   - Block-fed replay. Every access stream is a tracesim.BlockSource
+//     handing out blocks as views of a reusable buffer: the synthetic
+//     generators fill ~4k-access chunks, and stored traces expose each
+//     decoded varint-delta block of tracestore.Decoder in place
+//     (Provider.Blocks). Simulator.Run(src, passes) walks each block
+//     directly — no staging copy, a direct call per access rather than
+//     an interface dispatch — and pre-touches upcoming L2/MCDRAM tag
+//     sets so the host's cache misses on the tag arrays overlap. The
+//     caches themselves index with shift/mask only (power-of-two
+//     geometry), keep tags line-granular in a contiguous array (SoA),
+//     unroll the tag scan for the 4/8/16-way geometries, and
+//     short-circuit repeated references to the most recently touched
+//     line. Run's Results are bit-identical to feeding the stream to
+//     Simulator.Access, the scalar reference. Ingest feeding the store
+//     is two-tier (allocation-free byte-slice scanners, with a
 //     reference-parser fallback pinned equal by differential fuzzing)
 //     and encodes blocks on parallel workers behind an in-order
 //     writer, keeping the content address byte-identical to serial
 //     encoding. BENCH_REPLAY.json records the service-level numbers.
+//   - Sharded replay. tracesim.ShardedSimulator has the same Run but
+//     partitions the L2 and MCDRAM cache across N workers by set
+//     interleaving (per-tile-L2 semantics) while the dispatcher
+//     retains the core-private L1 and stream prefetcher. Because
+//     every cache set belongs to exactly one worker and operations are
+//     enqueued in stream order, aggregate hit/miss/writeback counts
+//     are exactly equal to scalar replay — the equivalence tests in
+//     internal/tracesim enforce this. Sharding pays a queueing
+//     overhead, so it wins on multi-core hosts for miss-heavy streams
+//     and loses on a single core.
 //   - Concurrent experiments. harness.RunAll and harness.VerifyAll
 //     fan the independent paper experiments out over a bounded worker
 //     pool (cmd/figures -j) with deterministic, paper-ordered output.

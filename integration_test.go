@@ -260,8 +260,11 @@ func TestTraceSimLatenciesBracketAnalyticTiers(t *testing.T) {
 		t.Fatal(err)
 	}
 	seq, _ := tracesim.NewSequential(0, 8<<20, 64, cache.Read)
-	sim.Run(seq)
-	if lat := sim.Result().AvgLatencyNS(); lat > 40 {
+	res, err := sim.Run(seq, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lat := res.AvgLatencyNS(); lat > 40 {
 		t.Errorf("sequential trace latency %.1f ns; engine assumes prefetch covers streams", lat)
 	}
 
@@ -275,10 +278,11 @@ func TestTraceSimLatenciesBracketAnalyticTiers(t *testing.T) {
 		MemCacheLat: cfg.MemCacheLat, MemLat: cfg.MemLat,
 	})
 	rnd, _ := tracesim.NewUniformRandom(0, 32<<20, 200000, cache.Read, 7)
-	if _, err := sim2.RunPasses(rnd, 2); err != nil {
+	res2, err := sim2.Run(rnd, 2)
+	if err != nil {
 		t.Fatal(err)
 	}
-	traceLat := sim2.Result().AvgLatencyNS()
+	traceLat := res2.AvgLatencyNS()
 	engineLat := float64(sys.Machine.RandomReadLatency(engine.DRAM, 32*units.MiB, 1))
 	// The trace sim charges idle device latency (130.4) while the
 	// engine's plateau includes loaded/dual-chase effects (~220):

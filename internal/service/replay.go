@@ -246,30 +246,25 @@ func (s *Server) computeReplay(ctx context.Context, q replayQuery) (resp ReplayR
 	}
 	cfg.Prefetcher = q.prefetch
 
-	// Both gears consume the stored trace block-fed: decoded
-	// varint-delta blocks are walked in place (tracestore.BlockReader),
-	// with no per-access Provider pull and no staging copy. Replay time
-	// is integer-picosecond, so block-fed, per-access, scalar and
-	// sharded replay all produce byte-identical results — the
+	// Either simulator consumes the stored trace block-fed: decoded
+	// varint-delta blocks are walked in place (tracestore.BlockReader)
+	// with no staging copy. Replay time is integer-picosecond, so
+	// scalar and sharded replay produce byte-identical results — the
 	// equivalence suites in tracestore and tracesim pin this.
-	var res tracesim.Result
-	blocks := prov.Blocks()
+	var sim interface {
+		Run(tracesim.BlockSource, int) (tracesim.Result, error)
+	}
 	if q.shards > 1 {
-		sim, err := tracesim.NewSharded(cfg, q.shards)
-		if err != nil {
-			return ReplayResponse{}, err
-		}
-		if res, err = sim.RunBlockPasses(blocks, q.passes); err != nil {
-			return ReplayResponse{}, err
-		}
+		sim, err = tracesim.NewSharded(cfg, q.shards)
 	} else {
-		sim, err := tracesim.New(cfg)
-		if err != nil {
-			return ReplayResponse{}, err
-		}
-		if res, err = sim.RunBlockPasses(blocks, q.passes); err != nil {
-			return ReplayResponse{}, err
-		}
+		sim, err = tracesim.New(cfg)
+	}
+	if err != nil {
+		return ReplayResponse{}, err
+	}
+	res, err := sim.Run(prov.Blocks(), q.passes)
+	if err != nil {
+		return ReplayResponse{}, err
 	}
 	if perr := prov.Err(); perr != nil {
 		// The stream ended early: the result would silently describe a

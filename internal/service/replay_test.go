@@ -70,23 +70,6 @@ func ndjsonBody(accs []tracesim.Access) []byte {
 	return b.Bytes()
 }
 
-// sliceGen replays a fixed access slice (scalar-only generator).
-type sliceGen struct {
-	accs []tracesim.Access
-	pos  int
-}
-
-func (g *sliceGen) Next() (tracesim.Access, bool) {
-	if g.pos >= len(g.accs) {
-		return tracesim.Access{}, false
-	}
-	a := g.accs[g.pos]
-	g.pos++
-	return a, true
-}
-
-func (g *sliceGen) Reset() { g.pos = 0 }
-
 func TestTraceUploadReplayLifecycle(t *testing.T) {
 	_, c := newReplayServer(t, Options{})
 	ctx := context.Background()
@@ -204,10 +187,10 @@ func TestReplayPinnedToScalarSimulator(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := sim.RunPasses(&sliceGen{accs: accs}, 1)
-		if err != nil {
-			t.Fatal(err)
+		for _, a := range accs {
+			sim.Access(a)
 		}
+		want := sim.Result()
 		if resp.Stats != replayStats(want) {
 			t.Fatalf("%s: service stats diverge from scalar simulator:\n got %+v\nwant %+v",
 				cfgName, resp.Stats, replayStats(want))

@@ -170,17 +170,17 @@ func (e *Executor) RunTraceGroup(ctx context.Context, points []campaign.Point) (
 		return nil, err
 	}
 
-	var gen tracesim.Generator
+	var src tracesim.BlockSource
 	lines := int64(foot / units.CacheLine)
 	if info.Pattern == workload.PatternRandom {
-		gen, err = tracesim.NewUniformRandom(0, uint64(foot), lines, cache.Read, traceSeed(p))
+		src, err = tracesim.NewUniformRandom(0, uint64(foot), lines, cache.Read, traceSeed(p))
 	} else {
-		gen, err = tracesim.NewSequential(0, uint64(foot), uint64(units.CacheLine), cache.Read)
+		src, err = tracesim.NewSequential(0, uint64(foot), uint64(units.CacheLine), cache.Read)
 	}
 	if err != nil {
 		return nil, err
 	}
-	if _, err := sim.RunPasses(gen, tracePasses); err != nil {
+	if _, err := sim.Run(src, tracePasses); err != nil {
 		return nil, err
 	}
 

@@ -1,52 +1,104 @@
 package tracesim
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/cache"
 )
 
-// scalarOnly hides a generator's batch method so Run takes the
-// one-access-at-a-time path.
-type scalarOnly struct{ g Generator }
+// sliceSource replays a fixed access slice as a BlockSource, in blocks
+// whose lengths cycle through cuts (one block when cuts is empty).
+type sliceSource struct {
+	acc      []Access
+	cuts     []int
+	pos, blk int
+}
 
-func (s scalarOnly) Next() (Access, bool) { return s.g.Next() }
-func (s scalarOnly) Reset()               { s.g.Reset() }
+func (s *sliceSource) NextBlock() ([]Access, bool) {
+	if s.pos >= len(s.acc) {
+		return nil, false
+	}
+	n := len(s.acc) - s.pos
+	if len(s.cuts) > 0 {
+		n = min(n, s.cuts[s.blk%len(s.cuts)])
+		s.blk++
+	}
+	s.pos += n
+	return s.acc[s.pos-n : s.pos], true
+}
+
+func (s *sliceSource) Reset() { s.pos, s.blk = 0, 0 }
+
+// drain rewinds src and materialises its whole stream, returning the
+// accesses and the length of every block they arrived in.
+func drain(src BlockSource) (acc []Access, blocks []int) {
+	src.Reset()
+	for {
+		b, ok := src.NextBlock()
+		if !ok {
+			return acc, blocks
+		}
+		acc = append(acc, b...)
+		blocks = append(blocks, len(b))
+	}
+}
+
+// scalarReplay is the reference every replay path is pinned to: it
+// feeds acc to Simulator.Access one reference at a time, passes times,
+// and returns the statistics of the last pass.
+func scalarReplay(t *testing.T, cfg Config, acc []Access, passes int) Result {
+	t.Helper()
+	sim, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for p := 0; p < passes; p++ {
+		if p == passes-1 {
+			sim.ResetStats()
+		}
+		for _, a := range acc {
+			sim.Access(a)
+		}
+	}
+	return sim.Result()
+}
 
 // generators returns fresh fixed-seed instances of every built-in
 // generator, keyed by name.
-func generators(t *testing.T) map[string]func() BatchGenerator {
+func generators(t *testing.T) map[string]func() BlockSource {
 	t.Helper()
-	return map[string]func() BatchGenerator{
-		"sequential": func() BatchGenerator {
+	return map[string]func() BlockSource{
+		"sequential": func() BlockSource {
 			g, err := NewSequential(0, 4<<20, 64, cache.Read)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return g
 		},
-		"sequential-writes": func() BatchGenerator {
+		"sequential-writes": func() BlockSource {
 			g, err := NewSequential(1<<12, 2<<20, 32, cache.Write)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return g
 		},
-		"random": func() BatchGenerator {
+		"random": func() BlockSource {
 			g, err := NewUniformRandom(0, 8<<20, 200000, cache.Read, 42)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return g
 		},
-		"random-writes": func() BatchGenerator {
+		"random-writes": func() BlockSource {
 			g, err := NewUniformRandom(0, 4<<20, 120000, cache.Write, 7)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return g
 		},
-		"chase": func() BatchGenerator {
+		"chase": func() BlockSource {
 			g, err := NewPointerChase(0, 2<<20, 150000, cache.Read, 99)
 			if err != nil {
 				t.Fatal(err)
@@ -66,7 +118,7 @@ func configs() map[string]Config {
 
 // requireEqualResults demands identical event counts AND identical
 // replay time: time is accumulated in integer picoseconds, so every
-// replay gear must agree byte-for-byte regardless of summation order.
+// replay path must agree byte-for-byte regardless of summation order.
 func requireEqualResults(t *testing.T, label string, want, got Result) {
 	t.Helper()
 	if got.Accesses != want.Accesses {
@@ -99,23 +151,23 @@ func requireEqualResults(t *testing.T, label string, want, got Result) {
 	}
 }
 
-// TestBatchedMatchesScalar proves the chunked replay path is
-// bit-identical to one-access-at-a-time replay for every generator and
+// TestBatchedMatchesScalar proves block-fed Run is bit-identical to
+// one-access-at-a-time replay through Access for every generator and
 // hierarchy configuration.
 func TestBatchedMatchesScalar(t *testing.T) {
 	for cfgName, cfg := range configs() {
 		for genName, mk := range generators(t) {
-			scalarSim, err := New(cfg)
+			acc, _ := drain(mk())
+			want := scalarReplay(t, cfg, acc, 1)
+			sim, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			batchSim, err := New(cfg)
+			got, err := sim.Run(mk(), 1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			scalarSim.Run(scalarOnly{mk()})
-			batchSim.Run(mk())
-			requireEqualResults(t, cfgName+"/"+genName, scalarSim.Result(), batchSim.Result())
+			requireEqualResults(t, cfgName+"/"+genName, want, got)
 		}
 	}
 }
@@ -126,43 +178,35 @@ func TestBatchedMatchesScalar(t *testing.T) {
 func TestShardedMatchesScalar(t *testing.T) {
 	for cfgName, cfg := range configs() {
 		for genName, mk := range generators(t) {
-			ref, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ref.Run(mk())
-			want := ref.Result()
+			acc, _ := drain(mk())
+			want := scalarReplay(t, cfg, acc, 1)
 			for _, shards := range []int{1, 2, 4, 8} {
 				sh, err := NewSharded(cfg, shards)
 				if err != nil {
 					t.Fatal(err)
 				}
-				sh.Run(mk())
-				requireEqualResults(t, cfgName+"/"+genName+"/shards="+string(rune('0'+shards)), want, sh.Result())
+				got, err := sh.Run(mk(), 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireEqualResults(t, fmt.Sprintf("%s/%s/shards=%d", cfgName, genName, shards), want, got)
 			}
 		}
 	}
 }
 
 // TestShardedRunPassesMatchesScalar covers the steady-state
-// (multi-pass, reset-in-between) path.
+// (multi-pass, rewind-in-between) path of sharded Run.
 func TestShardedRunPassesMatchesScalar(t *testing.T) {
 	cfg := DefaultConfig(4 << 20)
-	g1, _ := NewUniformRandom(0, 8<<20, 100000, cache.Read, 3)
-	g2, _ := NewUniformRandom(0, 8<<20, 100000, cache.Read, 3)
-	ref, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := ref.RunPasses(g1, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g, _ := NewUniformRandom(0, 8<<20, 100000, cache.Read, 3)
+	acc, _ := drain(g)
+	want := scalarReplay(t, cfg, acc, 3)
 	sh, err := NewSharded(cfg, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := sh.RunPasses(g2, 3)
+	got, err := sh.Run(g, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,40 +232,34 @@ func TestShardedValidation(t *testing.T) {
 }
 
 // TestPointerChaseGenerator checks the permutation walk: every line of
-// the region is visited exactly once per cycle and the walk is
-// reproducible after Reset.
+// the region is visited exactly once per cycle, blocks are full until
+// the tail, and the walk is reproducible after Reset.
 func TestPointerChaseGenerator(t *testing.T) {
-	const lines = 64
-	g, err := NewPointerChase(0, lines*64, lines, cache.Read, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := map[uint64]int{}
-	first := make([]uint64, 0, lines)
-	for {
-		a, ok := g.Next()
-		if !ok {
-			break
+	for _, lines := range []int{64, 2*batchSize + 5} {
+		g, err := NewPointerChase(0, uint64(lines)*64, int64(lines), cache.Read, 5)
+		if err != nil {
+			t.Fatal(err)
 		}
-		seen[a.Addr]++
-		first = append(first, a.Addr)
-	}
-	if len(seen) != lines {
-		t.Fatalf("cycle visited %d distinct lines, want %d", len(seen), lines)
-	}
-	for addr, n := range seen {
-		if n != 1 {
-			t.Fatalf("line %#x visited %d times", addr, n)
+		first, blocks := drain(g)
+		requireFullBlocks(t, blocks, lines)
+		seen := map[uint64]int{}
+		for _, a := range first {
+			seen[a.Addr]++
 		}
-		if addr%64 != 0 || addr >= lines*64 {
-			t.Fatalf("address %#x outside region or misaligned", addr)
+		if len(seen) != lines {
+			t.Fatalf("cycle visited %d distinct lines, want %d", len(seen), lines)
 		}
-	}
-	g.Reset()
-	for i := range first {
-		a, ok := g.Next()
-		if !ok || a.Addr != first[i] {
-			t.Fatalf("reset walk diverges at step %d", i)
+		for addr, n := range seen {
+			if n != 1 {
+				t.Fatalf("line %#x visited %d times", addr, n)
+			}
+			if addr%64 != 0 || addr >= uint64(lines)*64 {
+				t.Fatalf("address %#x outside region or misaligned", addr)
+			}
+		}
+		again, _ := drain(g)
+		if !slices.Equal(again, first) {
+			t.Fatalf("%d lines: reset walk diverges", lines)
 		}
 	}
 	if _, err := NewPointerChase(0, 32, 10, cache.Read, 1); err == nil {
@@ -232,33 +270,18 @@ func TestPointerChaseGenerator(t *testing.T) {
 	}
 }
 
-// TestSequentialNextBatchMatchesNext checks chunk boundaries.
-func TestSequentialNextBatchMatchesNext(t *testing.T) {
-	a, _ := NewSequential(100, 1000, 64, cache.Read)
-	b, _ := NewSequential(100, 1000, 64, cache.Read)
-	buf := make([]Access, 7) // deliberately odd chunk size
-	var batched []Access
-	for {
-		n := b.NextBatch(buf)
-		if n == 0 {
-			break
+// requireFullBlocks checks a generator's block boundaries: every block
+// but the last holds batchSize accesses, and together they hold n.
+func requireFullBlocks(t *testing.T, blocks []int, n int) {
+	t.Helper()
+	total := 0
+	for i, b := range blocks {
+		if b <= 0 || b > batchSize || (i < len(blocks)-1 && b != batchSize) {
+			t.Fatalf("block %d of %v holds %d accesses", i, blocks, b)
 		}
-		batched = append(batched, buf[:n]...)
+		total += b
 	}
-	var scalar []Access
-	for {
-		acc, ok := a.Next()
-		if !ok {
-			break
-		}
-		scalar = append(scalar, acc)
-	}
-	if len(batched) != len(scalar) {
-		t.Fatalf("batched %d accesses, scalar %d", len(batched), len(scalar))
-	}
-	for i := range scalar {
-		if batched[i] != scalar[i] {
-			t.Fatalf("access %d: %+v != %+v", i, batched[i], scalar[i])
-		}
+	if total != n {
+		t.Fatalf("blocks %v hold %d accesses, want %d", blocks, total, n)
 	}
 }

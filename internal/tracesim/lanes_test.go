@@ -9,28 +9,6 @@ import (
 	"repro/internal/units"
 )
 
-// sliceGen replays a fixed access slice; it implements BatchGenerator.
-type sliceGen struct {
-	acc []Access
-	pos int
-}
-
-func (g *sliceGen) Next() (Access, bool) {
-	if g.pos >= len(g.acc) {
-		return Access{}, false
-	}
-	g.pos++
-	return g.acc[g.pos-1], true
-}
-
-func (g *sliceGen) NextBatch(buf []Access) int {
-	n := copy(buf, g.acc[g.pos:])
-	g.pos += n
-	return n
-}
-
-func (g *sliceGen) Reset() { g.pos = 0 }
-
 // laneNames lists laneConfigs' keys in a fixed order.
 var laneNames = []string{"dram", "hbm", "interleave", "cache", "hybrid0.25", "hybrid0.50", "hybrid0.75"}
 
@@ -87,38 +65,32 @@ func TestLanesMatchSingleConfig(t *testing.T) {
 		rev[len(laneNames)-1-i] = n
 	}
 	laneSets := [][]string{laneNames, rev, {"cache"}, {"dram", "hbm"}, {"hybrid0.50", "cache", "hybrid0.50"}}
-	streams := map[string]func() Generator{
-		"sequential": func() Generator {
+	streams := map[string]func() BlockSource{
+		"sequential": func() BlockSource {
 			g, _ := NewSequential(0, 3<<20, 64, cache.Read)
 			return g
 		},
-		"uniform-random": func() Generator {
+		"uniform-random": func() BlockSource {
 			g, _ := NewUniformRandom(0, 3<<20, 30000, cache.Read, 11)
 			return g
 		},
-		"pointer-chase": func() Generator {
+		"pointer-chase": func() BlockSource {
 			g, _ := NewPointerChase(0, 2<<20, 30000, cache.Read, 12)
 			return g
 		},
-		"random-25pct-writes": func() Generator {
-			return &sliceGen{acc: writeMix(3<<20, 30000, 13)}
+		"random-25pct-writes": func() BlockSource {
+			return &sliceSource{acc: writeMix(3<<20, 30000, 13)}
 		},
 	}
-	// Single-config references, memoized across lane sets.
+	// Single-config scalar references, memoized across lane sets.
 	refs := map[string]Result{}
 	reference := func(name, stream string, passes int) Result {
 		key := fmt.Sprintf("%s/%s/%d", name, stream, passes)
 		if r, ok := refs[key]; ok {
 			return r
 		}
-		ref, err := New(cfgs[name])
-		if err != nil {
-			t.Fatal(err)
-		}
-		r, err := ref.RunPasses(streams[stream](), passes)
-		if err != nil {
-			t.Fatal(err)
-		}
+		acc, _ := drain(streams[stream]())
+		r := scalarReplay(t, cfgs[name], acc, passes)
 		refs[key] = r
 		return r
 	}
@@ -134,7 +106,7 @@ func TestLanesMatchSingleConfig(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got0, err := sim.RunPasses(mk(), passes)
+				got0, err := sim.Run(mk(), passes)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -160,7 +132,9 @@ func TestLaneWritebacksDiffer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim.Run(&sliceGen{acc: writeMix(3<<20, 30000, 13)})
+	if _, err := sim.Run(&sliceSource{acc: writeMix(3<<20, 30000, 13)}, 1); err != nil {
+		t.Fatal(err)
+	}
 	flat, mc := sim.LaneResult(0), sim.LaneResult(1)
 	if flat.Prefetches == 0 || flat.MemWrites == 0 {
 		t.Fatalf("stream exercises no prefetch/writeback: %+v", flat)
@@ -213,15 +187,18 @@ func fuzzBase() Config {
 }
 
 // FuzzLaneEquivalence decodes arbitrary bytes into lane configs and an
-// (addr, kind) stream and requires every lane to equal a single-config
-// replay exactly. Layout: byte 0 holds the lane count (low 2 bits + 1)
-// and pass count (bit 2 + 1); the next lane-count bytes pick each
-// lane's config; every following 3 bytes are one access (16-bit line
-// index, low bit of the third byte selects a write).
+// (addr, kind) stream, replays it block-fed through a multi-lane Run,
+// and requires every lane to equal a single-config scalar replay
+// (Access) exactly. Layout of data: byte 0 holds the lane count (low 2
+// bits + 1) and pass count (bit 2 + 1); the next lane-count bytes pick
+// each lane's config; every following 3 bytes are one access (16-bit
+// line index, low bit of the third byte selects a write). Each byte of
+// cuts is one block length (byte + 1), cycled over the stream; with no
+// cuts the stream is a single block.
 func FuzzLaneEquivalence(f *testing.F) {
-	f.Add([]byte{0x03, 0, 1, 2, 3, 0, 0, 0, 0, 1, 0, 1, 0, 2, 0, 0, 0, 3, 1})
-	f.Add([]byte{0x06, 3, 4, 5, 0, 16, 1, 0, 17, 0, 0, 18, 1, 0, 16, 0})
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Add([]byte{0x03, 0, 1, 2, 3, 0, 0, 0, 0, 1, 0, 1, 0, 2, 0, 0, 0, 3, 1}, []byte{})
+	f.Add([]byte{0x06, 3, 4, 5, 0, 16, 1, 0, 17, 0, 0, 18, 1, 0, 16, 0}, []byte{0, 2})
+	f.Fuzz(func(t *testing.T, data, cuts []byte) {
 		if len(data) < 1 {
 			return
 		}
@@ -248,23 +225,19 @@ func FuzzLaneEquivalence(f *testing.F) {
 		if len(acc) == 0 {
 			return
 		}
+		src := &sliceSource{acc: acc}
+		for _, c := range cuts {
+			src.cuts = append(src.cuts, int(c)+1)
+		}
 		sim, err := NewLanes(cfgs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := sim.RunPasses(&sliceGen{acc: acc}, passes); err != nil {
+		if _, err := sim.Run(src, passes); err != nil {
 			t.Fatal(err)
 		}
 		for i, c := range cfgs {
-			ref, err := New(c)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := ref.RunPasses(&sliceGen{acc: acc}, passes)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := sim.LaneResult(i); got != want {
+			if got, want := sim.LaneResult(i), scalarReplay(t, c, acc, passes); got != want {
 				t.Fatalf("lane %d: %+v != %+v", i, got, want)
 			}
 		}

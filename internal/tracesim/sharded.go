@@ -26,7 +26,6 @@ import (
 // the serial access order); workers own per-tile L2 and MCDRAM shards.
 type ShardedSimulator struct {
 	cfg        Config
-	shards     int
 	shardMask  uint64
 	shardShift uint
 	lineShift  uint
@@ -43,8 +42,7 @@ type ShardedSimulator struct {
 	lastLine uint64
 	haveLast bool
 
-	fill  [][]shardOp // per-worker chunk being filled
-	batch []Access
+	fill [][]shardOp // per-worker chunk being filled
 }
 
 // shardOp encodes one worker operation: the shard-local line address
@@ -92,7 +90,6 @@ func NewSharded(cfg Config, shards int) (*ShardedSimulator, error) {
 	}
 	sh := &ShardedSimulator{
 		cfg:        cfg,
-		shards:     shards,
 		shardMask:  uint64(shards - 1),
 		shardShift: uint(bits.TrailingZeros64(uint64(shards))),
 		lineShift:  uint(bits.TrailingZeros64(uint64(units.CacheLine))),
@@ -126,9 +123,6 @@ func NewSharded(cfg Config, shards int) (*ShardedSimulator, error) {
 	}
 	return sh, nil
 }
-
-// Shards returns the worker count.
-func (sh *ShardedSimulator) Shards() int { return sh.shards }
 
 // start launches one goroutine per worker for the duration of a run.
 func (sh *ShardedSimulator) start() {
@@ -239,81 +233,32 @@ func (w *shardWorker) apply(op shardOp) {
 	}
 }
 
-// Run replays a generator to exhaustion across the shards.
-func (sh *ShardedSimulator) Run(g Generator) {
-	sh.start()
-	if bg, ok := g.(BatchGenerator); ok {
-		if sh.batch == nil {
-			sh.batch = make([]Access, batchSize)
+// Run replays src `passes` times across the shards, rewinding it
+// before each pass, and returns the merged statistics of the final pass
+// only. The dispatcher walks each block in place, with no staging copy,
+// and the aggregate Result is identical to Simulator.Run's over the
+// same stream.
+func (sh *ShardedSimulator) Run(src BlockSource, passes int) (Result, error) {
+	if passes <= 0 {
+		return Result{}, fmt.Errorf("tracesim: passes must be positive")
+	}
+	for p := 0; p < passes; p++ {
+		if p == passes-1 {
+			sh.ResetStats()
 		}
+		src.Reset()
+		sh.start()
 		for {
-			n := bg.NextBatch(sh.batch)
-			if n == 0 {
-				break
-			}
-			for _, a := range sh.batch[:n] {
-				sh.accessLine(a.Addr>>sh.lineShift, a.Kind)
-			}
-		}
-	} else {
-		for {
-			a, ok := g.Next()
+			b, ok := src.NextBlock()
 			if !ok {
 				break
 			}
-			sh.accessLine(a.Addr>>sh.lineShift, a.Kind)
+			for _, a := range b {
+				sh.accessLine(a.Addr>>sh.lineShift, a.Kind)
+			}
 		}
+		sh.stop()
 	}
-	sh.stop()
-}
-
-// RunBlocks replays a block source to exhaustion across the shards.
-// Blocks are consumed in place — the dispatcher walks each decoded
-// block directly, with no staging copy — and aggregate results are
-// identical to scalar replay of the same stream.
-func (sh *ShardedSimulator) RunBlocks(src BlockSource) {
-	sh.start()
-	for {
-		b, ok := src.NextBlock()
-		if !ok {
-			break
-		}
-		for _, a := range b {
-			sh.accessLine(a.Addr>>sh.lineShift, a.Kind)
-		}
-	}
-	sh.stop()
-}
-
-// RunBlockPasses replays a block source `passes` times, resetting in
-// between, and returns stats for the final pass only (steady state).
-func (sh *ShardedSimulator) RunBlockPasses(src BlockSource, passes int) (Result, error) {
-	if passes <= 0 {
-		return Result{}, fmt.Errorf("tracesim: passes must be positive")
-	}
-	for p := 0; p < passes-1; p++ {
-		src.Reset()
-		sh.RunBlocks(src)
-	}
-	sh.ResetStats()
-	src.Reset()
-	sh.RunBlocks(src)
-	return sh.Result(), nil
-}
-
-// RunPasses replays a generator `passes` times, resetting in between,
-// and returns stats for the final pass only (steady state).
-func (sh *ShardedSimulator) RunPasses(g Generator, passes int) (Result, error) {
-	if passes <= 0 {
-		return Result{}, fmt.Errorf("tracesim: passes must be positive")
-	}
-	for p := 0; p < passes-1; p++ {
-		g.Reset()
-		sh.Run(g)
-	}
-	sh.ResetStats()
-	g.Reset()
-	sh.Run(g)
 	return sh.Result(), nil
 }
 

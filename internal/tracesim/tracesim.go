@@ -9,28 +9,28 @@
 //
 // # Performance architecture
 //
-// Replay is the hot path of the whole repository, so it is built in
-// four gears:
+// Replay is the hot path of the whole repository, so it has exactly
+// one pipeline:
 //
-//   - Scalar: Simulator.Access replays one reference. All cache
-//     indexing is shift/mask (internal/cache stores line-granular
-//     tags), and consecutive references to the same 64 B line are
-//     coalesced into an L1 MRU touch that skips the set scan.
-//   - Batched: generators that implement BatchGenerator deliver
-//     accesses in ~4k chunks (NextBatch), amortising interface
-//     dispatch; Run uses this automatically. Batched replay produces
-//     bit-identical Results to scalar replay.
-//   - Block-fed: sources that implement BlockSource (stored traces
-//     via tracestore.Provider.Blocks) hand the simulator decoded
-//     blocks as views of a reusable buffer; RunBlocks/RunBlockPasses
-//     consume them in place, so no access is ever staged twice.
-//     Results are bit-identical to scalar replay.
-//   - Sharded: ShardedSimulator (sharded.go) partitions the stream
-//     across N workers by cache-set interleaving and replays them
-//     concurrently with per-tile-L2 semantics, merging Results.
-//     Aggregate hit/miss/writeback counts match scalar replay exactly.
+//   - One stream interface. Every access stream is a BlockSource: the
+//     synthetic generators fill a reusable ~4k-access buffer and hand
+//     out views of it, and stored traces (tracestore.Provider.Blocks)
+//     hand out decoded blocks in place, so no access is staged twice.
+//   - One entry point. Simulator.Run(src, passes) rewinds the source
+//     before each pass, walks every block in place, and measures only
+//     the last pass. All cache indexing is shift/mask (internal/cache
+//     stores line-granular tags), and consecutive references to the
+//     same 64 B line are coalesced into an L1 MRU touch that skips the
+//     set scan.
+//   - One reference. Simulator.Access replays a single reference; it is
+//     the scalar oracle the equivalence tests compare Run against.
+//   - Sharded: ShardedSimulator (sharded.go) is a concurrent simulator
+//     behind the same Run. It partitions the stream across N workers by
+//     cache-set interleaving with per-tile-L2 semantics and merges
+//     Results; aggregate hit/miss/writeback counts and replay time
+//     match scalar replay exactly.
 //
-// See the repository doc.go for how to benchmark the three gears.
+// See the repository doc.go for how to benchmark replay.
 //
 // # Memory lanes
 //
@@ -41,9 +41,8 @@
 // systems, each with its own memory-side cache, traffic counters and
 // demand-fill time. A stream is replayed once for all of them, and
 // LaneResult(i) is exactly the Result a single-lane New(cfg_i) replay
-// of the same stream produces. Lanes work under every gear that drives
-// the Simulator (scalar, batched, block-fed); they are not a gear of
-// their own.
+// of the same stream produces, whether it is driven by Run or by
+// Access.
 package tracesim
 
 import (
@@ -63,29 +62,13 @@ type Access struct {
 	Kind cache.AccessKind
 }
 
-// Generator produces a finite access stream.
-type Generator interface {
-	// Next returns the next access, or ok=false at end of stream.
-	Next() (Access, bool)
-	// Reset rewinds the generator for another pass.
-	Reset()
-}
-
-// BatchGenerator is implemented by generators that can deliver many
-// accesses per call. Replay uses it to amortise interface dispatch
-// over large chunks; NextBatch fills buf and returns how many entries
-// were written (0 at end of stream).
-type BatchGenerator interface {
-	Generator
-	NextBatch(buf []Access) int
-}
-
-// BlockSource yields an access stream in source-native blocks (for
-// stored traces, one decoded varint-delta block per call) as views of
-// the source's reusable buffer: the returned slice is valid only
-// until the next call, so block-fed replay moves no access twice.
-// Sources signal end of stream or error with ok=false; error-capable
-// sources (tracestore.BlockReader) expose Err for the distinction.
+// BlockSource yields a finite access stream in blocks (for stored
+// traces, one decoded varint-delta block per call; for the synthetic
+// generators, one filled chunk) as views of the source's reusable
+// buffer: the returned slice is valid only until the next call, so
+// replay moves no access twice. Sources signal end of stream or error
+// with ok=false; error-capable sources (tracestore.BlockReader)
+// expose Err for the distinction.
 type BlockSource interface {
 	// NextBlock returns the next block, or ok=false at end of stream.
 	NextBlock() ([]Access, bool)
@@ -93,8 +76,8 @@ type BlockSource interface {
 	Reset()
 }
 
-// batchSize is the replay chunk: large enough to amortise dispatch,
-// small enough to stay resident in the host L1/L2.
+// batchSize is the generators' block length: large enough to amortise
+// dispatch, small enough to stay resident in the host L1/L2.
 const batchSize = 4096
 
 // Sequential streams a region front to back with the given request size.
@@ -103,6 +86,7 @@ type Sequential struct {
 	Stride     uint64
 	Kind       cache.AccessKind
 	pos        uint64
+	buf        []Access
 }
 
 // NewSequential builds a sequential generator over [base, base+size).
@@ -110,33 +94,25 @@ func NewSequential(base, size, stride uint64, kind cache.AccessKind) (*Sequentia
 	if size == 0 || stride == 0 {
 		return nil, fmt.Errorf("tracesim: size and stride must be positive")
 	}
-	return &Sequential{Base: base, Size: size, Stride: stride, Kind: kind}, nil
+	return &Sequential{Base: base, Size: size, Stride: stride, Kind: kind, buf: make([]Access, batchSize)}, nil
 }
 
-// Next implements Generator.
-func (s *Sequential) Next() (Access, bool) {
-	if s.pos >= s.Size {
-		return Access{}, false
-	}
-	a := Access{Addr: s.Base + s.pos, Kind: s.Kind}
-	s.pos += s.Stride
-	return a, true
-}
-
-// NextBatch implements BatchGenerator.
-func (s *Sequential) NextBatch(buf []Access) int {
+// NextBlock implements BlockSource.
+//
+//simd:hotpath — the synthetic replay feed; runs once per block of every trace-fidelity point.
+func (s *Sequential) NextBlock() ([]Access, bool) {
 	n := 0
 	pos, kind := s.pos, s.Kind
-	for n < len(buf) && pos < s.Size {
-		buf[n] = Access{Addr: s.Base + pos, Kind: kind}
+	for n < len(s.buf) && pos < s.Size {
+		s.buf[n] = Access{Addr: s.Base + pos, Kind: kind}
 		pos += s.Stride
 		n++
 	}
 	s.pos = pos
-	return n
+	return s.buf[:n], n > 0
 }
 
-// Reset implements Generator.
+// Reset implements BlockSource.
 func (s *Sequential) Reset() { s.pos = 0 }
 
 // UniformRandom generates count random accesses over a region.
@@ -147,6 +123,7 @@ type UniformRandom struct {
 	seed       int64
 	rng        *rand.Rand
 	emitted    int64
+	buf        []Access
 }
 
 // NewUniformRandom builds a random generator.
@@ -154,35 +131,26 @@ func NewUniformRandom(base, size uint64, count int64, kind cache.AccessKind, see
 	if size == 0 || count <= 0 {
 		return nil, fmt.Errorf("tracesim: size and count must be positive")
 	}
-	return &UniformRandom{Base: base, Size: size, Count: count, Kind: kind, seed: seed, rng: rand.New(rand.NewSource(seed))}, nil
+	return &UniformRandom{Base: base, Size: size, Count: count, Kind: kind, seed: seed,
+		rng: rand.New(rand.NewSource(seed)), buf: make([]Access, batchSize)}, nil
 }
 
-// Next implements Generator.
-func (u *UniformRandom) Next() (Access, bool) {
-	if u.emitted >= u.Count {
-		return Access{}, false
-	}
-	u.emitted++
-	off := (u.rng.Uint64() % (u.Size / 8)) * 8
-	return Access{Addr: u.Base + off, Kind: u.Kind}, true
-}
-
-// NextBatch implements BatchGenerator. The draw sequence is identical
-// to repeated Next calls, so batched and scalar replay see the same
-// stream.
-func (u *UniformRandom) NextBatch(buf []Access) int {
+// NextBlock implements BlockSource.
+//
+//simd:hotpath — the synthetic replay feed; runs once per block of every trace-fidelity point.
+func (u *UniformRandom) NextBlock() ([]Access, bool) {
 	n := 0
 	words := u.Size / 8
-	for n < len(buf) && u.emitted < u.Count {
+	for n < len(u.buf) && u.emitted < u.Count {
 		u.emitted++
 		off := (u.rng.Uint64() % words) * 8
-		buf[n] = Access{Addr: u.Base + off, Kind: u.Kind}
+		u.buf[n] = Access{Addr: u.Base + off, Kind: u.Kind}
 		n++
 	}
-	return n
+	return u.buf[:n], n > 0
 }
 
-// Reset implements Generator.
+// Reset implements BlockSource.
 func (u *UniformRandom) Reset() {
 	u.rng = rand.New(rand.NewSource(u.seed))
 	u.emitted = 0
@@ -201,6 +169,7 @@ type PointerChase struct {
 	next    []uint32 // permutation: next[i] is the line after line i
 	cur     uint32
 	emitted int64
+	buf     []Access
 }
 
 // NewPointerChase builds a chase over size bytes (at least one cache
@@ -224,35 +193,26 @@ func NewPointerChase(base, size uint64, steps int64, kind cache.AccessKind, seed
 		j := rng.Intn(i)
 		next[i], next[j] = next[j], next[i]
 	}
-	return &PointerChase{Base: base, Steps: steps, Kind: kind, next: next}, nil
+	return &PointerChase{Base: base, Steps: steps, Kind: kind, next: next, buf: make([]Access, batchSize)}, nil
 }
 
-// Next implements Generator.
-func (p *PointerChase) Next() (Access, bool) {
-	if p.emitted >= p.Steps {
-		return Access{}, false
-	}
-	p.emitted++
-	a := Access{Addr: p.Base + uint64(p.cur)*uint64(units.CacheLine), Kind: p.Kind}
-	p.cur = p.next[p.cur]
-	return a, true
-}
-
-// NextBatch implements BatchGenerator.
-func (p *PointerChase) NextBatch(buf []Access) int {
+// NextBlock implements BlockSource.
+//
+//simd:hotpath — the synthetic replay feed; runs once per block of every trace-fidelity point.
+func (p *PointerChase) NextBlock() ([]Access, bool) {
 	n := 0
 	cur := p.cur
-	for n < len(buf) && p.emitted < p.Steps {
+	for n < len(p.buf) && p.emitted < p.Steps {
 		p.emitted++
-		buf[n] = Access{Addr: p.Base + uint64(cur)*uint64(units.CacheLine), Kind: p.Kind}
+		p.buf[n] = Access{Addr: p.Base + uint64(cur)*uint64(units.CacheLine), Kind: p.Kind}
 		cur = p.next[cur]
 		n++
 	}
 	p.cur = cur
-	return n
+	return p.buf[:n], n > 0
 }
 
-// Reset implements Generator.
+// Reset implements BlockSource.
 func (p *PointerChase) Reset() {
 	p.cur = 0
 	p.emitted = 0
@@ -290,8 +250,8 @@ func DefaultConfig(memCache units.Bytes) Config {
 // Replay time is accumulated in integer picoseconds (TotalTimePS):
 // the configured float latencies are quantized to ps once, up front,
 // and every accumulation is a uint64 add. Integer addition is
-// associative, so scalar, batched, sharded, and block-fed replay
-// produce byte-identical times regardless of summation order — the
+// associative, so per-access (Access), block-fed (Run) and sharded
+// replay produce byte-identical times regardless of summation order — the
 // equivalence suite requires exact equality, not a tolerance.
 // TotalTimeNS is derived from TotalTimePS when a Result is
 // materialized and is kept for reporting compatibility.
@@ -437,9 +397,7 @@ type Simulator struct {
 	lastLine uint64
 	haveLast bool
 
-	batch []Access // reused chunk buffer for batched Run
-
-	touchSink uint64 // keeps AccessBatch's pre-touch loads alive
+	touchSink uint64 // keeps accessBatch's pre-touch loads alive
 }
 
 // New builds a simulator.
@@ -555,15 +513,15 @@ func (s *Simulator) accessLine(line uint64, kind cache.AccessKind) uint64 {
 }
 
 // touchAhead is how many accesses ahead of the demand pointer
-// AccessBatch pre-reads L2 and memory-side tag sets. The simulator's
+// accessBatch pre-reads L2 and memory-side tag sets. The simulator's
 // tag arrays exceed the host's caches, so replay is bound by a
 // serial chain of host memory misses; touching the sets a few
 // accesses early overlaps those misses. Reads only — replay results
 // are untouched.
 const touchAhead = 8
 
-// AccessBatch replays a chunk of accesses.
-func (s *Simulator) AccessBatch(batch []Access) {
+// accessBatch replays one block of accesses.
+func (s *Simulator) accessBatch(batch []Access) {
 	shift := s.lineShift
 	var sink uint64
 	for i, a := range batch {
@@ -581,73 +539,28 @@ func (s *Simulator) AccessBatch(batch []Access) {
 	s.touchSink ^= sink
 }
 
-// Run replays a generator to exhaustion. Generators implementing
-// BatchGenerator are replayed in chunks, which produces bit-identical
-// results while amortising per-access interface dispatch.
-func (s *Simulator) Run(g Generator) {
-	if bg, ok := g.(BatchGenerator); ok {
-		if s.batch == nil {
-			s.batch = make([]Access, batchSize)
-		}
-		for {
-			n := bg.NextBatch(s.batch)
-			if n == 0 {
-				return
-			}
-			s.AccessBatch(s.batch[:n])
-		}
-	}
-	for {
-		a, ok := g.Next()
-		if !ok {
-			return
-		}
-		s.Access(a)
-	}
-}
-
-// RunPasses replays a generator `passes` times, resetting in between,
-// and returns stats for the final pass only (steady state).
-func (s *Simulator) RunPasses(g Generator, passes int) (Result, error) {
+// Run replays src `passes` times, rewinding it before each pass, and
+// returns the statistics of the final pass only (steady state: the
+// earlier passes only warm the hierarchy). Each block is consumed in
+// place; the Result is byte-identical to feeding the same stream to
+// Access one reference at a time.
+func (s *Simulator) Run(src BlockSource, passes int) (Result, error) {
 	if passes <= 0 {
 		return Result{}, fmt.Errorf("tracesim: passes must be positive")
 	}
-	for p := 0; p < passes-1; p++ {
-		g.Reset()
-		s.Run(g)
-	}
-	s.ResetStats()
-	g.Reset()
-	s.Run(g)
-	return s.Result(), nil
-}
-
-// RunBlocks replays a block source to exhaustion. Each block is
-// consumed in place (no copy into a staging buffer); results are
-// byte-identical to Run over the same stream.
-func (s *Simulator) RunBlocks(src BlockSource) {
-	for {
-		b, ok := src.NextBlock()
-		if !ok {
-			return
+	for p := 0; p < passes; p++ {
+		if p == passes-1 {
+			s.ResetStats()
 		}
-		s.AccessBatch(b)
-	}
-}
-
-// RunBlockPasses replays a block source `passes` times, resetting in
-// between, and returns stats for the final pass only (steady state).
-func (s *Simulator) RunBlockPasses(src BlockSource, passes int) (Result, error) {
-	if passes <= 0 {
-		return Result{}, fmt.Errorf("tracesim: passes must be positive")
-	}
-	for p := 0; p < passes-1; p++ {
 		src.Reset()
-		s.RunBlocks(src)
+		for {
+			b, ok := src.NextBlock()
+			if !ok {
+				break
+			}
+			s.accessBatch(b)
+		}
 	}
-	s.ResetStats()
-	src.Reset()
-	s.RunBlocks(src)
 	return s.Result(), nil
 }
 

@@ -2,6 +2,7 @@ package tracesim
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/cache"
@@ -10,24 +11,21 @@ import (
 )
 
 func TestSequentialGenerator(t *testing.T) {
-	g, err := NewSequential(1000, 256, 64, cache.Read)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var addrs []uint64
-	for {
-		a, ok := g.Next()
-		if !ok {
-			break
+	for _, n := range []int{4, 2*batchSize + 5} {
+		g, err := NewSequential(1000, uint64(n)*64, 64, cache.Read)
+		if err != nil {
+			t.Fatal(err)
 		}
-		addrs = append(addrs, a.Addr)
-	}
-	if len(addrs) != 4 || addrs[0] != 1000 || addrs[3] != 1000+3*64 {
-		t.Fatalf("sequential stream wrong: %v", addrs)
-	}
-	g.Reset()
-	if a, ok := g.Next(); !ok || a.Addr != 1000 {
-		t.Fatal("reset failed")
+		acc, blocks := drain(g)
+		requireFullBlocks(t, blocks, n)
+		for i, a := range acc {
+			if a.Addr != 1000+uint64(i)*64 || a.Kind != cache.Read {
+				t.Fatalf("%d accesses: access %d is %+v", n, i, a)
+			}
+		}
+		if again, _ := drain(g); !slices.Equal(again, acc) {
+			t.Fatalf("%d accesses: reset failed", n)
+		}
 	}
 	if _, err := NewSequential(0, 0, 64, cache.Read); err == nil {
 		t.Error("zero size accepted")
@@ -35,31 +33,22 @@ func TestSequentialGenerator(t *testing.T) {
 }
 
 func TestUniformRandomGenerator(t *testing.T) {
-	g, err := NewUniformRandom(0, 1<<20, 1000, cache.Read, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	count := 0
-	for {
-		a, ok := g.Next()
-		if !ok {
-			break
+	for _, n := range []int{1000, 2*batchSize + 5} {
+		g, err := NewUniformRandom(0, 1<<20, int64(n), cache.Read, 5)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if a.Addr >= 1<<20 {
-			t.Fatalf("address %#x out of region", a.Addr)
+		acc, blocks := drain(g)
+		requireFullBlocks(t, blocks, n)
+		for _, a := range acc {
+			if a.Addr >= 1<<20 {
+				t.Fatalf("address %#x out of region", a.Addr)
+			}
 		}
-		count++
-	}
-	if count != 1000 {
-		t.Fatalf("emitted %d, want 1000", count)
-	}
-	// Reset reproduces the same stream.
-	g.Reset()
-	first, _ := g.Next()
-	g.Reset()
-	again, _ := g.Next()
-	if first != again {
-		t.Fatal("reset not reproducible")
+		// Reset reproduces the same stream.
+		if again, _ := drain(g); !slices.Equal(again, acc) {
+			t.Fatalf("%d accesses: reset not reproducible", n)
+		}
 	}
 	if _, err := NewUniformRandom(0, 0, 10, cache.Read, 1); err == nil {
 		t.Error("zero region accepted")
@@ -74,8 +63,10 @@ func TestSequentialStreamMostlyHitsWithPrefetcher(t *testing.T) {
 	}
 	// Stream 8 MiB (far beyond L2) sequentially.
 	g, _ := NewSequential(0, 8<<20, 64, cache.Read)
-	sim.Run(g)
-	r := sim.Result()
+	r, err := sim.Run(g, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	// The prefetcher should cover most of the stream: L2 demand
 	// misses well below the no-prefetch line count.
 	lines := int64(8 << 20 / 64)
@@ -98,7 +89,7 @@ func TestRandomOverL2Misses(t *testing.T) {
 	// 500k draws over 32 MiB touch ~63% of its lines (~20 MiB), a
 	// genuine 20x oversubscription of the 1 MiB L2.
 	g, _ := NewUniformRandom(0, 32<<20, 500000, cache.Read, 3)
-	if _, err := sim.RunPasses(g, 2); err != nil {
+	if _, err := sim.Run(g, 2); err != nil {
 		t.Fatal(err)
 	}
 	r := sim.Result()
@@ -118,7 +109,7 @@ func TestMemSideCacheReducesMemReads(t *testing.T) {
 	cfg.Prefetcher = false
 	sim, _ := New(cfg)
 	g, _ := NewUniformRandom(0, 4<<20, 30000, cache.Read, 11)
-	res, err := sim.RunPasses(g, 3)
+	res, err := sim.Run(g, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +129,7 @@ func TestMemSideCacheThrashesWhenOversubscribed(t *testing.T) {
 	sim, _ := New(cfg)
 	// 300k draws over 8 MiB touch ~118k of 131k lines (~7.2 MiB).
 	g, _ := NewUniformRandom(0, 8<<20, 300000, cache.Read, 13)
-	res, err := sim.RunPasses(g, 3)
+	res, err := sim.Run(g, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +157,7 @@ func TestStreamingHitRatioNearAnalyticAnchors(t *testing.T) {
 		sim, _ := New(cfg)
 		ws := uint64(r.ratio * mcCap)
 		g, _ := NewSequential(0, ws, 64, cache.Read)
-		res, err := sim.RunPasses(g, 3)
+		res, err := sim.Run(g, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -184,10 +175,10 @@ func TestWritebackAccounting(t *testing.T) {
 	sim, _ := New(cfg)
 	// Write a region larger than L2 twice: evictions must write back.
 	g, _ := NewSequential(0, 4<<20, 64, cache.Write)
-	sim.Run(g)
-	g.Reset()
-	sim.Run(g)
-	r := sim.Result()
+	r, err := sim.Run(g, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if r.MemWrites == 0 {
 		t.Fatal("dirty evictions produced no memory writes")
 	}
@@ -199,8 +190,12 @@ func TestWritebackAccounting(t *testing.T) {
 func TestRunPassesValidation(t *testing.T) {
 	sim, _ := New(DefaultConfig(0))
 	g, _ := NewSequential(0, 1024, 64, cache.Read)
-	if _, err := sim.RunPasses(g, 0); err == nil {
+	if _, err := sim.Run(g, 0); err == nil {
 		t.Error("zero passes accepted")
+	}
+	sh, _ := NewSharded(DefaultConfig(0), 2)
+	if _, err := sh.Run(g, 0); err == nil {
+		t.Error("sharded: zero passes accepted")
 	}
 }
 

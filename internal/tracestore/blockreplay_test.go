@@ -2,6 +2,7 @@ package tracestore
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"testing"
 
@@ -50,12 +51,50 @@ func requireSame(t *testing.T, label string, want, got tracesim.Result) {
 	}
 }
 
-// TestBlockFedReplayEquivalence is the pinned guarantee behind the
-// block-fed fast path: for every memory organization, replaying a
-// stored trace (a) per access through the Provider into the scalar
-// simulator, (b) block-fed into the scalar simulator, (c) per access
-// into the sharded simulator, and (d) block-fed into the sharded
-// simulator produces identical counts and identical replay time.
+// scalarReplay is the reference replay: it feeds accs to
+// Simulator.Access one reference at a time, passes times, and returns
+// the statistics of the last pass.
+func scalarReplay(t *testing.T, cfg tracesim.Config, accs []tracesim.Access, passes int) tracesim.Result {
+	t.Helper()
+	sim, err := tracesim.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for p := 0; p < passes; p++ {
+		if p == passes-1 {
+			sim.ResetStats()
+		}
+		for _, a := range accs {
+			sim.Access(a)
+		}
+	}
+	return sim.Result()
+}
+
+// blockFeed is the block-granular read side shared by Decoder and
+// BlockReader.
+type blockFeed interface {
+	NextBlock() ([]tracesim.Access, bool)
+}
+
+// decodeAll drains a block feed into one slice.
+func decodeAll(src blockFeed) []tracesim.Access {
+	var out []tracesim.Access
+	for {
+		b, ok := src.NextBlock()
+		if !ok {
+			return out
+		}
+		out = append(out, b...)
+	}
+}
+
+// TestBlockFedReplayEquivalence is the pinned guarantee behind stored
+// trace replay: for every memory organization, replaying a stored trace
+// block-fed (Provider.Blocks) into the scalar simulator and into the
+// sharded simulator at 1 and 4 shards produces counts and replay time
+// identical to feeding the original stream to Access one reference at
+// a time.
 func TestBlockFedReplayEquivalence(t *testing.T) {
 	accs := testAccesses(3*blockAccesses + 1234) // several blocks + tail
 	st, id := storeWith(t, accs)
@@ -69,64 +108,37 @@ func TestBlockFedReplayEquivalence(t *testing.T) {
 		t.Cleanup(func() { p.Close() })
 		return p
 	}
+	// replay runs one simulator over a freshly opened stored trace.
+	replay := func(sim interface {
+		Run(tracesim.BlockSource, int) (tracesim.Result, error)
+	}) tracesim.Result {
+		p := open()
+		got, err := sim.Run(p.Blocks(), passes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Err() != nil {
+			t.Fatal(p.Err())
+		}
+		return got
+	}
 
 	for cfgName, cfg := range replayConfigs() {
 		t.Run(cfgName, func(t *testing.T) {
+			ref := scalarReplay(t, cfg, accs, passes)
+
 			scalar, err := tracesim.New(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			p := open()
-			ref, err := scalar.RunPasses(p, passes)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if p.Err() != nil {
-				t.Fatal(p.Err())
-			}
-
-			scalarBlocks, err := tracesim.New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			pb := open()
-			got, err := scalarBlocks.RunBlockPasses(pb.Blocks(), passes)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if pb.Err() != nil {
-				t.Fatal(pb.Err())
-			}
-			requireSame(t, cfgName+"/scalar-blocks", ref, got)
+			requireSame(t, cfgName+"/scalar-blocks", ref, replay(scalar))
 
 			for _, shards := range []int{1, 4} {
 				sh, err := tracesim.NewSharded(cfg, shards)
 				if err != nil {
 					t.Fatal(err)
 				}
-				ps := open()
-				got, err := sh.RunPasses(ps, passes)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if ps.Err() != nil {
-					t.Fatal(ps.Err())
-				}
-				requireSame(t, cfgName+"/sharded-provider", ref, got)
-
-				shb, err := tracesim.NewSharded(cfg, shards)
-				if err != nil {
-					t.Fatal(err)
-				}
-				pbb := open()
-				got, err = shb.RunBlockPasses(pbb.Blocks(), passes)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if pbb.Err() != nil {
-					t.Fatal(pbb.Err())
-				}
-				requireSame(t, cfgName+"/sharded-blocks", ref, got)
+				requireSame(t, fmt.Sprintf("%s/sharded-blocks/%d", cfgName, shards), ref, replay(sh))
 			}
 		})
 	}
@@ -155,7 +167,7 @@ func damage(t *testing.T, st *Store, id string, truncateTo int64, flipLast bool)
 
 // TestBlockReplayDamagedTail: a truncated or tail-corrupted stream
 // must end block replay cleanly — fewer accesses, an error from Err,
-// no panic — through both the per-access and block-fed paths.
+// no panic — whether drained directly or replayed by a simulator.
 func TestBlockReplayDamagedTail(t *testing.T) {
 	accs := testAccesses(3 * blockAccesses)
 	cases := map[string]func(t *testing.T, st *Store, id string, fileLen int64){
@@ -193,23 +205,22 @@ func TestBlockReplayDamagedTail(t *testing.T) {
 				t.Fatalf("damaged stream still yielded %d of %d accesses", n, len(accs))
 			}
 
-			// The per-access path must agree about the damage.
+			// Replay through the simulator must surface the damage on
+			// the Provider, which is what the replay service checks.
 			p2, err := st.Open(id)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer p2.Close()
-			var n2 int
-			buf := make([]tracesim.Access, 777)
-			for {
-				k := p2.NextBatch(buf)
-				if k == 0 {
-					break
-				}
-				n2 += k
+			sim, err := tracesim.New(tracesim.DefaultConfig(0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sim.Run(p2.Blocks(), 1); err != nil {
+				t.Fatal(err)
 			}
 			if p2.Err() == nil {
-				t.Fatal("per-access path replayed damaged stream without error")
+				t.Fatal("replay of damaged stream reported no error")
 			}
 		})
 	}

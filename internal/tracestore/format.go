@@ -18,9 +18,9 @@
 // content address without writing a second copy.
 //
 // Provider (provider.go) serves a stored trace back as a
-// tracesim.Generator/BatchGenerator, which is what keeps scalar and
-// sharded replay of stored traces exactly equivalent to the synthetic
-// generators' replay paths.
+// tracesim.BlockSource, the one stream interface replay consumes, so
+// replay of a stored trace is exactly the replay of the synthetic
+// stream it was exported from.
 package tracestore
 
 import (
@@ -374,7 +374,6 @@ type Decoder struct {
 	br   *bufio.Reader
 	prev uint64
 	buf  []tracesim.Access
-	pos  int
 
 	payload []byte
 	done    bool
@@ -464,44 +463,18 @@ func (d *Decoder) readBlock() bool {
 		d.err = fmt.Errorf("tracestore: %d trailing bytes in block payload", len(p))
 		return false
 	}
-	d.pos = 0
 	return true
 }
 
-// NextBatch fills buf with decoded accesses and returns the count (0
-// at end of stream or on error; check Err).
-func (d *Decoder) NextBatch(buf []tracesim.Access) int {
-	n := 0
-	for n < len(buf) {
-		if d.pos >= len(d.buf) {
-			if !d.readBlock() {
-				break
-			}
-		}
-		c := copy(buf[n:], d.buf[d.pos:])
-		d.pos += c
-		n += c
-	}
-	return n
-}
-
 // NextBlock returns the decoder's next decoded block as a view of its
-// internal buffer — no copy — valid only until the next NextBlock or
-// NextBatch call. It returns ok=false at end of stream or on error
-// (check Err). Interleaving with NextBatch is safe: a partially
-// consumed block is handed out as its remaining tail first.
+// internal buffer — no copy — valid only until the next NextBlock
+// call. It returns ok=false at end of stream or on error (check Err).
 //
 //simd:hotpath — the replay feed; runs once per block on every simulated campaign point.
 func (d *Decoder) NextBlock() ([]tracesim.Access, bool) {
-	if d.pos < len(d.buf) {
-		b := d.buf[d.pos:]
-		d.pos = len(d.buf)
-		return b, true
-	}
 	if !d.readBlock() {
 		return nil, false
 	}
-	d.pos = len(d.buf)
 	return d.buf, true
 }
 

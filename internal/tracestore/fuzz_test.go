@@ -185,23 +185,10 @@ func FuzzDecodeBlock(f *testing.F) {
 		if len(data) > 1<<20 {
 			return
 		}
-		// Batch path: must terminate without panicking on any input.
+		// Must terminate without panicking on any input.
 		dec := NewDecoder(bytes.NewReader(data))
-		buf := make([]tracesim.Access, 512)
-		for dec.NextBatch(buf) != 0 {
-		}
+		decodeAll(dec)
 		_ = dec.Err()
-
-		// Block-view path must agree with the batch path's verdict.
-		dec2 := NewDecoder(bytes.NewReader(data))
-		for {
-			if _, ok := dec2.NextBlock(); !ok {
-				break
-			}
-		}
-		if (dec.Err() == nil) != (dec2.Err() == nil) {
-			t.Fatalf("NextBatch err %v but NextBlock err %v", dec.Err(), dec2.Err())
-		}
 	})
 }
 
@@ -326,9 +313,7 @@ func TestFuzzSeedsDeterministic(t *testing.T) {
 	}
 	for _, s := range decodeBlockSeeds() {
 		dec := NewDecoder(bytes.NewReader(s))
-		buf := make([]tracesim.Access, 64)
-		for dec.NextBatch(buf) != 0 {
-		}
+		decodeAll(dec)
 		_ = dec.Err()
 	}
 }

@@ -144,13 +144,12 @@ func decodeBinaryInto(br *bufio.Reader, emit func(tracesim.Access)) error {
 		return err
 	}
 	dec := NewDecoder(br)
-	buf := make([]tracesim.Access, blockAccesses)
 	for {
-		n := dec.NextBatch(buf)
-		if n == 0 {
+		b, ok := dec.NextBlock()
+		if !ok {
 			break
 		}
-		for _, a := range buf[:n] {
+		for _, a := range b {
 			emit(a)
 		}
 	}

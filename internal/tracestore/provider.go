@@ -9,14 +9,12 @@ import (
 	"repro/internal/tracesim"
 )
 
-// Provider replays a stored trace as a tracesim access stream. It
-// implements tracesim.Generator and tracesim.BatchGenerator, so the
-// scalar, batched and sharded replay gears all consume stored traces
-// through the exact same interface as the synthetic generators —
-// which is what keeps sharded and scalar replay of a stored trace
-// exactly equivalent.
+// Provider is an open stored trace. Blocks feeds it to replay as a
+// tracesim.BlockSource, the same stream interface the synthetic
+// generators implement, so scalar, sharded and multi-lane replay of a
+// stored trace are exactly the replay of the stream it was built from.
 //
-// The Generator interface carries no error channel, so decode
+// The BlockSource interface carries no error channel, so decode
 // failures (a truncated or corrupted block) end the stream early and
 // are reported by Err; replay drivers must check it after a run.
 type Provider struct {
@@ -29,29 +27,7 @@ type Provider struct {
 // Meta returns the stored trace's metadata.
 func (p *Provider) Meta() Meta { return p.meta }
 
-// Next implements tracesim.Generator.
-func (p *Provider) Next() (tracesim.Access, bool) {
-	var one [1]tracesim.Access
-	if p.NextBatch(one[:]) == 0 {
-		return tracesim.Access{}, false
-	}
-	return one[0], true
-}
-
-// NextBatch implements tracesim.BatchGenerator.
-func (p *Provider) NextBatch(buf []tracesim.Access) int {
-	if p.err != nil {
-		return 0
-	}
-	n := p.dec.NextBatch(buf)
-	if err := p.dec.Err(); err != nil {
-		p.err = err
-	}
-	return n
-}
-
-// Reset implements tracesim.Generator: rewind to the first access for
-// another pass.
+// Reset rewinds to the first access for another pass.
 func (p *Provider) Reset() {
 	if _, err := p.f.Seek(headerSize, io.SeekStart); err != nil {
 		p.err = fmt.Errorf("tracestore: rewind %s: %w", p.meta.ID, err)
@@ -74,9 +50,9 @@ func (p *Provider) Close() error { return p.f.Close() }
 // per-access copy and no per-batch copy between disk and simulator.
 // It implements tracesim.BlockSource.
 //
-// A BlockReader shares its Provider's decoder position; use a given
-// Provider either through the Generator interface or through Blocks,
-// not both interleaved (Reset on either rewinds both).
+// A BlockReader shares its Provider's decoder position and error:
+// Reset on either rewinds both, and Err on either reports the same
+// decode failure.
 type BlockReader struct {
 	p *Provider
 }
@@ -105,11 +81,12 @@ func (br *BlockReader) Reset() { br.p.Reset() }
 // Err reports the first decode error hit during block replay, if any.
 func (br *BlockReader) Err() error { return br.p.Err() }
 
-// Export writes a generator's access stream to path in the store's
-// binary format and returns the stream summary plus the content
-// address the file would ingest under. It is how cmd/trace turns the
-// synthetic generators into seedable trace fixtures.
-func Export(path string, g tracesim.Generator) (Summary, string, error) {
+// Export writes a block source's access stream, from its current
+// position to the end, to path in the store's binary format and
+// returns the stream summary plus the content address the file would
+// ingest under. It is how cmd/trace turns the synthetic generators into
+// seedable trace fixtures.
+func Export(path string, src tracesim.BlockSource) (Summary, string, error) {
 	f, err := os.Create(path)
 	if err != nil {
 		return Summary{}, "", fmt.Errorf("tracestore: %w", err)
@@ -119,23 +96,12 @@ func Export(path string, g tracesim.Generator) (Summary, string, error) {
 		return Summary{}, "", fmt.Errorf("tracestore: %w", err)
 	}
 	enc := NewEncoder(f)
-	if bg, ok := g.(tracesim.BatchGenerator); ok {
-		buf := make([]tracesim.Access, blockAccesses)
-		for {
-			n := bg.NextBatch(buf)
-			if n == 0 {
-				break
-			}
-			for _, a := range buf[:n] {
-				enc.Append(a)
-			}
+	for {
+		b, ok := src.NextBlock()
+		if !ok {
+			break
 		}
-	} else {
-		for {
-			a, ok := g.Next()
-			if !ok {
-				break
-			}
+		for _, a := range b {
 			enc.Append(a)
 		}
 	}

@@ -83,15 +83,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 
 	dec := NewDecoder(bytes.NewReader(buf.Bytes()))
-	got := make([]tracesim.Access, 0, len(accs))
-	chunk := make([]tracesim.Access, 777) // deliberately off-boundary
-	for {
-		n := dec.NextBatch(chunk)
-		if n == 0 {
-			break
-		}
-		got = append(got, chunk[:n]...)
-	}
+	got := decodeAll(dec)
 	if err := dec.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +216,7 @@ func TestProviderMatchesGenerator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen := func() tracesim.BatchGenerator {
+	gen := func() tracesim.BlockSource {
 		g, err := tracesim.NewUniformRandom(0, 8<<20, 120000, cache.Read, 42)
 		if err != nil {
 			t.Fatal(err)
@@ -233,19 +225,9 @@ func TestProviderMatchesGenerator(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	enc := NewEncoder(&buf)
-	func() {
-		g := gen()
-		chunk := make([]tracesim.Access, 1024)
-		for {
-			n := g.NextBatch(chunk)
-			if n == 0 {
-				return
-			}
-			for _, a := range chunk[:n] {
-				enc.Append(a)
-			}
-		}
-	}()
+	for _, a := range decodeAll(gen()) {
+		enc.Append(a)
+	}
 	sum, _, err := enc.Finish()
 	if err != nil {
 		t.Fatal(err)
@@ -257,12 +239,19 @@ func TestProviderMatchesGenerator(t *testing.T) {
 	}
 
 	cfg := tracesim.DefaultConfig(4 << 20)
-	ref, err := tracesim.New(cfg)
-	if err != nil {
-		t.Fatal(err)
+	// generatorRun replays a fresh generator through the scalar
+	// simulator: the reference for the stored-trace runs.
+	generatorRun := func(passes int) tracesim.Result {
+		ref, err := tracesim.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := ref.Run(gen(), passes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return want
 	}
-	ref.Run(gen())
-	want := ref.Result()
 
 	// Scalar replay from the store.
 	prov, err := st.Open(meta.ID)
@@ -274,11 +263,14 @@ func TestProviderMatchesGenerator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scalar.Run(prov)
+	got, err := scalar.Run(prov.Blocks(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := prov.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if got := scalar.Result(); got != want {
+	if want := generatorRun(1); got != want {
 		t.Fatalf("stored scalar replay diverges:\n got %+v\nwant %+v", got, want)
 	}
 
@@ -292,25 +284,15 @@ func TestProviderMatchesGenerator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := sh.RunPasses(prov2, 2)
+	got, err = sh.Run(prov2.Blocks(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := prov2.Err(); err != nil {
 		t.Fatal(err)
 	}
-	refMulti, err := tracesim.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantMulti, err := refMulti.RunPasses(gen(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Accesses != wantMulti.Accesses || got.L1 != wantMulti.L1 || got.L2 != wantMulti.L2 ||
-		got.MemCache != wantMulti.MemCache || got.MemReads != wantMulti.MemReads ||
-		got.MemWrites != wantMulti.MemWrites || got.Prefetches != wantMulti.Prefetches {
-		t.Fatalf("stored sharded replay diverges:\n got %+v\nwant %+v", got, wantMulti)
+	if want := generatorRun(2); got != want {
+		t.Fatalf("stored sharded replay diverges:\n got %+v\nwant %+v", got, want)
 	}
 }
 
@@ -399,9 +381,7 @@ func TestCorruptedBlockDetected(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer prov.Close()
-	buf := make([]tracesim.Access, 1024)
-	for prov.NextBatch(buf) > 0 {
-	}
+	decodeAll(prov.Blocks())
 	if prov.Err() == nil {
 		t.Fatal("corrupted block replayed without error")
 	}

@@ -79,9 +79,10 @@
 //     decoded varint-delta block of tracestore.Decoder in place
 //     (Provider.Blocks). Simulator.Run(src, passes) walks each block
 //     directly — no staging copy, a direct call per access rather than
-//     an interface dispatch — and pre-touches upcoming L2/MCDRAM tag
-//     sets so the host's cache misses on the tag arrays overlap. The
-//     caches themselves index with shift/mask only (power-of-two
+//     an interface dispatch. Operations below the L2 go to a miss log
+//     that each memory lane drains per block: flat lanes add per-opcode
+//     counts, cache lanes run a tight loop of independent tag probes
+//     whose host misses overlap. The caches themselves index with shift/mask only (power-of-two
 //     geometry), keep tags line-granular in a contiguous array (SoA),
 //     unroll the tag scan for the 4/8/16-way geometries, and
 //     short-circuit repeated references to the most recently touched

@@ -266,21 +266,6 @@ func (c *SetAssoc) findWay(base int, stag uint64) int {
 	return -1
 }
 
-// TouchTagSet pre-reads the tag words of lineAddr's set without
-// changing any state. Batch replay calls it a few accesses ahead of
-// the demand pointer so the host's own cache misses on the tag array
-// overlap instead of serializing: 8 ways of tags share one host line,
-// so one load per 8 ways covers the whole set. Callers must consume
-// the returned word (xor into a sink) so the loads cannot be elided.
-func (c *SetAssoc) TouchTagSet(lineAddr uint64) uint64 {
-	base := int(lineAddr&c.setMask) * c.ways
-	t := c.tags[base]
-	if c.ways > 8 {
-		t ^= c.tags[base+8]
-	}
-	return t
-}
-
 // findWayMRU is findWay with a one-compare fast path: it probes the
 // set's MRU way (the bottom nibble of the packed LRU stack) before
 // scanning. Prefetch installs and repeat touches leave the interesting

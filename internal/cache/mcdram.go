@@ -73,17 +73,6 @@ func (m *MemSideCache) Stats() Stats { return m.stats }
 // ResetStats clears the counters but keeps contents.
 func (m *MemSideCache) ResetStats() { m.stats = Stats{} }
 
-// TouchTagSet pre-reads the tag word for lineAddr's set without
-// changing any state — same contract as SetAssoc.TouchTagSet. With
-// realistic capacities the tag array far exceeds the host's caches,
-// so overlapping these misses is worth more here than anywhere else.
-func (m *MemSideCache) TouchTagSet(lineAddr uint64) uint64 {
-	if m.pow2 {
-		return m.tags[lineAddr&m.setMask]
-	}
-	return m.tags[lineAddr%uint64(m.sets)]
-}
-
 func (m *MemSideCache) isDirty(set int64) bool {
 	return m.dirty[set/64]&(1<<(uint(set)%64)) != 0
 }

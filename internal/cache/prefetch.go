@@ -18,16 +18,24 @@ import (
 // touches only the compact next[] array (one cache line covers 8
 // streams) instead of striding through an array of structs. Entries
 // are allocated in index order and never invalidated, so "first free
-// slot" victim selection is just a fill counter.
+// slot" is just a fill counter. Once the table is full, a new stream
+// replaces the least-recently-touched one. Recency is a doubly linked
+// list over the entries (older/newer index arrays with mru/lru heads)
+// that starts out holding every entry in index order, lru first, so
+// the victim is always the lru head: the next free slot while the
+// table fills, the least-recently-touched stream after. Finding it and
+// moving a touched entry to the front are both O(1).
 type StreamPrefetcher struct {
 	Streams int
 	Depth   int
 
 	lineSize units.Bytes
 	next     []uint64 // per stream: the line address that continues it (lastLine+1)
-	lru      []uint64 // per stream: tick of last touch
 	frontier []uint64 // per stream: highest line already issued (0 = none)
 	hits     []uint32 // per stream: consecutive-line confirmations
+	older    []int32  // per stream: the next less recently touched stream (-1 at the lru end)
+	newer    []int32  // per stream: the next more recently touched stream (-1 at the mru end)
+	mru, lru int32    // most and least recently touched streams
 	n        int      // streams allocated so far (valid entries are [0, n))
 	buf      []uint64 // reused result buffer (ObserveLines/Observe)
 	issued   int64
@@ -36,20 +44,45 @@ type StreamPrefetcher struct {
 // NewStreamPrefetcher builds a prefetcher with the given stream table
 // size and lookahead depth.
 func NewStreamPrefetcher(streams, depth int, lineSize units.Bytes) *StreamPrefetcher {
-	return &StreamPrefetcher{
+	p := &StreamPrefetcher{
 		Streams:  streams,
 		Depth:    depth,
 		lineSize: lineSize,
 		next:     make([]uint64, streams),
-		lru:      make([]uint64, streams),
 		frontier: make([]uint64, streams),
 		hits:     make([]uint32, streams),
+		older:    make([]int32, streams),
+		newer:    make([]int32, streams),
+		mru:      int32(streams - 1),
 		buf:      make([]uint64, depth),
 	}
+	for i := range p.older {
+		p.older[i], p.newer[i] = int32(i-1), int32(i+1)
+	}
+	p.newer[streams-1] = -1
+	return p
 }
 
 // Issued returns how many prefetches were issued.
 func (p *StreamPrefetcher) Issued() int64 { return p.issued }
+
+// touch moves entry i to the most-recent end of the recency list.
+func (p *StreamPrefetcher) touch(i int32) {
+	if i == p.mru {
+		return
+	}
+	// i is not the mru, so it has a newer neighbour.
+	o, nw := p.older[i], p.newer[i]
+	p.older[nw] = o
+	if o >= 0 {
+		p.newer[o] = nw
+	} else {
+		p.lru = nw
+	}
+	p.older[i], p.newer[i] = p.mru, -1
+	p.newer[p.mru] = i
+	p.mru = i
+}
 
 // ObserveLines feeds a demand line address to the prefetcher and
 // returns the line addresses to prefetch (possibly none). The returned
@@ -58,7 +91,7 @@ func (p *StreamPrefetcher) Issued() int64 { return p.issued }
 // allocation occurs.
 //
 //simd:hotpath — runs once per simulated access when prefetch is on.
-func (p *StreamPrefetcher) ObserveLines(lineAddr uint64, tick uint64) []uint64 {
+func (p *StreamPrefetcher) ObserveLines(lineAddr uint64) []uint64 {
 	// Find a stream this access continues.
 	for i, nx := range p.next[:p.n] {
 		if nx != lineAddr {
@@ -66,7 +99,7 @@ func (p *StreamPrefetcher) ObserveLines(lineAddr uint64, tick uint64) []uint64 {
 		}
 		p.next[i] = lineAddr + 1
 		p.hits[i]++
-		p.lru[i] = tick
+		p.touch(int32(i))
 		if p.hits[i] < 2 {
 			return nil
 		}
@@ -91,21 +124,14 @@ func (p *StreamPrefetcher) ObserveLines(lineAddr uint64, tick uint64) []uint64 {
 		p.issued += int64(len(out))
 		return out
 	}
-	// Allocate a new tracking entry: fill the table first, then
-	// replace the least-recently-touched stream.
-	v := p.n
-	if v < len(p.next) {
+	// Allocate a new tracking entry in the lru slot: a free one while
+	// the table fills, else the least-recently-touched stream.
+	v := p.lru
+	p.touch(v)
+	if p.n < len(p.next) {
 		p.n++
-	} else {
-		v = 0
-		for i, tk := range p.lru {
-			if tk < p.lru[v] {
-				v = i
-			}
-		}
 	}
 	p.next[v] = lineAddr + 1
-	p.lru[v] = tick
 	p.frontier[v] = 0
 	p.hits[v] = 1
 	return nil
@@ -114,8 +140,8 @@ func (p *StreamPrefetcher) ObserveLines(lineAddr uint64, tick uint64) []uint64 {
 // Observe feeds a demand byte address to the prefetcher and returns
 // the byte addresses to prefetch (possibly none). Like ObserveLines,
 // the returned slice is only valid until the next call.
-func (p *StreamPrefetcher) Observe(addr uint64, tick uint64) []uint64 {
-	out := p.ObserveLines(addr/uint64(p.lineSize), tick)
+func (p *StreamPrefetcher) Observe(addr uint64) []uint64 {
+	out := p.ObserveLines(addr / uint64(p.lineSize))
 	for i, line := range out {
 		out[i] = line * uint64(p.lineSize)
 	}

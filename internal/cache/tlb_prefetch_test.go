@@ -74,10 +74,10 @@ func TestTLBWalksGrowBeyondReach(t *testing.T) {
 
 func TestPrefetcherConfirmsStream(t *testing.T) {
 	p := NewStreamPrefetcher(4, 4, 64)
-	if got := p.Observe(0, 1); got != nil {
+	if got := p.Observe(0); got != nil {
 		t.Fatal("first access should not prefetch")
 	}
-	got := p.Observe(64, 2)
+	got := p.Observe(64)
 	if len(got) != 4 {
 		t.Fatalf("confirmed stream issued %d prefetches, want 4", len(got))
 	}
@@ -92,8 +92,8 @@ func TestPrefetcherConfirmsStream(t *testing.T) {
 func TestPrefetcherIgnoresRandom(t *testing.T) {
 	p := NewStreamPrefetcher(4, 4, 64)
 	addrs := []uint64{0, 640, 128000, 42 * 64, 7 * 64, 99 * 64}
-	for i, a := range addrs {
-		if got := p.Observe(a, uint64(i)); got != nil {
+	for _, a := range addrs {
+		if got := p.Observe(a); got != nil {
 			t.Fatalf("random access %#x triggered prefetch", a)
 		}
 	}
@@ -102,21 +102,21 @@ func TestPrefetcherIgnoresRandom(t *testing.T) {
 func TestPrefetcherTracksMultipleStreams(t *testing.T) {
 	p := NewStreamPrefetcher(2, 2, 64)
 	base1, base2 := uint64(0), uint64(1<<20)
-	p.Observe(base1, 1)
-	p.Observe(base2, 2)
-	if got := p.Observe(base1+64, 3); len(got) != 2 {
+	p.Observe(base1)
+	p.Observe(base2)
+	if got := p.Observe(base1 + 64); len(got) != 2 {
 		t.Fatal("stream 1 not tracked")
 	}
-	if got := p.Observe(base2+64, 4); len(got) != 2 {
+	if got := p.Observe(base2 + 64); len(got) != 2 {
 		t.Fatal("stream 2 not tracked")
 	}
 }
 
 func TestPrefetcherLRUReplacement(t *testing.T) {
 	p := NewStreamPrefetcher(1, 2, 64)
-	p.Observe(0, 1)     // tracked
-	p.Observe(1<<20, 2) // replaces (single entry)
-	if got := p.Observe(64, 3); got != nil {
+	p.Observe(0)       // tracked
+	p.Observe(1 << 20) // replaces (single entry)
+	if got := p.Observe(64); got != nil {
 		t.Fatal("evicted stream continued")
 	}
 }

@@ -110,9 +110,15 @@ func (s *Span) EndAt(t time.Time) {
 	if s == nil {
 		return
 	}
+	attrs := s.attrs
+	if len(attrs) > 0 && &attrs[0] == &s.scratch[0] {
+		// The record outlives the span: copy scratch-backed attrs so a
+		// retained SpanData does not pin the whole Span.
+		attrs = append([]Attr(nil), attrs...)
+	}
 	s.tr.append(SpanData{
 		ID: s.id, Parent: s.parent, Name: s.name, Start: s.start,
-		MS: float64(t.Sub(s.start).Microseconds()) / 1000, Attrs: s.attrs, Error: s.err,
+		MS: float64(t.Sub(s.start).Microseconds()) / 1000, Attrs: attrs, Error: s.err,
 	})
 }
 

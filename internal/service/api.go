@@ -108,8 +108,9 @@ type RunResponse struct {
 	ElapsedMS   float64                 `json:"elapsed_ms"`
 }
 
-// runResponse converts an executed outcome to the wire form.
-func runResponse(o campaign.Outcome, cached bool, elapsedMS float64) RunResponse {
+// runResponse converts an executed outcome, whose point's key is key,
+// to the wire form.
+func runResponse(o campaign.Outcome, key string, cached bool, elapsedMS float64) RunResponse {
 	fidelity := o.Point.Fidelity
 	if fidelity == "" {
 		fidelity = campaign.FidelityModel
@@ -121,7 +122,7 @@ func runResponse(o campaign.Outcome, cached bool, elapsedMS float64) RunResponse
 		Threads:     o.Point.Threads,
 		SKU:         o.Point.SKU,
 		Fidelity:    fidelity,
-		Key:         o.Point.Key(),
+		Key:         key,
 		Metric:      o.Metric,
 		Value:       o.Value,
 		Unavailable: o.Unavailable,

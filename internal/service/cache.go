@@ -22,10 +22,20 @@ type Cache[V any] struct {
 }
 
 type cacheEntry[V any] struct {
-	done chan struct{} // closed when value/err are set
+	// done is closed when val/err are set. Once the entry is filled,
+	// the filler swaps in the shared closedDone, so a retained entry
+	// holds no channel of its own. Read and swapped under Cache.mu.
+	done chan struct{}
 	val  V
 	err  error
 }
+
+// closedDone is the done channel of every filled cache entry.
+var closedDone = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
 
 // NewCache builds a cache bounded to max entries (<=0 means a default
 // of 64k, plenty for any single-node study).
@@ -43,8 +53,9 @@ func NewCache[V any](max int) *Cache[V] {
 func (c *Cache[V]) GetOrCompute(key string, fn func() (V, error)) (V, bool, error) {
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {
+		done := e.done
 		c.mu.Unlock()
-		<-e.done
+		<-done
 		if e.err != nil {
 			// The computing caller failed; retry independently rather
 			// than serving a cached error.
@@ -67,8 +78,9 @@ func (c *Cache[V]) GetOrCompute(key string, fn func() (V, error)) (V, bool, erro
 	c.misses.Add(1)
 	e.val, e.err = fn()
 	close(e.done)
+	c.mu.Lock()
+	e.done = closedDone
 	if e.err != nil {
-		c.mu.Lock()
 		// Drop the failed entry — map AND fifo — so the key stays
 		// retryable without growing the eviction queue: a retry appends
 		// the key again, so leaving the stale slot behind would let
@@ -81,6 +93,7 @@ func (c *Cache[V]) GetOrCompute(key string, fn func() (V, error)) (V, bool, erro
 		var zero V
 		return zero, false, e.err
 	}
+	c.mu.Unlock()
 	return e.val, false, nil
 }
 
@@ -90,12 +103,14 @@ func (c *Cache[V]) Peek(key string) (V, bool) {
 	var zero V
 	c.mu.Lock()
 	e, ok := c.entries[key]
-	c.mu.Unlock()
 	if !ok {
+		c.mu.Unlock()
 		return zero, false
 	}
+	done := e.done
+	c.mu.Unlock()
 	select {
-	case <-e.done:
+	case <-done:
 		if e.err != nil {
 			return zero, false
 		}
@@ -115,9 +130,7 @@ func (c *Cache[V]) Seed(key string, v V) {
 	if _, ok := c.entries[key]; ok {
 		return
 	}
-	e := &cacheEntry[V]{done: make(chan struct{}), val: v}
-	close(e.done)
-	c.entries[key] = e
+	c.entries[key] = &cacheEntry[V]{done: closedDone, val: v}
 	c.fifo = append(c.fifo, key)
 	c.evictLocked()
 }

@@ -378,8 +378,8 @@ func (s *Server) handleExperiments(w http.ResponseWriter, _ *http.Request) {
 // store); everything else delegates to the executor. Fresh outcomes
 // are persisted to the durable result store so a restart serves them
 // from a warm cache instead of recomputing.
-func (s *Server) runPoint(ctx context.Context, p campaign.Point) (campaign.Outcome, bool, error) {
-	return s.lookupPoint(ctx, p, func(ctx context.Context, _ *obs.Span) (campaign.Outcome, error) {
+func (s *Server) runPoint(ctx context.Context, p campaign.Point, key string) (campaign.Outcome, bool, error) {
+	return s.lookupPoint(ctx, p, key, func(ctx context.Context, _ *obs.Span) (campaign.Outcome, error) {
 		if p.Fidelity == campaign.FidelityReplay {
 			return s.runReplayPoint(ctx, p)
 		}
@@ -387,13 +387,16 @@ func (s *Server) runPoint(ctx context.Context, p campaign.Point) (campaign.Outco
 	})
 }
 
-// lookupPoint serves p from the point cache, running compute under a
-// compute span on a miss and persisting what it returns.
-func (s *Server) lookupPoint(ctx context.Context, p campaign.Point, compute func(context.Context, *obs.Span) (campaign.Outcome, error)) (campaign.Outcome, bool, error) {
+// lookupPoint serves p, whose p.Key() is key, from the point cache,
+// running compute under a compute span on a miss and persisting what
+// it returns. Callers compute the key once and pass it along, so every
+// record that retains it (cache, span, journal, response) shares one
+// string.
+func (s *Server) lookupPoint(ctx context.Context, p campaign.Point, key string, compute func(context.Context, *obs.Span) (campaign.Outcome, error)) (campaign.Outcome, bool, error) {
 	ctx, lookupSpan := obs.StartSpan(ctx, "cache.point")
-	lookupSpan.SetAttr("key", p.Key())
+	lookupSpan.SetAttr("key", key)
 	lookup := time.Now()
-	out, cached, err := s.points.GetOrCompute(p.Key(), func() (campaign.Outcome, error) {
+	out, cached, err := s.points.GetOrCompute(key, func() (campaign.Outcome, error) {
 		computeCtx, computeSpan := obs.StartSpan(ctx, "compute")
 		computeSpan.SetAttr("workload", p.Workload)
 		start := time.Now()
@@ -407,7 +410,7 @@ func (s *Server) lookupPoint(ctx context.Context, p campaign.Point, compute func
 			}
 			s.metrics.ObservePoint(fidelity, time.Since(start).Seconds())
 			_, persistSpan := obs.StartSpan(computeCtx, "persist")
-			s.persistResult("point", p.Key(), out)
+			s.persistResult("point", key, out)
 			persistSpan.End()
 		}
 		return out, err
@@ -459,12 +462,13 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	start := time.Now()
-	out, cached, err := s.runPoint(r.Context(), p)
+	key := p.Key()
+	out, cached, err := s.runPoint(r.Context(), p, key)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, runResponse(out, cached, float64(time.Since(start).Microseconds())/1000))
+	writeJSON(w, http.StatusOK, runResponse(out, key, cached, float64(time.Since(start).Microseconds())/1000))
 }
 
 // handleAdvise is the synchronous mode-recommendation path: resolve
@@ -658,6 +662,7 @@ func (s *Server) computeCampaign(ctx context.Context, jobID, key string, spec ca
 	}
 
 	outcomes := make([]campaign.Outcome, len(points))
+	keys := make([]string, len(points))
 	cachedFlags := make([]bool, len(points))
 	errs := make([]error, len(points))
 	var done int
@@ -699,16 +704,17 @@ func (s *Server) computeCampaign(ctx context.Context, jobID, key string, spec ca
 				}
 				grp := groups[g]
 				for j, i := range grp.idx {
+					keys[i] = points[i].Key()
 					if grp.trace == nil {
-						outcomes[i], cachedFlags[i], errs[i] = s.runPoint(ctx, points[i])
+						outcomes[i], cachedFlags[i], errs[i] = s.runPoint(ctx, points[i], keys[i])
 					} else {
-						outcomes[i], cachedFlags[i], errs[i] = s.lookupPoint(ctx, points[i], func(ctx context.Context, span *obs.Span) (campaign.Outcome, error) {
+						outcomes[i], cachedFlags[i], errs[i] = s.lookupPoint(ctx, points[i], keys[i], func(ctx context.Context, span *obs.Span) (campaign.Outcome, error) {
 							return grp.trace.outcome(ctx, j, span)
 						})
 					}
 					if jobID != "" {
 						ev := events.Event{Job: jobID, Type: events.TypePoint,
-							Point: points[i].Key(), Workload: points[i].Workload, Cached: cachedFlags[i]}
+							Point: keys[i], Workload: points[i].Workload, Cached: cachedFlags[i]}
 						if errs[i] != nil {
 							ev.Error = errs[i].Error()
 						}
@@ -734,7 +740,7 @@ func (s *Server) computeCampaign(ctx context.Context, jobID, key string, spec ca
 		if cachedFlags[i] {
 			res.CacheHits++
 		}
-		res.Results = append(res.Results, runResponse(o, cachedFlags[i], 0))
+		res.Results = append(res.Results, runResponse(o, keys[i], cachedFlags[i], 0))
 	}
 	res.Tables = campaign.Tables(outcomes)
 	for _, id := range exps {

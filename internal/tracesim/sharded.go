@@ -38,7 +38,6 @@ type ShardedSimulator struct {
 	wg      sync.WaitGroup
 
 	res      Result // dispatcher-side: accesses + L1-hit time
-	tick     uint64
 	lastLine uint64
 	haveLast bool
 
@@ -98,7 +97,7 @@ func NewSharded(cfg Config, shards int) (*ShardedSimulator, error) {
 		fill:       make([][]shardOp, shards),
 	}
 	if cfg.Prefetcher {
-		sh.pf = cache.NewStreamPrefetcher(16, 8, units.CacheLine)
+		sh.pf = cache.NewStreamPrefetcher(prefetchStreams, prefetchDepth, units.CacheLine)
 	}
 	for i := 0; i < shards; i++ {
 		l2, err := cache.NewSetAssoc(fmt.Sprintf("L2.%d", i), cfg.L2Size/units.Bytes(shards), cfg.L2Ways, units.CacheLine)
@@ -177,7 +176,6 @@ func (sh *ShardedSimulator) enqueue(line uint64, code shardOp) {
 // accessLine mirrors Simulator.accessLine up to the L1/prefetch
 // boundary, then defers L2-and-beyond work to the owning shard.
 func (sh *ShardedSimulator) accessLine(line uint64, kind cache.AccessKind) {
-	sh.tick++
 	sh.res.Accesses++
 
 	if sh.haveLast && line == sh.lastLine {
@@ -192,7 +190,7 @@ func (sh *ShardedSimulator) accessLine(line uint64, kind cache.AccessKind) {
 		return
 	}
 	if sh.pf != nil {
-		for _, pl := range sh.pf.ObserveLines(line, sh.tick) {
+		for _, pl := range sh.pf.ObserveLines(line) {
 			sh.enqueue(pl, opPrefetch)
 		}
 	}

@@ -22,6 +22,12 @@
 //     stores line-granular tags), and consecutive references to the
 //     same 64 B line are coalesced into an L1 MRU touch that skips the
 //     set scan.
+//   - One miss log. The L1/L2/prefetcher pass never calls into the
+//     memory system: every operation below the L2 is appended to a
+//     fixed-capacity log that the memory lanes drain (see Memory
+//     lanes). A cache lane's drain is a tight loop of independent tag
+//     probes, so when its tag array exceeds the host's caches the
+//     host misses overlap instead of serializing behind each access.
 //   - One reference. Simulator.Access replays a single reference; it is
 //     the scalar oracle the equivalence tests compare Run against.
 //   - Sharded: ShardedSimulator (sharded.go) is a concurrent simulator
@@ -43,6 +49,17 @@
 // LaneResult(i) is exactly the Result a single-lane New(cfg_i) replay
 // of the same stream produces, whether it is driven by Run or by
 // Access.
+//
+// The lanes are fed from a miss log. Each operation the shared
+// hierarchy sends below the L2 is one entry, line<<2 | op, with four
+// ops: demand fill, prefetch fill, prefetch fill whose L2 install
+// evicted a dirty victim, and demand-path writeback. Run drains the log
+// into every lane in stream order at the end of each block, and earlier
+// when it could overflow (an access adds at most the prefetch depth
+// plus two entries); Access drains it after every reference. Each lane
+// therefore applies exactly the operation sequence it would see if it
+// were called inline. A flat lane's drain is a handful of counter adds
+// over per-opcode counts; a cache lane applies the entries one by one.
 package tracesim
 
 import (
@@ -345,15 +362,6 @@ func (m *memSys) writebackLine(line uint64) {
 	}
 }
 
-// touchTags pre-reads the memory-side cache's tag word for line (zero
-// when no cache is configured). See SetAssoc.TouchTagSet.
-func (m *memSys) touchTags(line uint64) uint64 {
-	if m.mc == nil {
-		return 0
-	}
-	return m.mc.TouchTagSet(line)
-}
-
 // resetStats clears the traffic counters but keeps contents.
 func (m *memSys) resetStats() {
 	m.memReads, m.memWrites = 0, 0
@@ -362,6 +370,32 @@ func (m *memSys) resetStats() {
 	}
 }
 
+// Miss-log opcodes. Everything the shared upper hierarchy sends below
+// the L2 is one log entry, line<<2 | op, and each lane applies the
+// entries in stream order.
+const (
+	missDemand        = iota // demand fill: the lane charges its latency
+	missPrefetch             // prefetch fill: no replay time
+	missPrefetchDirty        // prefetch fill whose L2 install evicted a dirty victim
+	missWriteback            // dirty L2 victim on the demand path, line is the victim's
+)
+
+// The stream prefetcher's geometry: streams tracked and lines of
+// lookahead.
+const (
+	prefetchStreams = 16
+	prefetchDepth   = 8
+)
+
+// missLogCap is the miss log's capacity in entries: 8 KiB, small
+// enough to stay in the host's L1 while every lane reads it back.
+// drainEvery accesses fill at most all of it, since one access logs at
+// most a prefetch burst, a writeback and a demand fill.
+const (
+	missLogCap = 1024
+	drainEvery = missLogCap / (prefetchDepth + 2)
+)
+
 // lane is one memory system below the shared L2: its own memSys plus
 // the demand-fill time it has charged.
 type lane struct {
@@ -369,11 +403,27 @@ type lane struct {
 	fillPS uint64
 }
 
-// demandFill fetches a demand-missed line and charges its latency.
-func (l *lane) demandFill(line uint64) uint64 {
-	ps := l.fillLine(line)
-	l.fillPS += ps
-	return ps
+// drain applies a miss log to the lane's memory-side cache, op by op
+// in stream order.
+//
+//simd:hotpath — runs once per miss-log drain for every cache-mode lane.
+func (l *lane) drain(log []uint64) {
+	var fill uint64
+	for _, e := range log {
+		line := e >> 2
+		switch e & 3 {
+		case missDemand:
+			fill += l.fillLine(line)
+		case missPrefetch:
+			l.fillLine(line)
+		case missPrefetchDirty:
+			l.fillLine(line)
+			l.memWrites++
+		case missWriteback:
+			l.writebackLine(line)
+		}
+	}
+	l.fillPS += fill
 }
 
 // Simulator replays access streams.
@@ -388,8 +438,7 @@ type Simulator struct {
 	pf        *cache.StreamPrefetcher
 	// res holds the counters the lanes share; its TotalTimePS is the
 	// L1/L2 hit time only, each lane adding its own fill time.
-	res  Result
-	tick uint64
+	res Result
 
 	// Same-line coalescing: the line touched by the previous access
 	// is guaranteed resident in L1, so a repeat reference is an L1
@@ -397,7 +446,11 @@ type Simulator struct {
 	lastLine uint64
 	haveLast bool
 
-	touchSink uint64 // keeps accessBatch's pre-touch loads alive
+	// Miss log: the operations below the L2 since the last drain, in
+	// stream order. missLog has fixed length missLogCap; the first
+	// nlog entries are filled.
+	missLog []uint64
+	nlog    int
 }
 
 // New builds a simulator.
@@ -442,9 +495,10 @@ func NewLanes(cfgs []Config) (*Simulator, error) {
 		l1:        l1,
 		l2:        l2,
 		lanes:     lanes,
+		missLog:   make([]uint64, missLogCap),
 	}
 	if cfg.Prefetcher {
-		s.pf = cache.NewStreamPrefetcher(16, 8, units.CacheLine)
+		s.pf = cache.NewStreamPrefetcher(prefetchStreams, prefetchDepth, units.CacheLine)
 	}
 	return s, nil
 }
@@ -452,13 +506,26 @@ func NewLanes(cfgs []Config) (*Simulator, error) {
 // Access performs one reference through the hierarchy and returns its
 // latency in nanoseconds (lane 0's).
 func (s *Simulator) Access(a Access) float64 {
-	return float64(s.accessLine(a.Addr>>s.lineShift, a.Kind)) * 1e-3
+	fill := s.lanes[0].fillPS
+	ps := s.accessLine(a.Addr>>s.lineShift, a.Kind)
+	s.drain()
+	return float64(ps+s.lanes[0].fillPS-fill) * 1e-3
+}
+
+// logMiss appends one operation below the L2 to the miss log.
+func (s *Simulator) logMiss(line, op uint64) {
+	s.missLog[s.nlog] = line<<2 | op
+	s.nlog++
 }
 
 // accessLine is the replay fast path, operating on line addresses. It
-// returns lane 0's access latency in picoseconds.
+// runs the shared L1/L2/prefetcher and logs every operation below the
+// L2 for the lanes; it returns the L1 or L2 hit latency in picoseconds,
+// or 0 on an L2 miss, whose fill time each lane charges when the log
+// is drained.
+//
+//simd:hotpath — runs once per simulated access.
 func (s *Simulator) accessLine(line uint64, kind cache.AccessKind) uint64 {
-	s.tick++
 	s.res.Accesses++
 
 	if s.haveLast && line == s.lastLine {
@@ -477,16 +544,15 @@ func (s *Simulator) accessLine(line uint64, kind cache.AccessKind) uint64 {
 	// Miss in L1 (the line is now installed there, write-allocate):
 	// consult the prefetcher on the L2 stream.
 	if s.pf != nil {
-		for _, pl := range s.pf.ObserveLines(line, s.tick) {
+		for _, pl := range s.pf.ObserveLines(line) {
 			// Fused residency check + install: one tag scan per
 			// candidate instead of a ContainsLine/InstallLine pair.
 			if installed, _, wb := s.l2.InstallLineIfAbsent(pl); installed {
 				s.res.Prefetches++
-				for i := range s.lanes {
-					s.lanes[i].fillLine(pl) // prefetch fills do not add replay time
-					if wb {
-						s.lanes[i].memWrites++
-					}
+				if wb {
+					s.logMiss(pl, missPrefetchDirty)
+				} else {
+					s.logMiss(pl, missPrefetch)
 				}
 			}
 		}
@@ -495,9 +561,7 @@ func (s *Simulator) accessLine(line uint64, kind cache.AccessKind) uint64 {
 	// (write-allocate) and a dirty victim may need writing back.
 	hit, wbLine, wb := s.l2.AccessLine(line, kind)
 	if wb {
-		for i := range s.lanes {
-			s.lanes[i].writebackLine(wbLine)
-		}
+		s.logMiss(wbLine, missWriteback)
 	}
 	if hit {
 		s.res.TotalTimePS += s.l2PS
@@ -505,38 +569,48 @@ func (s *Simulator) accessLine(line uint64, kind cache.AccessKind) uint64 {
 	}
 	// L2 miss: every lane fetches from its memory (possibly via its
 	// memory-side cache).
-	lat := s.lanes[0].demandFill(line)
-	for i := 1; i < len(s.lanes); i++ {
-		s.lanes[i].demandFill(line)
-	}
-	return lat
+	s.logMiss(line, missDemand)
+	return 0
 }
 
-// touchAhead is how many accesses ahead of the demand pointer
-// accessBatch pre-reads L2 and memory-side tag sets. The simulator's
-// tag arrays exceed the host's caches, so replay is bound by a
-// serial chain of host memory misses; touching the sets a few
-// accesses early overlaps those misses. Reads only — replay results
-// are untouched.
-const touchAhead = 8
+// drain empties the miss log into every lane. Flat lanes see each
+// operation as a fixed cost, so they take per-opcode counts gathered
+// in one pass over the log; cache lanes replay the entries.
+//
+//simd:hotpath — runs once per block and once per drainEvery accesses.
+func (s *Simulator) drain() {
+	log := s.missLog[:s.nlog]
+	s.nlog = 0
+	var n [4]int64
+	for _, e := range log {
+		n[e&3]++
+	}
+	for i := range s.lanes {
+		l := &s.lanes[i]
+		if l.mc != nil {
+			l.drain(log)
+			continue
+		}
+		l.memReads += n[missDemand] + n[missPrefetch] + n[missPrefetchDirty]
+		l.memWrites += n[missPrefetchDirty] + n[missWriteback]
+		l.fillPS += uint64(n[missDemand]) * l.memPS
+	}
+}
 
-// accessBatch replays one block of accesses.
+// accessBatch replays one block of accesses, draining the miss log
+// into the lanes every drainEvery accesses and at the end of the block.
+//
+//simd:hotpath — runs once per block of every replay.
 func (s *Simulator) accessBatch(batch []Access) {
 	shift := s.lineShift
-	var sink uint64
-	for i, a := range batch {
-		if j := i + touchAhead; j < len(batch) {
-			nl := batch[j].Addr >> shift
-			sink ^= s.l2.TouchTagSet(nl)
-			for k := range s.lanes {
-				sink ^= s.lanes[k].touchTags(nl)
-			}
+	for len(batch) > 0 {
+		n := min(len(batch), drainEvery)
+		for _, a := range batch[:n] {
+			s.accessLine(a.Addr>>shift, a.Kind)
 		}
-		s.accessLine(a.Addr>>shift, a.Kind)
+		s.drain()
+		batch = batch[n:]
 	}
-	// Per-instance sink keeps the touch loads alive without a global
-	// (a shared global would race across concurrent simulators).
-	s.touchSink ^= sink
 }
 
 // Run replays src `passes` times, rewinding it before each pass, and

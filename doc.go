@@ -92,7 +92,8 @@
 //     reference-parser fallback pinned equal by differential fuzzing)
 //     and encodes blocks on parallel workers behind an in-order
 //     writer, keeping the content address byte-identical to serial
-//     encoding. BENCH_REPLAY.json records the service-level numbers.
+//     encoding. simbench's upload_replay workload measures the
+//     service-level numbers (see BENCHMARK.json).
 //   - Sharded replay. tracesim.ShardedSimulator has the same Run but
 //     partitions the L2 and MCDRAM cache across N workers by set
 //     interleaving (per-tile-L2 semantics) while the dispatcher
@@ -117,10 +118,11 @@
 //
 //	go test -run=NONE -bench='Functional|Ablation|TraceReplay' -benchmem .
 //
-// and compare against the recorded baselines: BENCH_SEED.json holds
-// the pre-optimisation numbers, BENCH_FAST.json the numbers after the
-// fast-path work (same machine, 1 CPU). CI runs a -benchtime=1x smoke
-// of the same benchmarks so regressions fail loudly.
+// and compare a change against its parent measured on the same
+// machine. The repository's end-to-end benchmark is simbench
+// (declared in BENCHMARK.json; bash simbench/run.sh runs one
+// workload). CI runs a -benchtime=1x smoke of the Go benchmarks so
+// regressions fail loudly.
 //
 // # Service architecture
 //
@@ -231,5 +233,6 @@
 // matches scalar exactly. cmd/trace -o exports every synthetic
 // generator as a seedable fixture; simctl trace
 // upload|list|show|replay|delete manages the store from the shell.
-// See examples/replay, BENCH_REPLAY.json and docs/api.md.
+// See examples/replay, simbench's upload_replay workload
+// (BENCHMARK.json) and docs/api.md.
 package repro

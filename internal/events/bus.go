@@ -12,6 +12,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // Type classifies one event.
@@ -123,7 +125,7 @@ func (b *Bus) SubscriberCount(job string) int {
 	return len(t.subs)
 }
 
-// Stats returns (published, dropped, subscribers) for /metrics.
+// Stats returns (published, dropped, subscribers).
 func (b *Bus) Stats() (published, dropped int64, subscribers int) {
 	b.mu.Lock()
 	for _, t := range b.topics {
@@ -131,6 +133,17 @@ func (b *Bus) Stats() (published, dropped int64, subscribers int) {
 	}
 	b.mu.Unlock()
 	return b.published.Load(), b.dropped.Load(), subscribers
+}
+
+// Register publishes the bus's delivery counters and live subscription
+// count on r.
+func (b *Bus) Register(r *obs.Registry) {
+	r.CounterFunc("simd_events_published_total", "Events published on the live job feed.",
+		func() float64 { return float64(b.published.Load()) })
+	r.CounterFunc("simd_events_dropped_total", "Events coalesced or dropped by the slow-subscriber policy.",
+		func() float64 { return float64(b.dropped.Load()) })
+	r.GaugeFunc("simd_event_subscribers", "Live event-feed subscriptions.",
+		func() float64 { _, _, n := b.Stats(); return float64(n) })
 }
 
 // unsubscribe removes one subscription, dropping the topic when it was

@@ -19,7 +19,7 @@
 //   - errenvelope: internal/service handlers must emit errors through
 //     the shared envelope writer, never naked http.Error.
 //   - metricreg: every metric family rendered at /metrics is
-//     registered exactly once per package.
+//     declared by exactly one obs registry call per package.
 //
 // cmd/simdlint packages the suite as a `go vet -vettool` multichecker
 // and as the escape-analysis guard that pins //simd:hotpath functions

@@ -3,40 +3,34 @@ package lint
 import (
 	"go/ast"
 	"go/token"
+	"go/types"
 	"strconv"
 	"strings"
 )
 
-// MetricReg guards the /metrics contract: every family is registered
-// exactly once per package. A family is "registered" either by an
-// obs.NewHistogramVec call (which renders its own # HELP/# TYPE) or
-// by hand-written `# HELP <name>` / `# TYPE <name>` literals fed to
-// fmt.Fprintf. Double registration makes Prometheus scrapes reject
-// the whole exposition; a HELP without a TYPE (or vice versa)
-// produces an untyped family that silently loses histogram semantics.
+// MetricReg guards the /metrics contract at its one entry point: a
+// family is declared by a call on the obs metrics registry
+// (Registry.Histogram, Counter, CounterFunc or GaugeFunc), and each
+// literal family name appears in exactly one such call per package.
+// Several owners may feed one family — every cache registers its own
+// cache="..." series — but from one call site, so a family's help,
+// type and label names are spelled once. The registry itself panics on
+// a conflicting shape at run time; the analyzer catches the second
+// spelling before anything runs.
 var MetricReg = &Analyzer{
 	Name:      "metricreg",
-	Doc:       "every /metrics family must be registered exactly once, with paired # HELP and # TYPE lines",
+	Doc:       "every /metrics family must be declared by exactly one registry call per package",
 	SkipTests: true,
 	Run:       runMetricReg,
 }
 
-// metricSite records one registration of a family.
-type metricSite struct {
-	pos  token.Pos
-	kind string // "HELP", "TYPE", or "vec" (NewHistogramVec covers both)
-}
+// registryMethods are the Registry calls that declare a family; the
+// family name is their first argument.
+var registryMethods = map[string]bool{"Histogram": true, "Counter": true, "CounterFunc": true, "GaugeFunc": true}
 
 func runMetricReg(p *Pass) {
-	families := make(map[string][]metricSite)
-	order := []string{}
-	record := func(name, kind string, pos token.Pos) {
-		if _, seen := families[name]; !seen {
-			order = append(order, name)
-		}
-		families[name] = append(families[name], metricSite{pos: pos, kind: kind})
-	}
-
+	sites := make(map[string][]token.Pos)
+	var order []string
 	for _, f := range p.Files {
 		// Test files register scratch families at will; only the
 		// production exposition counts.
@@ -45,71 +39,36 @@ func runMetricReg(p *Pass) {
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
-			if !ok {
+			if !ok || len(call.Args) == 0 || !isRegistryCall(p.Info, call) {
 				return true
 			}
-			if obj := calleeObject(p.Info, call); obj != nil && obj.Name() == "NewHistogramVec" && len(call.Args) > 0 {
-				if name, ok := stringLit(call.Args[0]); ok {
-					record(name, "vec", call.Pos())
+			// A computed family name is not statically known.
+			if name, ok := stringLit(call.Args[0]); ok {
+				if _, seen := sites[name]; !seen {
+					order = append(order, name)
 				}
-				return true
-			}
-			// fmt.Fprintf(w, "# HELP simd_x ...\n") — the hand-rolled
-			// exposition path. Only literal formats are checkable.
-			if isPkgFunc(p.Info, call, "fmt", "Fprintf") || isPkgFunc(p.Info, call, "fmt", "Fprint") {
-				for _, arg := range call.Args {
-					lit, ok := stringLit(arg)
-					if !ok {
-						continue
-					}
-					for _, kind := range []string{"HELP", "TYPE"} {
-						marker := "# " + kind + " "
-						rest, found := strings.CutPrefix(lit, marker)
-						if !found {
-							continue
-						}
-						name, _, _ := strings.Cut(rest, " ")
-						name = strings.TrimRight(name, "\n")
-						// A %s family name is not statically known.
-						if name != "" && !strings.Contains(name, "%") {
-							record(name, kind, arg.Pos())
-						}
-					}
-				}
+				sites[name] = append(sites[name], call.Pos())
 			}
 			return true
 		})
 	}
-
 	for _, name := range order {
-		sites := families[name]
-		var help, typ, vec []metricSite
-		for _, s := range sites {
-			switch s.kind {
-			case "HELP":
-				help = append(help, s)
-			case "TYPE":
-				typ = append(typ, s)
-			case "vec":
-				vec = append(vec, s)
-			}
-		}
-		switch {
-		case len(vec) > 1:
-			p.Reportf(vec[1].pos, "metric family %q is registered %d times in this package; register it exactly once", name, len(vec))
-		case len(vec) == 1 && (len(help) > 0 || len(typ) > 0):
-			hand := append(append([]metricSite{}, help...), typ...)
-			p.Reportf(hand[0].pos, "metric family %q is registered both by NewHistogramVec and by hand-written # HELP/# TYPE lines", name)
-		case len(help) > 1:
-			p.Reportf(help[1].pos, "metric family %q emits # HELP %d times in this package; each family is registered exactly once", name, len(help))
-		case len(typ) > 1:
-			p.Reportf(typ[1].pos, "metric family %q emits # TYPE %d times in this package; each family is registered exactly once", name, len(typ))
-		case len(help) == 1 && len(typ) == 0:
-			p.Reportf(help[0].pos, "metric family %q has a # HELP line but no # TYPE line; scrapers treat it as untyped", name)
-		case len(typ) == 1 && len(help) == 0:
-			p.Reportf(typ[0].pos, "metric family %q has a # TYPE line but no # HELP line", name)
+		if at := sites[name]; len(at) > 1 {
+			p.Reportf(at[1], "metric family %q is registered %d times in this package; declare it in exactly one registry call", name, len(at))
 		}
 	}
+}
+
+// isRegistryCall reports whether call invokes a family-declaring
+// method on a type named Registry. The match is by name so fixtures
+// need not import the real package.
+func isRegistryCall(info *types.Info, call *ast.CallExpr) bool {
+	fn, ok := calleeObject(info, call).(*types.Func)
+	if !ok || !registryMethods[fn.Name()] {
+		return false
+	}
+	recv := fn.Type().(*types.Signature).Recv()
+	return recv != nil && namedOf(recv.Type()) != nil && namedOf(recv.Type()).Obj().Name() == "Registry"
 }
 
 // stringLit unwraps a string literal (possibly parenthesized),

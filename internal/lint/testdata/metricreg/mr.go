@@ -1,74 +1,46 @@
-// Fixture for the metricreg analyzer: duplicate registrations, torn
-// HELP/TYPE pairs, and the single-registration shapes that must stay
+// Fixture for the metricreg analyzer: a family name declared by two
+// registry calls, and the single-declaration shapes that must stay
 // silent.
 package mrfix
 
-import (
-	"fmt"
-	"io"
-)
+// Registry stands in for obs.Registry — metricreg matches the receiver
+// and method by name so fixtures need not import the real package.
+type Registry struct{}
 
-type vec struct{}
+func (r *Registry) Histogram(name, help string, labels []string, bounds []float64)       {}
+func (r *Registry) Counter(name, help string, labels ...string)                          {}
+func (r *Registry) CounterFunc(name, help string, fn func() float64, pairs ...string)    {}
+func (r *Registry) GaugeFunc(name, help string, fn func() float64, labelPairs ...string) {}
 
-// NewHistogramVec stands in for obs.NewHistogramVec — metricreg
-// matches the callee by name so fixtures need not import the real
-// package.
-func NewHistogramVec(name, help string, labels []string, bounds []float64) *vec {
-	return &vec{}
-}
+// other has a method with a registry method's name on another type;
+// its calls are not registrations.
+type other struct{}
 
-var (
-	a = NewHistogramVec("fix_dup_seconds", "first", nil, nil)
-	b = NewHistogramVec("fix_dup_seconds", "second", nil, nil) // want "registered 2 times"
-	c = NewHistogramVec("fix_both_seconds", "fine", nil, nil)
-)
+func (other) Counter(name, help string, labels ...string) {}
 
-func write(w io.Writer) {
-	fmt.Fprintf(w, "# HELP fix_total Things counted.\n")
-	fmt.Fprintf(w, "# TYPE fix_total counter\n")
+func zero() float64 { return 0 }
 
-	fmt.Fprintf(w, "# HELP fix_twice_total Counted twice.\n")
-	fmt.Fprintf(w, "# TYPE fix_twice_total counter\n")
-	fmt.Fprintf(w, "# HELP fix_twice_total Counted twice.\n") // want "emits # HELP 2 times"
+func register(r *Registry, o other, dynamic string) {
+	r.Histogram("fix_seconds", "Declared once.", nil, nil)
+	r.Counter("fix_requests_total", "Declared once.", "route")
 
-	fmt.Fprintf(w, "# HELP fix_untyped_total No TYPE line.\n") // want "no # TYPE line"
+	r.GaugeFunc("fix_dup", "First.", zero)
+	r.GaugeFunc("fix_dup", "Second.", zero) // want "registered 2 times"
 
-	fmt.Fprintf(w, "# HELP fix_both_seconds Also registered by NewHistogramVec.\n") // want "both by NewHistogramVec and by hand-written"
-	fmt.Fprintf(w, "# TYPE fix_both_seconds histogram\n")
+	// Two different registry methods still declare one family.
+	r.Counter("fix_mixed_total", "Owned.")
+	r.CounterFunc("fix_mixed_total", "Collected.", zero) // want "registered 2 times"
 
-	// False-positive regression: %s family names are not statically
-	// known and must not be recorded.
-	fmt.Fprintf(w, "# HELP %s dynamic family\n", "whatever")
-}
+	// One call site feeding several owners' series is the intended
+	// shape: each cache registers cache="<name>" from here.
+	for _, cache := range []string{"point", "advice"} {
+		r.CounterFunc("fix_cache_hits_total", "Hits.", zero, "cache", cache)
+	}
 
-// writeGauges mirrors the service's hand-rendered gauge families (queue
-// depth, runtime telemetry): each declared once with a paired
-// HELP/TYPE is silent; re-declaring one from a second render site is
-// the duplicate the analyzer exists to catch.
-func writeGauges(w io.Writer) {
-	fmt.Fprintf(w, "# HELP fix_queue_depth Jobs waiting.\n")
-	fmt.Fprintf(w, "# TYPE fix_queue_depth gauge\n")
+	// A computed family name is not statically known.
+	r.GaugeFunc(dynamic, "Dynamic.", zero)
+	r.GaugeFunc(dynamic, "Dynamic.", zero)
 
-	fmt.Fprintf(w, "# HELP fix_heap_bytes Live heap.\n")
-	fmt.Fprintf(w, "# TYPE fix_heap_bytes gauge\n")
-
-	fmt.Fprintf(w, "# HELP fix_gauge_twice Declared here and below.\n")
-	fmt.Fprintf(w, "# TYPE fix_gauge_twice gauge\n")
-
-	fmt.Fprintf(w, "# HELP fix_gauge_retyped One HELP, two TYPEs.\n")
-	fmt.Fprintf(w, "# TYPE fix_gauge_retyped gauge\n")
-}
-
-func writeGaugesAgain(w io.Writer) {
-	fmt.Fprintf(w, "# HELP fix_gauge_twice Declared here and above.\n") // want "emits # HELP 2 times"
-	fmt.Fprintf(w, "# TYPE fix_gauge_twice gauge\n")
-
-	fmt.Fprintf(w, "# TYPE fix_gauge_retyped gauge\n") // want "emits # TYPE 2 times"
-
-	// A quantile-labelled gauge still has exactly one family
-	// declaration; the sample lines themselves are not declarations.
-	fmt.Fprintf(w, "# HELP fix_pause_seconds GC pause quantiles.\n")
-	fmt.Fprintf(w, "# TYPE fix_pause_seconds gauge\n")
-	fmt.Fprintf(w, "fix_pause_seconds{quantile=\"0.5\"} %g\n", 0.001)
-	fmt.Fprintf(w, "fix_pause_seconds{quantile=\"0.99\"} %g\n", 0.002)
+	// Same literal on a non-registry type: not a registration.
+	o.Counter("fix_seconds", "Not a registry.")
 }

@@ -27,7 +27,7 @@ func benchmarkStack(b *testing.B, logText, traced bool) {
 	if traced {
 		tracer = NewTracer(256, time.Second)
 	}
-	hist := NewHistogramVec("bench_request_seconds", "bench", []string{"route", "code"}, nil)
+	hist := NewRegistry().Histogram("bench_request_seconds", "bench", []string{"route", "code"}, nil)
 	h = Chain(
 		http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			SetRoute(r.Context(), "GET /bench")

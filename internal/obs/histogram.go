@@ -1,17 +1,17 @@
-// Package obs is the service's observability substrate: fixed-bucket
-// latency histograms rendered in Prometheus text exposition format,
-// request-ID generation and propagation through context.Context, a
-// structured-logging constructor on log/slog, and a composable
-// http.Handler middleware stack (request IDs, access logging, latency
-// metrics, panic recovery) that internal/service assembles into its
-// request path. The package is dependency-free by design — the repo
+// Package obs is the service's observability substrate: one metrics
+// Registry rendering counters, owner-supplied collect funcs and
+// fixed-bucket latency histograms in Prometheus text exposition
+// format, request-ID generation and propagation through
+// context.Context, a structured-logging constructor on log/slog, and a
+// composable http.Handler middleware stack (request IDs, access
+// logging, latency metrics, panic recovery) that internal/service
+// assembles into its request path. The package is dependency-free by design — the repo
 // rule is no new modules, and the Prometheus text format is simple
 // enough to emit (and parse, in tests) by hand.
 package obs
 
 import (
 	"fmt"
-	"io"
 	"sort"
 	"strconv"
 	"strings"
@@ -118,10 +118,9 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 // HistogramVec is a family of histograms keyed by label values —
 // simd_http_request_seconds{route,code} and friends. Label sets are
 // created on first observation and rendered in sorted order so
-// scrapes are deterministic.
+// scrapes are deterministic. Registry.Histogram builds one.
 type HistogramVec struct {
 	name   string
-	help   string
 	labels []string
 	bounds []float64
 
@@ -129,15 +128,15 @@ type HistogramVec struct {
 	kids map[string]*Histogram // guarded by mu
 }
 
-// NewHistogramVec builds a histogram family. name is the metric
+// newHistogramVec builds a histogram family. name is the metric
 // family name (without _bucket/_sum/_count suffixes), labels the
 // label names every observation must supply values for, bounds the
 // shared bucket upper bounds (nil: DefBuckets).
-func NewHistogramVec(name, help string, labels []string, bounds []float64) *HistogramVec {
+func newHistogramVec(name string, labels []string, bounds []float64) *HistogramVec {
 	if len(bounds) == 0 {
 		bounds = DefBuckets
 	}
-	return &HistogramVec{name: name, help: help, labels: labels, bounds: bounds, kids: make(map[string]*Histogram)}
+	return &HistogramVec{name: name, labels: labels, bounds: bounds, kids: make(map[string]*Histogram)}
 }
 
 // labelSep joins label values into map keys; label values containing
@@ -152,9 +151,9 @@ func (v *HistogramVec) Observe(val float64, labelValues ...string) {
 }
 
 // ObserveExemplar is Observe plus an exemplar: when traceID is
-// non-empty, the bucket the value lands in remembers it, and Render
-// appends an OpenMetrics-style `# {trace_id="..."}` suffix to that
-// bucket's row.
+// non-empty, the bucket the value lands in remembers it, and the
+// scrape appends an OpenMetrics-style `# {trace_id="..."}` suffix to
+// that bucket's row.
 func (v *HistogramVec) ObserveExemplar(val float64, traceID string, labelValues ...string) {
 	if len(labelValues) != len(v.labels) {
 		panic(fmt.Sprintf("obs: %s observed with %d label values, want %d", v.name, len(labelValues), len(v.labels)))
@@ -182,61 +181,44 @@ func (v *HistogramVec) Count(labelValues ...string) uint64 {
 	return h.Snapshot().Count
 }
 
-// formatBound renders a bucket upper bound the way Prometheus spells
-// le values ("0.005", "1", "10").
-func formatBound(b float64) string {
-	return strconv.FormatFloat(b, 'g', -1, 64)
-}
-
-// exemplarSuffix renders a bucket row's exemplar annotation, or "".
+// appendExemplar renders a bucket row's exemplar annotation, if any.
 // The syntax follows OpenMetrics: the row's value, then " # ", then
 // the exemplar labels, the exemplared value and its timestamp.
-func exemplarSuffix(ex []Exemplar, i int) string {
+func appendExemplar(b []byte, ex []Exemplar, i int) []byte {
 	if i >= len(ex) || ex[i].TraceID == "" {
-		return ""
+		return b
 	}
-	return fmt.Sprintf(" # {trace_id=%q} %s %.3f",
-		ex[i].TraceID, strconv.FormatFloat(ex[i].Value, 'g', -1, 64), ex[i].Unix)
+	b = strconv.AppendQuote(append(b, " # {trace_id="...), ex[i].TraceID)
+	b = strconv.AppendFloat(append(b, "} "...), ex[i].Value, 'g', -1, 64)
+	return strconv.AppendFloat(append(b, ' '), ex[i].Unix, 'f', 3, 64)
 }
 
-// Render writes the family in Prometheus text exposition format:
-// HELP and TYPE first, then for each label set (sorted) the
-// cumulative _bucket rows ending in le="+Inf", then _sum and _count.
-func (v *HistogramVec) Render(w io.Writer) {
+// appendSamples renders the family's samples: for each label set
+// (sorted) the cumulative _bucket rows ending in le="+Inf", then _sum
+// and _count. Bounds render the way Prometheus spells le values
+// ("0.005", "1", "10").
+func (v *HistogramVec) appendSamples(b []byte) []byte {
 	v.mu.Lock()
-	keys := make([]string, 0, len(v.kids))
-	for k := range v.kids {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
+	keys := sortedKeys(v.kids)
 	hists := make([]*Histogram, len(keys))
 	for i, k := range keys {
 		hists[i] = v.kids[k]
 	}
 	v.mu.Unlock()
 
-	fmt.Fprintf(w, "# HELP %s %s\n", v.name, v.help)
-	fmt.Fprintf(w, "# TYPE %s histogram\n", v.name)
 	for i, key := range keys {
 		snap := hists[i].Snapshot()
-		var base strings.Builder
-		if len(v.labels) > 0 {
-			for j, val := range strings.Split(key, labelSep) {
-				fmt.Fprintf(&base, "%s=%q,", v.labels[j], val)
+		values := splitLabels(key, len(v.labels))
+		for j, n := range snap.Cumulative {
+			le := "+Inf"
+			if j < len(snap.Bounds) {
+				le = strconv.FormatFloat(snap.Bounds[j], 'g', -1, 64)
 			}
+			b = appendExemplar(strconv.AppendUint(appendName(b, v.name, "_bucket", v.labels, values, le), n, 10), snap.Exemplars, j)
+			b = append(b, '\n')
 		}
-		for j, b := range snap.Bounds {
-			fmt.Fprintf(w, "%s_bucket{%sle=%q} %d%s\n", v.name, base.String(), formatBound(b), snap.Cumulative[j], exemplarSuffix(snap.Exemplars, j))
-		}
-		last := len(snap.Cumulative) - 1
-		fmt.Fprintf(w, "%s_bucket{%sle=\"+Inf\"} %d%s\n", v.name, base.String(), snap.Cumulative[last], exemplarSuffix(snap.Exemplars, last))
-		sumBase := strings.TrimSuffix(base.String(), ",")
-		if sumBase == "" {
-			fmt.Fprintf(w, "%s_sum %s\n", v.name, strconv.FormatFloat(snap.Sum, 'g', -1, 64))
-			fmt.Fprintf(w, "%s_count %d\n", v.name, snap.Count)
-			continue
-		}
-		fmt.Fprintf(w, "%s_sum{%s} %s\n", v.name, sumBase, strconv.FormatFloat(snap.Sum, 'g', -1, 64))
-		fmt.Fprintf(w, "%s_count{%s} %d\n", v.name, sumBase, snap.Count)
+		b = appendValue(appendName(b, v.name, "_sum", v.labels, values, ""), snap.Sum)
+		b = appendValue(appendName(b, v.name, "_count", v.labels, values, ""), float64(snap.Count))
 	}
+	return b
 }

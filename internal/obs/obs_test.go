@@ -34,13 +34,14 @@ func TestHistogramBucketing(t *testing.T) {
 }
 
 func TestHistogramVecRendering(t *testing.T) {
-	v := NewHistogramVec("test_seconds", "Test latency.", []string{"route", "code"}, []float64{0.1, 1})
+	reg := NewRegistry()
+	v := reg.Histogram("test_seconds", "Test latency.", []string{"route", "code"}, []float64{0.1, 1})
 	v.Observe(0.05, "GET /x", "200")
 	v.Observe(0.5, "GET /x", "200")
 	v.Observe(2, "GET /y", "500")
 
 	var b bytes.Buffer
-	v.Render(&b)
+	reg.Render(&b)
 	out := b.String()
 	for _, want := range []string{
 		"# HELP test_seconds Test latency.",
@@ -62,7 +63,7 @@ func TestHistogramVecRendering(t *testing.T) {
 }
 
 func TestHistogramVecLabelArityPanics(t *testing.T) {
-	v := NewHistogramVec("x_seconds", "x", []string{"a", "b"}, nil)
+	v := NewRegistry().Histogram("x_seconds", "x", []string{"a", "b"}, nil)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("observing with wrong label arity did not panic")

@@ -6,13 +6,14 @@ import (
 )
 
 // This file samples the Go runtime's own telemetry (runtime/metrics)
-// into a small fixed set the service renders as simd_go_* gauges:
-// heap size, goroutine count, GC cycles, and latency quantiles for GC
-// pauses and scheduler delays. Sampling happens at scrape time — the
-// runtime maintains these counters continuously, so reading them is
-// cheap and a dedicated polling goroutine would only add staleness.
+// into a small fixed set registered as simd_go_* families: heap size,
+// goroutine count, GC cycles, and latency quantiles for GC pauses and
+// scheduler delays. Sampling happens once per scrape — the runtime
+// maintains these counters continuously, so reading them is cheap and
+// a dedicated polling goroutine would only add staleness.
 
-// runtimeSamples is the fixed set of runtime/metrics names we read.
+// runtimeSamples is the fixed set of runtime/metrics names we read, in
+// the order SampleRuntime indexes them.
 var runtimeSamples = []string{
 	"/memory/classes/heap/objects:bytes",
 	"/sched/goroutines:goroutines",
@@ -37,6 +38,26 @@ type RuntimeStats struct {
 	SchedLatency Quantiles
 }
 
+// RegisterRuntime registers the simd_go_* families on r, all fed by one
+// SampleRuntime per scrape.
+func RegisterRuntime(r *Registry) {
+	var rt RuntimeStats // written by the scrape hook; scrapes are serialized
+	r.OnScrape(func() { rt = SampleRuntime() })
+	r.GaugeFunc("simd_go_heap_bytes", "Live heap object bytes (runtime/metrics).",
+		func() float64 { return float64(rt.HeapBytes) })
+	r.GaugeFunc("simd_go_goroutines", "Live goroutines.",
+		func() float64 { return float64(rt.Goroutines) })
+	r.CounterFunc("simd_go_gc_cycles_total", "Completed GC cycles.",
+		func() float64 { return float64(rt.GCCycles) })
+	for i, label := range []string{"0.5", "0.99", "max"} {
+		pick := func(q Quantiles) float64 { return [...]float64{q.P50, q.P99, q.Max}[i] }
+		r.GaugeFunc("simd_go_gc_pause_seconds", "GC stop-the-world pause latency quantiles since process start.",
+			func() float64 { return pick(rt.GCPause) }, "quantile", label)
+		r.GaugeFunc("simd_go_sched_latency_seconds", "Goroutine scheduling latency quantiles since process start.",
+			func() float64 { return pick(rt.SchedLatency) }, "quantile", label)
+	}
+}
+
 // SampleRuntime reads the current runtime telemetry.
 func SampleRuntime() RuntimeStats {
 	samples := make([]metrics.Sample, len(runtimeSamples))
@@ -44,33 +65,20 @@ func SampleRuntime() RuntimeStats {
 		samples[i].Name = name
 	}
 	metrics.Read(samples)
-
-	var out RuntimeStats
-	for _, s := range samples {
-		switch s.Name {
-		case "/memory/classes/heap/objects:bytes":
-			if s.Value.Kind() == metrics.KindUint64 {
-				out.HeapBytes = s.Value.Uint64()
-			}
-		case "/sched/goroutines:goroutines":
-			if s.Value.Kind() == metrics.KindUint64 {
-				out.Goroutines = s.Value.Uint64()
-			}
-		case "/gc/cycles/total:gc-cycles":
-			if s.Value.Kind() == metrics.KindUint64 {
-				out.GCCycles = s.Value.Uint64()
-			}
-		case "/gc/pauses:seconds":
-			if s.Value.Kind() == metrics.KindFloat64Histogram {
-				out.GCPause = histQuantiles(s.Value.Float64Histogram())
-			}
-		case "/sched/latencies:seconds":
-			if s.Value.Kind() == metrics.KindFloat64Histogram {
-				out.SchedLatency = histQuantiles(s.Value.Float64Histogram())
-			}
+	count := func(i int) uint64 {
+		if samples[i].Value.Kind() != metrics.KindUint64 {
+			return 0
 		}
+		return samples[i].Value.Uint64()
 	}
-	return out
+	quantiles := func(i int) Quantiles {
+		if samples[i].Value.Kind() != metrics.KindFloat64Histogram {
+			return Quantiles{}
+		}
+		return histQuantiles(samples[i].Value.Float64Histogram())
+	}
+	return RuntimeStats{HeapBytes: count(0), Goroutines: count(1), GCCycles: count(2),
+		GCPause: quantiles(3), SchedLatency: quantiles(4)}
 }
 
 // histQuantiles approximates p50/p99/max from a runtime

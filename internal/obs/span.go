@@ -103,9 +103,9 @@ func (s *Span) SetError(failed bool) {
 // End completes the span now.
 func (s *Span) End() { s.EndAt(time.Now()) }
 
-// EndAt completes the span at an explicit instant, so a span mirroring
-// an externally measured interval (the job timeline's execute stage)
-// carries exactly the same duration.
+// EndAt completes the span at an explicit instant, so a span recording
+// an externally measured interval (a job stage) carries exactly its
+// duration.
 func (s *Span) EndAt(t time.Time) {
 	if s == nil {
 		return
@@ -154,19 +154,11 @@ func NewTrace(id string) (*Trace, *Span) {
 func (t *Trace) ID() string { return t.id }
 
 // NewSpan starts a span with an explicit parent and start time — the
-// queue uses it to open the execute span at worker pickup. parent 0
-// attaches to nothing; use RootSpanID for top-level job spans.
+// queue's job stages use it, ending each with EndAt, including stages
+// measured retrospectively (queue wait is only known at pickup).
+// parent 0 attaches to nothing; use RootSpanID for top-level job spans.
 func (t *Trace) NewSpan(name string, parent int, start time.Time) *Span {
 	return &Span{tr: t, id: int(t.nextID.Add(1)), parent: parent, name: name, start: start}
-}
-
-// AddSpan records an interval measured retrospectively (queue wait is
-// only known at pickup) as a completed span.
-func (t *Trace) AddSpan(parent int, name string, start time.Time, d time.Duration, attrs ...Attr) {
-	t.append(SpanData{
-		ID: int(t.nextID.Add(1)), Parent: parent, Name: name, Start: start,
-		MS: float64(d.Microseconds()) / 1000, Attrs: attrs,
-	})
 }
 
 // append files one completed span.
@@ -345,11 +337,19 @@ func (t *Tracer) List() []TraceSummary {
 	return out
 }
 
-// Stats returns (retained, pinned) trace counts for /metrics.
+// Stats returns (retained, pinned) trace counts.
 func (t *Tracer) Stats() (retained, pinned int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return len(t.general) + len(t.pinset), len(t.pinset)
+}
+
+// Register publishes the tracer's ring occupancy on r.
+func (t *Tracer) Register(r *Registry) {
+	r.GaugeFunc("simd_exec_traces", "Execution traces retained for /debug/traces.",
+		func() float64 { n, _ := t.Stats(); return float64(n) })
+	r.GaugeFunc("simd_exec_traces_pinned", "Traces pinned by tail sampling (errors and slow requests).",
+		func() float64 { _, n := t.Stats(); return float64(n) })
 }
 
 // traceCtx is the context payload: the live trace and the current span
@@ -379,16 +379,6 @@ func ContextWithSpan(ctx context.Context, tr *Trace, spanID int) context.Context
 func TraceFrom(ctx context.Context) *Trace {
 	tc, _ := ctx.Value(traceKey).(traceCtx)
 	return tc.tr
-}
-
-// SpanIDFrom returns the context's current span ID (the parent new
-// spans would attach under), or 0 without a trace.
-func SpanIDFrom(ctx context.Context) int {
-	tc, _ := ctx.Value(traceKey).(traceCtx)
-	if tc.tr == nil {
-		return 0
-	}
-	return tc.span
 }
 
 // StartSpan opens a child of the context's current span and returns a

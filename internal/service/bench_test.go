@@ -173,7 +173,8 @@ func BenchmarkServeRun(b *testing.B) {
 // over real HTTP: ingest throughput (NDJSON upload into the durable
 // store), a cold replay through the scaled cache hierarchy, and the
 // warm replay served from the content-addressed replay cache. The
-// recorded baseline lives in BENCH_REPLAY.json.
+// end-to-end upload → replay numbers come from simbench's
+// upload_replay workload (BENCHMARK.json).
 func BenchmarkReplayStored(b *testing.B) {
 	accs := benchReplayAccesses(200000)
 	body := ndjsonBody(accs)

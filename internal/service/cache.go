@@ -3,6 +3,8 @@ package service
 import (
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/obs"
 )
 
 // Cache is a bounded content-addressed result cache with singleflight
@@ -38,12 +40,18 @@ var closedDone = func() chan struct{} {
 }()
 
 // NewCache builds a cache bounded to max entries (<=0 means a default
-// of 64k, plenty for any single-node study).
-func NewCache[V any](max int) *Cache[V] {
+// of 64k, plenty for any single-node study) and registers its hit,
+// miss and entry counts on reg under cache=name.
+func NewCache[V any](name string, reg *obs.Registry, max int) *Cache[V] {
 	if max <= 0 {
 		max = 1 << 16
 	}
-	return &Cache[V]{entries: make(map[string]*cacheEntry[V]), max: max}
+	c := &Cache[V]{entries: make(map[string]*cacheEntry[V]), max: max}
+	reg.CounterFunc("simd_cache_hits_total", "Content-addressed cache hits.", count(&c.hits), "cache", name)
+	reg.CounterFunc("simd_cache_misses_total", "Content-addressed cache misses.", count(&c.misses), "cache", name)
+	reg.GaugeFunc("simd_cache_entries", "Cached entries resident.",
+		func() float64 { return float64(c.Len()) }, "cache", name)
+	return c
 }
 
 // GetOrCompute returns the cached value for key, computing it with fn

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // TestCacheChurnRace is the guardedby audit's regression pin: it
@@ -15,7 +17,7 @@ import (
 // -race -count=2 it also pins the absence of data races on the
 // `guarded by mu` fields.
 func TestCacheChurnRace(t *testing.T) {
-	c := NewCache[int](8) // tiny bound so eviction churns constantly
+	c := NewCache[int]("test", obs.NewRegistry(), 8) // tiny bound so eviction churns constantly
 
 	var wg sync.WaitGroup
 	errBoom := errors.New("boom")

@@ -6,10 +6,12 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 func TestCacheGetOrCompute(t *testing.T) {
-	c := NewCache[int](0)
+	c := NewCache[int]("test", obs.NewRegistry(), 0)
 	var calls atomic.Int64
 	fn := func() (int, error) { calls.Add(1); return 42, nil }
 
@@ -30,7 +32,7 @@ func TestCacheGetOrCompute(t *testing.T) {
 }
 
 func TestCacheSingleflight(t *testing.T) {
-	c := NewCache[int](0)
+	c := NewCache[int]("test", obs.NewRegistry(), 0)
 	var calls atomic.Int64
 	release := make(chan struct{})
 	const waiters = 16
@@ -57,7 +59,7 @@ func TestCacheSingleflight(t *testing.T) {
 }
 
 func TestCacheErrorsNotCached(t *testing.T) {
-	c := NewCache[int](0)
+	c := NewCache[int]("test", obs.NewRegistry(), 0)
 	boom := errors.New("boom")
 	var calls atomic.Int64
 	fail := func() (int, error) { calls.Add(1); return 0, boom }
@@ -81,7 +83,7 @@ func TestCacheErrorsNotCached(t *testing.T) {
 // keeps failing: every failure must purge its fifo slot, so repeated
 // retries cannot grow the eviction queue or plant duplicate entries.
 func TestCacheFailedKeyDoesNotLeakFIFO(t *testing.T) {
-	c := NewCache[int](8)
+	c := NewCache[int]("test", obs.NewRegistry(), 8)
 	boom := errors.New("boom")
 	for i := 0; i < 100; i++ {
 		if _, _, err := c.GetOrCompute("flaky", func() (int, error) { return 0, boom }); !errors.Is(err, boom) {
@@ -117,7 +119,7 @@ func TestCacheFailedKeyDoesNotLeakFIFO(t *testing.T) {
 // long-running computation at the head of the queue must not stall
 // eviction of the completed entries behind it.
 func TestCacheEvictionProceedsPastInFlight(t *testing.T) {
-	c := NewCache[int](2)
+	c := NewCache[int]("test", obs.NewRegistry(), 2)
 	started := make(chan struct{})
 	release := make(chan struct{})
 	var wg sync.WaitGroup
@@ -156,7 +158,7 @@ func TestCacheEvictionProceedsPastInFlight(t *testing.T) {
 // with computations that never finish: evictLocked must give up after
 // one rotation instead of spinning forever.
 func TestCacheAllInFlightDoesNotSpin(t *testing.T) {
-	c := NewCache[int](1)
+	c := NewCache[int]("test", obs.NewRegistry(), 1)
 	release := make(chan struct{})
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
@@ -184,7 +186,7 @@ func TestCacheAllInFlightDoesNotSpin(t *testing.T) {
 }
 
 func TestCacheEviction(t *testing.T) {
-	c := NewCache[int](4)
+	c := NewCache[int]("test", obs.NewRegistry(), 4)
 	for i := 0; i < 10; i++ {
 		k := fmt.Sprintf("k%d", i)
 		if _, _, err := c.GetOrCompute(k, func() (int, error) { return i, nil }); err != nil {

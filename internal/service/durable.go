@@ -131,6 +131,7 @@ func NewDurableServer(opt Options) (*Server, RecoveryStats, error) {
 	}
 	s.journal = jnl
 	s.resultsStore = results
+	s.registerDurable(&rec)
 
 	for _, id := range order {
 		jr := byJob[id]
@@ -163,34 +164,30 @@ func NewDurableServer(opt Options) (*Server, RecoveryStats, error) {
 		}
 		rec.Requeued++
 	}
-	s.recRequeued.Store(int64(rec.Requeued))
-	s.recRestored.Store(int64(rec.Restored))
 	rec.JournalEntries, rec.TornBytes = jnl.Stats()
 	_, rec.ResultsQuarantined = results.Stats()
 	return s, rec, nil
 }
 
 // restoreFinished registers one terminal journal record with the
-// queue so GET /v1/jobs/{id} keeps answering across restarts, and
-// reattaches the campaign result when the warmed cache holds it.
+// queue so GET /v1/jobs/{id} keeps answering across restarts, with the
+// campaign result when the warmed cache holds it. The journal keeps no
+// stage timings, so a restored job has no timeline.
 func (s *Server) restoreFinished(e *journal.Entry) {
 	info := JobInfo{ID: e.Job, Kind: e.Kind, Done: e.Done, Total: e.Total, Submitted: e.Time, RequestID: e.Req}
 	t := e.Time
 	info.Started, info.Finished = &t, &t
+	var res *CampaignResult
 	if e.State == journal.StateDone {
 		info.State = JobDone
+		if e.Kind == "campaign" && e.Key != "" {
+			res, _ = s.campaigns.Peek(e.Key)
+		}
 	} else {
 		info.State = JobFailed
 		info.Error = e.Error
 	}
-	s.queue.RestoreFinished(info)
-	if e.State == journal.StateDone && e.Kind == "campaign" && e.Key != "" {
-		if res, ok := s.campaigns.Peek(e.Key); ok {
-			s.mu.Lock()
-			s.results[e.Job] = res
-			s.mu.Unlock()
-		}
-	}
+	s.queue.RestoreFinished(info, res)
 }
 
 // seedResult warms one cache from a persisted result. A value that no

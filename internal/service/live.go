@@ -3,104 +3,110 @@ package service
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"time"
 
 	"repro/internal/events"
 )
 
-// This file is the live side of the observability surface: the SSE
-// event feed any number of clients use to watch one job (GET
-// /v1/jobs/{id}/events) and the execution-trace debug endpoints (GET
-// /debug/traces, GET /debug/traces/{id}).
+// This file is the live side of the observability surface: the two
+// feeds any number of clients use to watch one job — Server-Sent
+// Events (GET /v1/jobs/{id}/events) and NDJSON snapshots (GET
+// /v1/jobs/{id}/stream), both driven by the event bus — and the
+// execution-trace debug endpoints (GET /debug/traces, GET
+// /debug/traces/{id}).
 
-// stateEvent converts a job snapshot into its bus event. Terminal
-// states carry Final so feeds know to hang up.
-func stateEvent(info JobInfo) events.Event {
-	ev := events.Event{
-		Job: info.ID, Type: events.TypeState, State: string(info.State),
-		Done: info.Done, Total: info.Total, Error: info.Error,
-	}
-	if info.State == JobDone || info.State == JobFailed {
-		ev.Final = true
-	}
-	return ev
-}
-
-// handleJobEvents serves one job's live feed as Server-Sent Events:
-// an opening state snapshot, then every published transition, point
-// completion and progress tick, with comment keepalives while idle.
-// The stream ends after the terminal (final) event. Subscription
-// happens before the snapshot so no event published in between is
-// lost; a state event may therefore be delivered twice around the
-// boundary, which watchers absorb (renders are idempotent).
-func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
+// follow serves one job's live feed. It subscribes on the bus before
+// taking the opening snapshot, so nothing published in between is
+// lost; open writes that snapshot, and wake drains the subscription
+// each time it signals. Either reports true once the feed has written
+// its final record. keepalive is written on every tick of the
+// keepalive period so proxies do not sever a quiet watch.
+func (s *Server) follow(w http.ResponseWriter, r *http.Request, contentType, keepalive string,
+	open func(JobInfo) bool, wake func(*events.Subscription) bool) {
 	id := r.PathValue("id")
-	if _, ok := s.queue.Get(id); !ok {
+	sub := s.events.Subscribe(id, 0)
+	defer sub.Close()
+	info, ok := s.queue.Get(id)
+	if !ok {
 		writeError(w, http.StatusNotFound, fmt.Errorf("service: unknown job %q", id))
 		return
 	}
-	flusher, _ := w.(http.Flusher)
-	w.Header().Set("Content-Type", "text/event-stream")
+	rc := http.NewResponseController(w)
+	w.Header().Set("Content-Type", contentType)
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
-
-	sub := s.events.Subscribe(id, 0)
-	defer sub.Close()
-
-	flush := func() {
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-	writeEvent := func(ev events.Event) {
-		payload, err := json.Marshal(ev)
-		if err != nil {
-			return
-		}
-		fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.Seq, ev.Type, payload)
-	}
-
-	// Opening snapshot: where the job stands right now. If it is
-	// already terminal this is also the final event.
-	info, ok := s.queue.Get(id)
-	if !ok {
-		return
-	}
-	first := stateEvent(info)
-	first.Time = time.Now()
-	writeEvent(first)
-	flush()
-	if first.Final {
-		return
-	}
-
-	keepalive := time.NewTicker(s.keepAlive)
-	defer keepalive.Stop()
-	for {
-		for {
-			ev, ok := sub.Next()
-			if !ok {
-				break
-			}
-			writeEvent(ev)
-			if ev.Final {
-				flush()
-				return
-			}
-		}
-		flush()
+	done := open(info)
+	_ = rc.Flush()
+	ticker := time.NewTicker(s.keepAlive)
+	defer ticker.Stop()
+	for !done {
 		select {
 		case <-r.Context().Done():
 			return
+		case <-ticker.C:
+			_, _ = io.WriteString(w, keepalive)
 		case <-sub.Ready():
-		case <-keepalive.C:
-			// SSE comment line: ignored by parsers, keeps idle proxies
-			// from severing the watch.
-			fmt.Fprint(w, ": keepalive\n\n")
-			flush()
+			done = wake(sub)
 		}
+		_ = rc.Flush()
 	}
+}
+
+// handleJobEvents serves one job's live feed as Server-Sent Events: an
+// opening state snapshot, then every published transition, point
+// completion and progress tick, with a comment keepalive on every
+// keepalive tick.
+// The stream ends after the terminal (final) event. A state event may
+// be delivered twice around the subscribe/snapshot boundary, which
+// watchers absorb (renders are idempotent).
+func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
+	write := func(ev events.Event) bool {
+		if payload, err := json.Marshal(ev); err == nil {
+			fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.Seq, ev.Type, payload)
+		}
+		return ev.Final
+	}
+	s.follow(w, r, "text/event-stream", ": keepalive\n\n",
+		func(info JobInfo) bool {
+			first := stateEvent(info)
+			first.Time = time.Now()
+			return write(first)
+		},
+		func(sub *events.Subscription) bool {
+			for ev, ok := sub.Next(); ok; ev, ok = sub.Next() {
+				if write(ev) {
+					return true
+				}
+			}
+			return false
+		})
+}
+
+// handleJobStream streams newline-delimited JobInfo snapshots until
+// the job finishes — the campaign progress feed simctl renders. Each
+// bus wake-up writes the job's current snapshot if its state or
+// progress changed; every keepalive tick writes a blank heartbeat
+// line, which clients skip.
+func (s *Server) handleJobStream(w http.ResponseWriter, r *http.Request) {
+	id := r.PathValue("id")
+	enc := json.NewEncoder(w)
+	var last JobInfo
+	emit := func(info JobInfo) bool {
+		if info.State != last.State || info.Done != last.Done || info.Total != last.Total {
+			last = info
+			_ = enc.Encode(info)
+		}
+		return info.State == JobDone || info.State == JobFailed
+	}
+	s.follow(w, r, "application/x-ndjson", "\n", emit,
+		func(sub *events.Subscription) bool {
+			for _, ok := sub.Next(); ok; _, ok = sub.Next() {
+			}
+			info, ok := s.queue.Get(id)
+			return !ok || emit(info)
+		})
 }
 
 // handleDebugTraces lists the retained execution traces, newest first.

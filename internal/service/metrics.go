@@ -1,59 +1,35 @@
 package service
 
 import (
-	"fmt"
-	"io"
 	"runtime"
 	"runtime/debug"
-	"sort"
-	"sync"
+	"sync/atomic"
 	"time"
 
-	"repro/internal/obs"
+	"repro/internal/tracestore"
 )
 
-// Metrics collects service counters and latency histograms and renders
-// them in Prometheus text exposition format at /metrics. Only state
-// the service owns lives here; cache and queue figures are read from
-// their sources at scrape time so they can never drift.
-type Metrics struct {
-	start    time.Time
-	revision string
+// This file declares the families the server itself writes or owns.
+// Everything else on /metrics registers where it lives: each Cache in
+// NewCache, the queue in NewQueue, the event bus and the tracer through
+// Register, and the Go runtime through obs.RegisterRuntime.
 
-	mu       sync.Mutex
-	requests map[string]int64 // by route pattern (or "unmatched"); guarded by mu
-
-	// httpSeconds is end-to-end request latency by route and status.
-	httpSeconds *obs.HistogramVec
-	// stageSeconds is per-job stage latency: queue_wait, execute,
-	// persist.
-	stageSeconds *obs.HistogramVec
-	// pointSeconds is single-point compute latency by fidelity, timed
-	// around the actual computation (cache misses only).
-	pointSeconds *obs.HistogramVec
-	// lookupSeconds is content-addressed cache hit latency by cache.
-	lookupSeconds *obs.HistogramVec
-}
-
-// NewMetrics builds an empty metrics registry.
-func NewMetrics() *Metrics {
-	return &Metrics{
-		start:    time.Now(),
-		revision: buildRevision(),
-		requests: make(map[string]int64),
-		httpSeconds: obs.NewHistogramVec("simd_http_request_seconds",
-			"HTTP request latency by route and status code.",
-			[]string{"route", "code"}, nil),
-		stageSeconds: obs.NewHistogramVec("simd_job_stage_seconds",
-			"Job stage latency: queue_wait, execute, persist.",
-			[]string{"stage"}, nil),
-		pointSeconds: obs.NewHistogramVec("simd_point_compute_seconds",
-			"Single-point compute latency by fidelity (cache misses only).",
-			[]string{"fidelity"}, nil),
-		lookupSeconds: obs.NewHistogramVec("simd_cache_lookup_seconds",
-			"Content-addressed cache hit latency by cache.",
-			[]string{"cache"}, nil),
-	}
+// registerServer registers the build, uptime and request-path
+// families.
+func (s *Server) registerServer() {
+	start := time.Now()
+	s.reg.GaugeFunc("simd_build_info", "Build metadata; the value is always 1.",
+		func() float64 { return 1 }, "go_version", runtime.Version(), "revision", buildRevision())
+	s.reg.GaugeFunc("simd_uptime_seconds", "Time since the service started.",
+		func() float64 { return time.Since(start).Seconds() })
+	s.requests = s.reg.Counter("simd_http_requests_total", "HTTP requests by route.", "route")
+	s.httpSeconds = s.reg.Histogram("simd_http_request_seconds",
+		"HTTP request latency by route and status code.", []string{"route", "code"}, nil)
+	s.pointSeconds = s.reg.Histogram("simd_point_compute_seconds",
+		"Single-point compute latency by fidelity (cache misses only).", []string{"fidelity"}, nil)
+	s.lookupSeconds = s.reg.Histogram("simd_cache_lookup_seconds",
+		"Content-addressed cache hit latency by cache.", []string{"cache"}, nil)
+	s.reg.CounterFunc("simd_panics_total", "Handler panics recovered by the middleware.", count(&s.panics))
 }
 
 // buildRevision digs the VCS revision out of the build info, so one
@@ -69,192 +45,40 @@ func buildRevision() string {
 	return "unknown"
 }
 
-// CountRequest records one HTTP request for a route.
-func (m *Metrics) CountRequest(route string) {
-	m.mu.Lock()
-	m.requests[route]++
-	m.mu.Unlock()
+// count reads an atomic counter as a sample value.
+func count(n *atomic.Int64) func() float64 {
+	return func() float64 { return float64(n.Load()) }
 }
 
-// ObserveHTTP records one request's end-to-end latency, annotated
-// with the trace ID as the bucket's exemplar (empty disables).
-func (m *Metrics) ObserveHTTP(route, code string, seconds float64, traceID string) {
-	m.httpSeconds.ObserveExemplar(seconds, traceID, route, code)
+// registerTraceStore registers the trace store's gauges once it is
+// open.
+func (s *Server) registerTraceStore(st *tracestore.Store) {
+	s.reg.GaugeFunc("simd_traces_stored", "Traces resident in the durable store.",
+		func() float64 { n, _ := st.Totals(); return float64(n) })
+	s.reg.GaugeFunc("simd_trace_store_bytes", "Encoded bytes in the trace store.",
+		func() float64 { _, b := st.Totals(); return float64(b) })
 }
 
-// ObserveStage records one completed job stage.
-func (m *Metrics) ObserveStage(stage string, seconds float64) {
-	m.stageSeconds.Observe(seconds, stage)
-}
-
-// ObservePoint records one freshly computed point by fidelity.
-func (m *Metrics) ObservePoint(fidelity string, seconds float64) {
-	m.pointSeconds.Observe(seconds, fidelity)
-}
-
-// ObserveLookup records one cache hit's lookup latency.
-func (m *Metrics) ObserveLookup(cache string, seconds float64) {
-	m.lookupSeconds.Observe(seconds, cache)
-}
-
-// WriteTo renders the exposition text. The server passes its live
-// cache and queue so gauges are sampled at scrape time.
-func (m *Metrics) WriteTo(w io.Writer, s *Server) {
-	fmt.Fprintf(w, "# HELP simd_build_info Build metadata; the value is always 1.\n")
-	fmt.Fprintf(w, "# TYPE simd_build_info gauge\n")
-	fmt.Fprintf(w, "simd_build_info{go_version=%q,revision=%q} 1\n", runtime.Version(), m.revision)
-
-	fmt.Fprintf(w, "# HELP simd_uptime_seconds Time since the service started.\n")
-	fmt.Fprintf(w, "# TYPE simd_uptime_seconds gauge\n")
-	fmt.Fprintf(w, "simd_uptime_seconds %.3f\n", time.Since(m.start).Seconds())
-
-	m.mu.Lock()
-	routes := make([]string, 0, len(m.requests))
-	for r := range m.requests {
-		routes = append(routes, r)
+// registerDurable registers the crash-safety families, which exist
+// only on a durable server once its journal and result store are
+// attached; rec is the boot replay's record, final before the server
+// serves a scrape.
+func (s *Server) registerDurable(rec *RecoveryStats) {
+	s.reg.GaugeFunc("simd_journal_entries", "Live entries in the job journal.",
+		func() float64 { n, _ := s.journal.Stats(); return float64(n) })
+	s.reg.GaugeFunc("simd_journal_quarantined_bytes", "Torn-tail bytes quarantined at boot.",
+		func() float64 { _, torn := s.journal.Stats(); return float64(torn) })
+	s.reg.CounterFunc("simd_journal_errors_total", "Journal appends that failed (non-fatal).", count(&s.journalErrs))
+	for _, r := range []struct {
+		state string
+		n     *int
+	}{{"requeued", &rec.Requeued}, {"restored", &rec.Restored}} {
+		s.reg.CounterFunc("simd_jobs_recovered_total", "Jobs recovered by boot replay.",
+			func() float64 { return float64(*r.n) }, "state", r.state)
 	}
-	sort.Strings(routes)
-	fmt.Fprintf(w, "# HELP simd_http_requests_total HTTP requests by route.\n")
-	fmt.Fprintf(w, "# TYPE simd_http_requests_total counter\n")
-	for _, r := range routes {
-		fmt.Fprintf(w, "simd_http_requests_total{route=%q} %d\n", r, m.requests[r])
-	}
-	m.mu.Unlock()
-
-	m.httpSeconds.Render(w)
-	m.stageSeconds.Render(w)
-	m.pointSeconds.Render(w)
-	m.lookupSeconds.Render(w)
-
-	ph, pm := s.points.Stats()
-	ch, cm := s.campaigns.Stats()
-	ah, am := s.advices.Stats()
-	clh, clm := s.clusters.Stats()
-	rh, rm := s.replays.Stats()
-	fmt.Fprintf(w, "# HELP simd_cache_hits_total Content-addressed cache hits.\n")
-	fmt.Fprintf(w, "# TYPE simd_cache_hits_total counter\n")
-	fmt.Fprintf(w, "simd_cache_hits_total{cache=\"point\"} %d\n", ph)
-	fmt.Fprintf(w, "simd_cache_hits_total{cache=\"campaign\"} %d\n", ch)
-	fmt.Fprintf(w, "simd_cache_hits_total{cache=\"advice\"} %d\n", ah)
-	fmt.Fprintf(w, "simd_cache_hits_total{cache=\"cluster\"} %d\n", clh)
-	fmt.Fprintf(w, "simd_cache_hits_total{cache=\"replay\"} %d\n", rh)
-	fmt.Fprintf(w, "# HELP simd_cache_misses_total Content-addressed cache misses.\n")
-	fmt.Fprintf(w, "# TYPE simd_cache_misses_total counter\n")
-	fmt.Fprintf(w, "simd_cache_misses_total{cache=\"point\"} %d\n", pm)
-	fmt.Fprintf(w, "simd_cache_misses_total{cache=\"campaign\"} %d\n", cm)
-	fmt.Fprintf(w, "simd_cache_misses_total{cache=\"advice\"} %d\n", am)
-	fmt.Fprintf(w, "simd_cache_misses_total{cache=\"cluster\"} %d\n", clm)
-	fmt.Fprintf(w, "simd_cache_misses_total{cache=\"replay\"} %d\n", rm)
-	fmt.Fprintf(w, "# HELP simd_cache_entries Cached entries resident.\n")
-	fmt.Fprintf(w, "# TYPE simd_cache_entries gauge\n")
-	fmt.Fprintf(w, "simd_cache_entries{cache=\"point\"} %d\n", s.points.Len())
-	fmt.Fprintf(w, "simd_cache_entries{cache=\"campaign\"} %d\n", s.campaigns.Len())
-	fmt.Fprintf(w, "simd_cache_entries{cache=\"advice\"} %d\n", s.advices.Len())
-	fmt.Fprintf(w, "simd_cache_entries{cache=\"cluster\"} %d\n", s.clusters.Len())
-	fmt.Fprintf(w, "simd_cache_entries{cache=\"replay\"} %d\n", s.replays.Len())
-
-	// Only report trace gauges once a trace request has opened the
-	// store — a scrape must not create the directory as a side effect.
-	if st := s.traceStoreIfOpen(); st != nil {
-		count, bytes := st.Totals()
-		fmt.Fprintf(w, "# HELP simd_traces_stored Traces resident in the durable store.\n")
-		fmt.Fprintf(w, "# TYPE simd_traces_stored gauge\n")
-		fmt.Fprintf(w, "simd_traces_stored %d\n", count)
-		fmt.Fprintf(w, "# HELP simd_trace_store_bytes Encoded bytes in the trace store.\n")
-		fmt.Fprintf(w, "# TYPE simd_trace_store_bytes gauge\n")
-		fmt.Fprintf(w, "simd_trace_store_bytes %d\n", bytes)
-	}
-
-	queued, running, completed, failed := s.queue.Counts()
-	fmt.Fprintf(w, "# HELP simd_queue_depth Jobs waiting in the bounded queue right now.\n")
-	fmt.Fprintf(w, "# TYPE simd_queue_depth gauge\n")
-	fmt.Fprintf(w, "simd_queue_depth %d\n", s.queue.Depth())
-	fmt.Fprintf(w, "# HELP simd_queue_capacity Bound of the pending-job queue.\n")
-	fmt.Fprintf(w, "# TYPE simd_queue_capacity gauge\n")
-	fmt.Fprintf(w, "simd_queue_capacity %d\n", s.queue.Capacity())
-	fmt.Fprintf(w, "# HELP simd_jobs_pending Jobs waiting in the bounded queue.\n")
-	fmt.Fprintf(w, "# TYPE simd_jobs_pending gauge\n")
-	fmt.Fprintf(w, "simd_jobs_pending %d\n", queued)
-	fmt.Fprintf(w, "# HELP simd_jobs_running Jobs currently executing.\n")
-	fmt.Fprintf(w, "# TYPE simd_jobs_running gauge\n")
-	fmt.Fprintf(w, "simd_jobs_running %d\n", running)
-	fmt.Fprintf(w, "# HELP simd_jobs_finished_total Jobs finished by outcome.\n")
-	fmt.Fprintf(w, "# TYPE simd_jobs_finished_total counter\n")
-	fmt.Fprintf(w, "simd_jobs_finished_total{state=\"done\"} %d\n", completed)
-	fmt.Fprintf(w, "simd_jobs_finished_total{state=\"failed\"} %d\n", failed)
-
-	fmt.Fprintf(w, "# HELP simd_panics_total Handler panics recovered by the middleware.\n")
-	fmt.Fprintf(w, "# TYPE simd_panics_total counter\n")
-	fmt.Fprintf(w, "simd_panics_total %d\n", s.panics.Load())
-
-	retained, pinnedTraces := s.tracer.Stats()
-	fmt.Fprintf(w, "# HELP simd_exec_traces Execution traces retained for /debug/traces.\n")
-	fmt.Fprintf(w, "# TYPE simd_exec_traces gauge\n")
-	fmt.Fprintf(w, "simd_exec_traces %d\n", retained)
-	fmt.Fprintf(w, "# HELP simd_exec_traces_pinned Traces pinned by tail sampling (errors and slow requests).\n")
-	fmt.Fprintf(w, "# TYPE simd_exec_traces_pinned gauge\n")
-	fmt.Fprintf(w, "simd_exec_traces_pinned %d\n", pinnedTraces)
-
-	published, dropped, subscribers := s.events.Stats()
-	fmt.Fprintf(w, "# HELP simd_events_published_total Events published on the live job feed.\n")
-	fmt.Fprintf(w, "# TYPE simd_events_published_total counter\n")
-	fmt.Fprintf(w, "simd_events_published_total %d\n", published)
-	fmt.Fprintf(w, "# HELP simd_events_dropped_total Events coalesced or dropped by the slow-subscriber policy.\n")
-	fmt.Fprintf(w, "# TYPE simd_events_dropped_total counter\n")
-	fmt.Fprintf(w, "simd_events_dropped_total %d\n", dropped)
-	fmt.Fprintf(w, "# HELP simd_event_subscribers Live event-feed subscriptions.\n")
-	fmt.Fprintf(w, "# TYPE simd_event_subscribers gauge\n")
-	fmt.Fprintf(w, "simd_event_subscribers %d\n", subscribers)
-
-	// Runtime self-telemetry, sampled at scrape time.
-	rt := obs.SampleRuntime()
-	fmt.Fprintf(w, "# HELP simd_go_heap_bytes Live heap object bytes (runtime/metrics).\n")
-	fmt.Fprintf(w, "# TYPE simd_go_heap_bytes gauge\n")
-	fmt.Fprintf(w, "simd_go_heap_bytes %d\n", rt.HeapBytes)
-	fmt.Fprintf(w, "# HELP simd_go_goroutines Live goroutines.\n")
-	fmt.Fprintf(w, "# TYPE simd_go_goroutines gauge\n")
-	fmt.Fprintf(w, "simd_go_goroutines %d\n", rt.Goroutines)
-	fmt.Fprintf(w, "# HELP simd_go_gc_cycles_total Completed GC cycles.\n")
-	fmt.Fprintf(w, "# TYPE simd_go_gc_cycles_total counter\n")
-	fmt.Fprintf(w, "simd_go_gc_cycles_total %d\n", rt.GCCycles)
-	fmt.Fprintf(w, "# HELP simd_go_gc_pause_seconds GC stop-the-world pause latency quantiles since process start.\n")
-	fmt.Fprintf(w, "# TYPE simd_go_gc_pause_seconds gauge\n")
-	fmt.Fprintf(w, "simd_go_gc_pause_seconds{quantile=\"0.5\"} %g\n", rt.GCPause.P50)
-	fmt.Fprintf(w, "simd_go_gc_pause_seconds{quantile=\"0.99\"} %g\n", rt.GCPause.P99)
-	fmt.Fprintf(w, "simd_go_gc_pause_seconds{quantile=\"max\"} %g\n", rt.GCPause.Max)
-	fmt.Fprintf(w, "# HELP simd_go_sched_latency_seconds Goroutine scheduling latency quantiles since process start.\n")
-	fmt.Fprintf(w, "# TYPE simd_go_sched_latency_seconds gauge\n")
-	fmt.Fprintf(w, "simd_go_sched_latency_seconds{quantile=\"0.5\"} %g\n", rt.SchedLatency.P50)
-	fmt.Fprintf(w, "simd_go_sched_latency_seconds{quantile=\"0.99\"} %g\n", rt.SchedLatency.P99)
-	fmt.Fprintf(w, "simd_go_sched_latency_seconds{quantile=\"max\"} %g\n", rt.SchedLatency.Max)
-
-	// Crash-safety rows appear only on a durable server.
-	if s.journal != nil {
-		entries, torn := s.journal.Stats()
-		fmt.Fprintf(w, "# HELP simd_journal_entries Live entries in the job journal.\n")
-		fmt.Fprintf(w, "# TYPE simd_journal_entries gauge\n")
-		fmt.Fprintf(w, "simd_journal_entries %d\n", entries)
-		fmt.Fprintf(w, "# HELP simd_journal_quarantined_bytes Torn-tail bytes quarantined at boot.\n")
-		fmt.Fprintf(w, "# TYPE simd_journal_quarantined_bytes gauge\n")
-		fmt.Fprintf(w, "simd_journal_quarantined_bytes %d\n", torn)
-		fmt.Fprintf(w, "# HELP simd_journal_errors_total Journal appends that failed (non-fatal).\n")
-		fmt.Fprintf(w, "# TYPE simd_journal_errors_total counter\n")
-		fmt.Fprintf(w, "simd_journal_errors_total %d\n", s.journalErrs.Load())
-		fmt.Fprintf(w, "# HELP simd_jobs_recovered_total Jobs recovered by boot replay.\n")
-		fmt.Fprintf(w, "# TYPE simd_jobs_recovered_total counter\n")
-		fmt.Fprintf(w, "simd_jobs_recovered_total{state=\"requeued\"} %d\n", s.recRequeued.Load())
-		fmt.Fprintf(w, "simd_jobs_recovered_total{state=\"restored\"} %d\n", s.recRestored.Load())
-	}
-	if s.resultsStore != nil {
-		count, quarantined := s.resultsStore.Stats()
-		fmt.Fprintf(w, "# HELP simd_results_stored Durable results resident on disk.\n")
-		fmt.Fprintf(w, "# TYPE simd_results_stored gauge\n")
-		fmt.Fprintf(w, "simd_results_stored %d\n", count)
-		fmt.Fprintf(w, "# HELP simd_results_quarantined Corrupt result files moved aside at boot.\n")
-		fmt.Fprintf(w, "# TYPE simd_results_quarantined gauge\n")
-		fmt.Fprintf(w, "simd_results_quarantined %d\n", quarantined)
-		fmt.Fprintf(w, "# HELP simd_result_persist_errors_total Result persists that failed (non-fatal).\n")
-		fmt.Fprintf(w, "# TYPE simd_result_persist_errors_total counter\n")
-		fmt.Fprintf(w, "simd_result_persist_errors_total %d\n", s.persistErrs.Load())
-	}
+	s.reg.GaugeFunc("simd_results_stored", "Durable results resident on disk.",
+		func() float64 { n, _ := s.resultsStore.Stats(); return float64(n) })
+	s.reg.GaugeFunc("simd_results_quarantined", "Corrupt result files moved aside at boot.",
+		func() float64 { _, q := s.resultsStore.Stats(); return float64(q) })
+	s.reg.CounterFunc("simd_result_persist_errors_total", "Result persists that failed (non-fatal).", count(&s.persistErrs))
 }

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/events"
 	"repro/internal/obs"
 )
 
@@ -59,14 +60,16 @@ type JobInfo struct {
 	// the job, so one correlation key links the access log, the job
 	// record, the journal and the metrics a request produced.
 	RequestID string `json:"request_id,omitempty"`
-	// QueueMS and RunMS are derived stage durations: time spent waiting
-	// for a worker and time spent executing. They appear once the
-	// corresponding stage completes.
+	// QueueMS and RunMS are time spent waiting for a worker and time
+	// spent executing, derived from Submitted, Started and Finished
+	// whenever a snapshot is taken. They appear once the corresponding
+	// stage completes.
 	QueueMS float64 `json:"queue_ms,omitempty"`
 	RunMS   float64 `json:"run_ms,omitempty"`
-	// Timeline is the job's span record: one entry per completed stage
+	// Timeline is the job's stage record: one entry per completed stage
 	// (queue_wait, persist, execute), each with its start time and
-	// duration. Spans are appended as they complete.
+	// duration, appended as stages complete. It lives in memory only: a
+	// job restored from the journal after a restart has none.
 	Timeline []StageSpan `json:"timeline,omitempty"`
 }
 
@@ -105,12 +108,18 @@ type JobOptions struct {
 type job struct {
 	mu sync.Mutex
 	// info is the live job record. guarded by mu.
-	info     JobInfo
+	info JobInfo
+	// result is a finished campaign's result, kept on the record so it
+	// is pruned with it. guarded by mu.
+	result   *CampaignResult
 	fn       JobFunc
 	base     context.Context // optional extra cancel signal
 	timeout  time.Duration
 	trace    *obs.Trace    // submitting request's trace, or nil
 	finished chan struct{} // closed on done/failed
+	// execID is the execute span's ID, the parent of the stages the
+	// job body records; set by the worker before the body runs.
+	execID int
 }
 
 func (j *job) snapshot() JobInfo {
@@ -122,15 +131,25 @@ func (j *job) snapshot() JobInfo {
 	if len(j.info.Timeline) > 0 {
 		info.Timeline = append([]StageSpan(nil), j.info.Timeline...)
 	}
+	if info.Started != nil {
+		info.QueueMS = durMS(info.Started.Sub(info.Submitted))
+		if info.Finished != nil {
+			info.RunMS = durMS(info.Finished.Sub(*info.Started))
+		}
+	}
 	return info
 }
 
-// addStageLocked appends a completed stage span. Callers hold j.mu.
-func (j *job) addStageLocked(stage string, start time.Time, d time.Duration) {
-	j.info.Timeline = append(j.info.Timeline, StageSpan{
-		Stage: stage, Start: start, MS: float64(d.Microseconds()) / 1000,
-	})
+// span opens a stage span on the job's trace (nil outside a trace).
+func (j *job) span(stage string, parent int, start time.Time) *obs.Span {
+	if j.trace == nil {
+		return nil
+	}
+	return j.trace.NewSpan(stage, parent, start)
 }
+
+// durMS renders a duration in milliseconds at microsecond resolution.
+func durMS(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
 
 // Queue is a bounded job queue drained by a fixed worker pool — the
 // PR-1 harness pool pattern lifted to long-lived service form.
@@ -155,15 +174,13 @@ type Queue struct {
 	ewmaMu      sync.Mutex
 	serviceEWMA float64 // guarded by ewmaMu
 
-	// onStage, when set (before traffic, by the server), observes every
-	// completed stage span — the feed of the per-stage latency
-	// histogram.
-	onStage func(stage string, d time.Duration)
+	// stageSeconds is per-job stage latency: queue_wait, execute,
+	// persist.
+	stageSeconds *obs.HistogramVec
 
-	// onTransition, when set (before traffic, by the server), observes
-	// every job state transition with a fresh snapshot — the feed of
-	// the live event bus.
-	onTransition func(info JobInfo)
+	// onEvent receives every job state transition and progress tick —
+	// the server points it at the live event bus before traffic.
+	onEvent func(events.Event)
 
 	wg     sync.WaitGroup
 	cancel context.CancelFunc
@@ -171,10 +188,11 @@ type Queue struct {
 
 // NewQueue starts a queue with the given worker count (<=0:
 // GOMAXPROCS) and pending-queue depth (<=0: 256). retain bounds how
-// many finished jobs stay queryable (<=0: 4096).
+// many finished jobs stay queryable (<=0: 4096). The queue registers
+// its stage histogram and its depth and outcome counts on reg.
 //
 //simd:ctxroot — the worker pool outlives any request; its context is the process's, cancelled only by Close.
-func NewQueue(workers, depth, retain int) *Queue {
+func NewQueue(workers, depth, retain int, reg *obs.Registry) *Queue {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -191,6 +209,21 @@ func NewQueue(workers, depth, retain int) *Queue {
 		jobs:     make(map[string]*job),
 		retained: retain,
 		cancel:   cancel,
+		onEvent:  func(events.Event) {},
+		stageSeconds: reg.Histogram("simd_job_stage_seconds", "Job stage latency: queue_wait, execute, persist.",
+			[]string{"stage"}, nil),
+	}
+	pending := func() float64 { return float64(len(q.pending)) }
+	reg.GaugeFunc("simd_queue_depth", "Jobs waiting in the bounded queue right now.", pending)
+	reg.GaugeFunc("simd_queue_capacity", "Bound of the pending-job queue.",
+		func() float64 { return float64(cap(q.pending)) })
+	reg.GaugeFunc("simd_jobs_pending", "Jobs waiting in the bounded queue.", pending)
+	reg.GaugeFunc("simd_jobs_running", "Jobs currently executing.", count(&q.running))
+	for _, out := range []struct {
+		state JobState
+		n     *atomic.Int64
+	}{{JobDone, &q.completed}, {JobFailed, &q.failed}} {
+		reg.CounterFunc("simd_jobs_finished_total", "Jobs finished by outcome.", count(out.n), "state", string(out.state))
 	}
 	for i := 0; i < workers; i++ {
 		q.wg.Add(1)
@@ -203,43 +236,68 @@ func NewQueue(workers, depth, retain int) *Queue {
 // internal fan-out).
 func (q *Queue) Workers() int { return q.workers }
 
-// OnStage installs the stage-span observer. Call it once, before any
+// OnEvent installs the live-feed observer. Call it once, before any
 // submissions — it is not synchronized against running jobs.
-func (q *Queue) OnStage(fn func(stage string, d time.Duration)) { q.onStage = fn }
+func (q *Queue) OnEvent(fn func(events.Event)) { q.onEvent = fn }
 
-// OnTransition installs the state-transition observer. Call it once,
-// before any submissions — it is not synchronized against running
-// jobs.
-func (q *Queue) OnTransition(fn func(info JobInfo)) { q.onTransition = fn }
-
-// notifyTransition reports one job state change to the observer.
-func (q *Queue) notifyTransition(info JobInfo) {
-	if q.onTransition != nil {
-		q.onTransition(info)
+// stateEvent converts a job snapshot into its bus event. Terminal
+// states carry Final so feeds know to hang up.
+func stateEvent(info JobInfo) events.Event {
+	return events.Event{
+		Job: info.ID, Type: events.TypeState, State: string(info.State),
+		Done: info.Done, Total: info.Total, Error: info.Error,
+		Final: info.State == JobDone || info.State == JobFailed,
 	}
 }
 
-// observeStage reports one completed span to the observer.
-func (q *Queue) observeStage(stage string, d time.Duration) {
-	if q.onStage != nil {
-		q.onStage(stage, d)
-	}
+// recordStage is the one writer of a completed job stage: the timeline
+// entry, the stage histogram sample and the span sp on the job's trace
+// (nil outside a trace) all come from the same start and duration, so
+// the three views agree by construction.
+func (q *Queue) recordStage(j *job, sp *obs.Span, stage string, start time.Time, d time.Duration) {
+	j.mu.Lock()
+	j.info.Timeline = append(j.info.Timeline, StageSpan{Stage: stage, Start: start, MS: durMS(d)})
+	j.mu.Unlock()
+	q.stageSeconds.Observe(d.Seconds(), stage)
+	sp.EndAt(start.Add(d))
 }
 
-// AddStage records a completed stage span on a job's timeline — job
-// bodies use it for stages the queue cannot see (the terminal persist
-// of a campaign result, say).
+// AddStage records a completed stage of a running job — job bodies use
+// it for stages the queue cannot see (the terminal persist of a
+// campaign result, say). Its span nests under the job's execute span.
 func (q *Queue) AddStage(id, stage string, start time.Time, d time.Duration) {
-	q.mu.Lock()
-	j, ok := q.jobs[id]
-	q.mu.Unlock()
-	if !ok {
-		return
+	if j := q.lookup(id); j != nil {
+		q.recordStage(j, j.span(stage, j.execID, start), stage, start, d)
+	}
+}
+
+// SetResult files a campaign's result on its job record, so it lives
+// exactly as long as the record does.
+func (q *Queue) SetResult(id string, res *CampaignResult) {
+	if j := q.lookup(id); j != nil {
+		j.mu.Lock()
+		j.result = res
+		j.mu.Unlock()
+	}
+}
+
+// Result returns a job's campaign result, or nil when the job is
+// unknown, pruned, failed or still running.
+func (q *Queue) Result(id string) *CampaignResult {
+	j := q.lookup(id)
+	if j == nil {
+		return nil
 	}
 	j.mu.Lock()
-	j.addStageLocked(stage, start, d)
-	j.mu.Unlock()
-	q.observeStage(stage, d)
+	defer j.mu.Unlock()
+	return j.result
+}
+
+// lookup returns a retained job record, or nil.
+func (q *Queue) lookup(id string) *job {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.jobs[id]
 }
 
 // Submit enqueues work and returns its job snapshot. It fails fast
@@ -284,7 +342,7 @@ func (q *Queue) SubmitJob(kind string, opt JobOptions, fn JobFunc) (JobInfo, err
 	q.order = append(q.order, id)
 	q.pruneLocked()
 	info := j.snapshot()
-	q.notifyTransition(info)
+	q.onEvent(stateEvent(info))
 	return info, nil
 }
 
@@ -309,10 +367,10 @@ func (q *Queue) bumpSeq(id string) {
 }
 
 // RestoreFinished registers a terminal job snapshot replayed from the
-// journal, so GET /v1/jobs/{id} keeps answering for jobs that
-// finished before a restart. The sequence is advanced past the
-// restored ID.
-func (q *Queue) RestoreFinished(info JobInfo) {
+// journal, with its campaign result when one survived, so GET
+// /v1/jobs/{id} keeps answering for jobs that finished before a
+// restart. The sequence is advanced past the restored ID.
+func (q *Queue) RestoreFinished(info JobInfo, res *CampaignResult) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed {
@@ -322,7 +380,7 @@ func (q *Queue) RestoreFinished(info JobInfo) {
 		return
 	}
 	q.bumpSeq(info.ID)
-	j := &job{info: info, finished: make(chan struct{})}
+	j := &job{info: info, result: res, finished: make(chan struct{})}
 	close(j.finished)
 	q.jobs[info.ID] = j
 	q.order = append(q.order, info.ID)
@@ -348,10 +406,8 @@ func (q *Queue) pruneLocked() {
 
 // Get returns a job snapshot by ID.
 func (q *Queue) Get(id string) (JobInfo, bool) {
-	q.mu.Lock()
-	j, ok := q.jobs[id]
-	q.mu.Unlock()
-	if !ok {
+	j := q.lookup(id)
+	if j == nil {
 		return JobInfo{}, false
 	}
 	return j.snapshot(), true
@@ -360,10 +416,8 @@ func (q *Queue) Get(id string) (JobInfo, bool) {
 // Wait blocks until the job finishes (or ctx is done) and returns the
 // final snapshot.
 func (q *Queue) Wait(ctx context.Context, id string) (JobInfo, error) {
-	q.mu.Lock()
-	j, ok := q.jobs[id]
-	q.mu.Unlock()
-	if !ok {
+	j := q.lookup(id)
+	if j == nil {
 		return JobInfo{}, fmt.Errorf("service: unknown job %q", id)
 	}
 	select {
@@ -395,28 +449,22 @@ func (q *Queue) runJob(ctx context.Context, j *job) {
 	j.mu.Lock()
 	j.info.State = JobRunning
 	j.info.Started = &started
-	submitted := j.info.Submitted
-	queueWait := started.Sub(submitted)
-	j.info.QueueMS = float64(queueWait.Microseconds()) / 1000
-	j.addStageLocked("queue_wait", submitted, queueWait)
+	id, submitted := j.info.ID, j.info.Submitted
 	j.mu.Unlock()
-	q.observeStage("queue_wait", queueWait)
+	q.recordStage(j, j.span("queue_wait", obs.RootSpanID, submitted), "queue_wait", submitted, started.Sub(submitted))
 	q.running.Add(1)
-	q.notifyTransition(j.snapshot())
+	q.onEvent(stateEvent(j.snapshot()))
 
-	// Mirror the timeline onto the submitting request's span tree: the
-	// wait is recorded retrospectively, the execute span opens now and
-	// becomes the parent of everything the job body does.
-	var execSpan *obs.Span
-	if j.trace != nil {
-		j.trace.AddSpan(obs.RootSpanID, "queue_wait", submitted, queueWait)
-		execSpan = j.trace.NewSpan("execute", obs.RootSpanID, started)
-	}
+	// The execute span opens now and parents everything the job body
+	// does; recordStage closes it when the body returns.
+	exec := j.span("execute", obs.RootSpanID, started)
+	j.execID = exec.ID()
 
 	progress := func(done, total int) {
 		j.mu.Lock()
 		j.info.Done, j.info.Total = done, total
 		j.mu.Unlock()
+		q.onEvent(events.Event{Job: id, Type: events.TypeProgress, Done: done, Total: total})
 	}
 
 	// The job runs under the worker context (shutdown), narrowed by
@@ -433,8 +481,8 @@ func (q *Queue) runJob(ctx context.Context, j *job) {
 		stop := context.AfterFunc(j.base, cancel)
 		defer stop()
 	}
-	if execSpan != nil {
-		runCtx = obs.ContextWithSpan(runCtx, j.trace, execSpan.ID())
+	if exec != nil {
+		runCtx = obs.ContextWithSpan(runCtx, j.trace, j.execID)
 	}
 	err := j.fn(runCtx, progress)
 	cancel()
@@ -442,16 +490,10 @@ func (q *Queue) runJob(ctx context.Context, j *job) {
 	q.running.Add(-1)
 	finished := time.Now()
 	q.observeService(finished.Sub(started))
-	runDur := finished.Sub(started)
-	q.observeStage("execute", runDur)
-	if execSpan != nil {
-		execSpan.SetError(err != nil)
-		execSpan.EndAt(finished)
-	}
+	exec.SetError(err != nil)
+	q.recordStage(j, exec, "execute", started, finished.Sub(started))
 	j.mu.Lock()
 	j.info.Finished = &finished
-	j.info.RunMS = float64(runDur.Microseconds()) / 1000
-	j.addStageLocked("execute", started, runDur)
 	if err != nil {
 		j.info.State = JobFailed
 		j.info.Error = err.Error()
@@ -465,7 +507,7 @@ func (q *Queue) runJob(ctx context.Context, j *job) {
 	}
 	j.mu.Unlock()
 	close(j.finished)
-	q.notifyTransition(j.snapshot())
+	q.onEvent(stateEvent(j.snapshot()))
 }
 
 // observeService folds one job's service time into the EWMA.
@@ -523,17 +565,10 @@ func (q *Queue) Unfinished() []JobInfo {
 	return out
 }
 
-// Counts returns (queued, running, completed, failed) for /metrics.
+// Counts returns (queued, running, completed, failed).
 func (q *Queue) Counts() (queued int, running, completed, failed int64) {
 	return len(q.pending), q.running.Load(), q.completed.Load(), q.failed.Load()
 }
-
-// Depth is the number of jobs waiting in the pending queue right now.
-func (q *Queue) Depth() int { return len(q.pending) }
-
-// Capacity is the pending queue's bound — with Depth, the headroom a
-// scraper needs to see saturation coming.
-func (q *Queue) Capacity() int { return cap(q.pending) }
 
 // Close stops accepting submissions, waits for queued and running
 // jobs to drain (bounded by ctx), then stops the workers. It is the

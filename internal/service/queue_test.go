@@ -8,10 +8,12 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/obs"
 )
 
 func TestQueueRunsJobs(t *testing.T) {
-	q := NewQueue(2, 8, 0)
+	q := NewQueue(2, 8, 0, obs.NewRegistry())
 	defer q.Close(context.Background())
 
 	var ran atomic.Int64
@@ -45,7 +47,7 @@ func TestQueueRunsJobs(t *testing.T) {
 // time.Time is a struct, so the value form of omitempty never fires
 // and queued jobs used to leak "0001-01-01T00:00:00Z".
 func TestQueuedJobOmitsZeroTimestamps(t *testing.T) {
-	q := NewQueue(1, 8, 0)
+	q := NewQueue(1, 8, 0, obs.NewRegistry())
 	defer q.Close(context.Background())
 
 	block := make(chan struct{})
@@ -88,7 +90,7 @@ func TestQueuedJobOmitsZeroTimestamps(t *testing.T) {
 }
 
 func TestQueueFailureState(t *testing.T) {
-	q := NewQueue(1, 8, 0)
+	q := NewQueue(1, 8, 0, obs.NewRegistry())
 	defer q.Close(context.Background())
 
 	info, err := q.Submit("run", func(context.Context, func(int, int)) error {
@@ -111,7 +113,7 @@ func TestQueueFailureState(t *testing.T) {
 }
 
 func TestQueueBoundedRejects(t *testing.T) {
-	q := NewQueue(1, 1, 0)
+	q := NewQueue(1, 1, 0, obs.NewRegistry())
 	defer q.Close(context.Background())
 
 	block := make(chan struct{})
@@ -146,7 +148,7 @@ func TestQueueBoundedRejects(t *testing.T) {
 }
 
 func TestQueueProgressAndGet(t *testing.T) {
-	q := NewQueue(1, 8, 0)
+	q := NewQueue(1, 8, 0, obs.NewRegistry())
 	defer q.Close(context.Background())
 
 	step := make(chan struct{})
@@ -174,7 +176,7 @@ func TestQueueProgressAndGet(t *testing.T) {
 }
 
 func TestQueueCloseDrains(t *testing.T) {
-	q := NewQueue(2, 16, 0)
+	q := NewQueue(2, 16, 0, obs.NewRegistry())
 	var ran atomic.Int64
 	for i := 0; i < 8; i++ {
 		if _, err := q.Submit("run", func(context.Context, func(int, int)) error {
@@ -202,7 +204,7 @@ func TestQueueCloseDrains(t *testing.T) {
 // stay exactly consistent throughout — every id in jobs appears in
 // order and vice versa.
 func TestQueuePruneRetentionMixedStates(t *testing.T) {
-	q := NewQueue(1, 16, 3) // retain at most 3 finished jobs
+	q := NewQueue(1, 16, 3, obs.NewRegistry()) // retain at most 3 finished jobs
 	defer q.Close(context.Background())
 
 	checkConsistent := func(when string) {
@@ -289,4 +291,38 @@ func TestQueuePruneRetentionMixedStates(t *testing.T) {
 		t.Fatal("newest job was pruned")
 	}
 	checkConsistent("final")
+}
+
+// TestQueueResultPrunedWithRecord: a campaign result lives on its job
+// record, so retention drops the two together — with retain=2, the
+// third finished job pushes the first job and its result out.
+func TestQueueResultPrunedWithRecord(t *testing.T) {
+	q := NewQueue(1, 8, 2, obs.NewRegistry())
+	defer q.Close(context.Background())
+
+	ids := []string{"j000001", "j000002", "j000003"}
+	for i, id := range ids {
+		_, err := q.SubmitJob("campaign", JobOptions{ID: id}, func(context.Context, func(int, int)) error {
+			q.SetResult(id, &CampaignResult{Name: id})
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := q.Wait(context.Background(), id); err != nil {
+			t.Fatal(err)
+		}
+		if res := q.Result(id); res == nil || res.Name != id {
+			t.Fatalf("job %s result = %+v, want its own", id, res)
+		}
+		if i == 1 && q.Result(ids[0]) == nil {
+			t.Fatal("first result gone before the retention cap was passed")
+		}
+	}
+	if res := q.Result(ids[0]); res != nil {
+		t.Fatalf("first job's result survived pruning: %+v", res)
+	}
+	if _, ok := q.Get(ids[0]); ok {
+		t.Fatal("first job record survived pruning")
+	}
 }

@@ -468,7 +468,7 @@ func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if cached {
-		s.metrics.ObserveLookup("replay", time.Since(start).Seconds())
+		s.lookupSeconds.Observe(time.Since(start).Seconds(), "replay")
 	}
 	resp.Cached = cached
 	resp.ElapsedMS = float64(time.Since(start).Microseconds()) / 1000

@@ -11,7 +11,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"math"
 	"net/http"
@@ -90,6 +89,7 @@ const timeoutHeader = "X-Simd-Timeout"
 // http.Handler.
 type Server struct {
 	exec        *Executor
+	reg         *obs.Registry
 	queue       *Queue
 	points      *Cache[campaign.Outcome]
 	campaigns   *Cache[*CampaignResult]
@@ -97,13 +97,17 @@ type Server struct {
 	advices     *Cache[AdviseResponse]
 	clusters    *Cache[ClusterResponse]
 	replays     *Cache[ReplayResponse]
-	metrics     *Metrics
 	mux         *http.ServeMux
 	logger      *slog.Logger
 	slowReq     time.Duration
 	tracer      *obs.Tracer
 	events      *events.Bus
 	keepAlive   time.Duration
+
+	requests      *obs.CounterVec   // HTTP requests by route
+	httpSeconds   *obs.HistogramVec // end-to-end request latency by route and status
+	pointSeconds  *obs.HistogramVec // fresh point compute latency by fidelity (cache misses only)
+	lookupSeconds *obs.HistogramVec // content-addressed cache hit latency by cache
 
 	maxBody    int64
 	maxTrace   int64
@@ -123,26 +127,24 @@ type Server struct {
 	panics      atomic.Int64 // recovered handler panics
 	persistErrs atomic.Int64 // failed result persists (non-fatal)
 	journalErrs atomic.Int64 // failed terminal-state appends (non-fatal)
-	recRequeued atomic.Int64 // boot replay: jobs re-enqueued
-	recRestored atomic.Int64 // boot replay: finished jobs restored
 	closing     atomic.Bool  // shutdown in progress (cancel = interrupted, not failed)
-
-	mu      sync.Mutex
-	results map[string]*CampaignResult // finished campaign results by job ID; guarded by mu
 }
 
-// NewServer builds a ready-to-serve service.
+// NewServer builds a ready-to-serve service. Every part that has
+// something to report registers its metric families on the server's
+// registry as it is built.
 func NewServer(opt Options) *Server {
+	reg := obs.NewRegistry()
 	s := &Server{
 		exec:        NewExecutor(),
-		queue:       NewQueue(opt.Workers, opt.QueueDepth, 0),
-		points:      NewCache[campaign.Outcome](opt.CacheSize),
-		campaigns:   NewCache[*CampaignResult](opt.CacheSize),
-		experiments: NewCache[ExperimentResult](opt.CacheSize),
-		advices:     NewCache[AdviseResponse](opt.CacheSize),
-		clusters:    NewCache[ClusterResponse](opt.CacheSize),
-		replays:     NewCache[ReplayResponse](opt.CacheSize),
-		metrics:     NewMetrics(),
+		reg:         reg,
+		queue:       NewQueue(opt.Workers, opt.QueueDepth, 0, reg),
+		points:      NewCache[campaign.Outcome]("point", reg, opt.CacheSize),
+		campaigns:   NewCache[*CampaignResult]("campaign", reg, opt.CacheSize),
+		experiments: NewCache[ExperimentResult]("experiment", reg, opt.CacheSize),
+		advices:     NewCache[AdviseResponse]("advice", reg, opt.CacheSize),
+		clusters:    NewCache[ClusterResponse]("cluster", reg, opt.CacheSize),
+		replays:     NewCache[ReplayResponse]("replay", reg, opt.CacheSize),
 		mux:         http.NewServeMux(),
 		logger:      opt.Logger,
 		slowReq:     opt.SlowRequest,
@@ -152,7 +154,6 @@ func NewServer(opt Options) *Server {
 		maxTrace:    opt.MaxTraceBytes,
 		jobTimeout:  opt.JobTimeout,
 		traceDir:    opt.TraceDir,
-		results:     make(map[string]*CampaignResult),
 	}
 	if s.logger == nil {
 		s.logger = obs.NopLogger()
@@ -164,6 +165,10 @@ func NewServer(opt Options) *Server {
 		s.keepAlive = 15 * time.Second
 	}
 	s.tracer = obs.NewTracer(opt.TraceBuffer, s.slowReq)
+	s.registerServer()
+	s.tracer.Register(reg)
+	s.events.Register(reg)
+	obs.RegisterRuntime(reg)
 	if s.maxBody <= 0 {
 		s.maxBody = 1 << 20
 	}
@@ -173,16 +178,10 @@ func NewServer(opt Options) *Server {
 	if s.traceDir == "" {
 		s.traceDir = filepath.Join(os.TempDir(), "simd-traces")
 	}
-	// Completed job stages (queue_wait, execute, persist) feed the
-	// stage-latency histogram; installed before any route can submit.
-	s.queue.OnStage(func(stage string, d time.Duration) {
-		s.metrics.ObserveStage(stage, d.Seconds())
-	})
-	// Job state transitions fan out to the live event bus so any number
-	// of /events watchers follow a job without polling it.
-	s.queue.OnTransition(func(info JobInfo) {
-		s.events.Publish(stateEvent(info))
-	})
+	// Job state transitions and progress ticks fan out to the live
+	// event bus so any number of watchers follow a job without polling
+	// it; installed before any route can submit.
+	s.queue.OnEvent(s.events.Publish)
 	s.route("GET /healthz", s.handleHealthz)
 	s.route("GET /metrics", s.handleMetrics)
 	s.route("GET /v1/workloads", s.handleWorkloads)
@@ -223,17 +222,13 @@ func (s *Server) traceStore() (*tracestore.Store, error) {
 	defer s.storeMu.Unlock()
 	if s.store == nil {
 		s.store, s.storeErr = tracestore.Open(s.traceDir)
+		if s.store != nil {
+			// The store's gauges exist only once it does: a scrape must
+			// not create the directory as a side effect.
+			s.registerTraceStore(s.store)
+		}
 	}
 	return s.store, s.storeErr
-}
-
-// traceStoreIfOpen returns the store only if a trace request already
-// opened it — read-only paths (metrics scrapes) must not create the
-// directory as a side effect.
-func (s *Server) traceStoreIfOpen() *tracestore.Store {
-	s.storeMu.Lock()
-	defer s.storeMu.Unlock()
-	return s.store
 }
 
 // decodeBody decodes a JSON request body bounded by the service's
@@ -280,10 +275,10 @@ func (s *Server) Handler() http.Handler {
 		obs.Tracing(s.tracer),
 		obs.Logging(s.logger, s.slowReq),
 		obs.Timing(func(r *http.Request, route string, status int, _ int64, elapsed time.Duration) {
-			s.metrics.CountRequest(route)
+			s.requests.Inc(route)
 			// The request ID doubles as the trace ID, so the histogram
 			// bucket's exemplar links straight to the span tree.
-			s.metrics.ObserveHTTP(route, strconv.Itoa(status), elapsed.Seconds(), obs.RequestID(r.Context()))
+			s.httpSeconds.ObserveExemplar(elapsed.Seconds(), obs.RequestID(r.Context()), route, strconv.Itoa(status))
 		}),
 		obs.Recover(func(w http.ResponseWriter, r *http.Request, v any) {
 			s.panics.Add(1)
@@ -345,7 +340,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	s.metrics.WriteTo(w, s)
+	s.reg.Render(w)
 }
 
 func (s *Server) handleWorkloads(w http.ResponseWriter, r *http.Request) {
@@ -408,7 +403,7 @@ func (s *Server) lookupPoint(ctx context.Context, p campaign.Point, key string, 
 			if fidelity == "" {
 				fidelity = campaign.FidelityModel
 			}
-			s.metrics.ObservePoint(fidelity, time.Since(start).Seconds())
+			s.pointSeconds.Observe(time.Since(start).Seconds(), fidelity)
 			_, persistSpan := obs.StartSpan(computeCtx, "persist")
 			s.persistResult("point", key, out)
 			persistSpan.End()
@@ -416,7 +411,7 @@ func (s *Server) lookupPoint(ctx context.Context, p campaign.Point, key string, 
 		return out, err
 	})
 	if err == nil && cached {
-		s.metrics.ObserveLookup("point", time.Since(lookup).Seconds())
+		s.lookupSeconds.Observe(time.Since(lookup).Seconds(), "point")
 	}
 	lookupSpan.SetAttr("hit", strconv.FormatBool(cached))
 	lookupSpan.SetError(err != nil)
@@ -497,7 +492,7 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if cached {
-		s.metrics.ObserveLookup("advice", time.Since(start).Seconds())
+		s.lookupSeconds.Observe(time.Since(start).Seconds(), "advice")
 	}
 	resp.Cached = cached
 	resp.ElapsedMS = float64(time.Since(start).Microseconds()) / 1000
@@ -530,7 +525,7 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if cached {
-		s.metrics.ObserveLookup("cluster", time.Since(start).Seconds())
+		s.lookupSeconds.Observe(time.Since(start).Seconds(), "cluster")
 	}
 	resp.Cached = cached
 	resp.ElapsedMS = float64(time.Since(start).Microseconds()) / 1000
@@ -615,7 +610,7 @@ func (s *Server) runCampaign(ctx context.Context, jobID string, spec campaign.Sp
 		return nil, false, err
 	}
 	if cached {
-		s.metrics.ObserveLookup("campaign", time.Since(lookup).Seconds())
+		s.lookupSeconds.Observe(time.Since(lookup).Seconds(), "campaign")
 		// Serve a copy so the Cached flag never mutates the stored
 		// result.
 		cp := *res
@@ -673,9 +668,6 @@ func (s *Server) computeCampaign(ctx context.Context, jobID, key string, spec ca
 		d := done
 		mu.Unlock()
 		progress(d, total)
-		if jobID != "" {
-			s.events.Publish(events.Event{Job: jobID, Type: events.TypeProgress, Done: d, Total: total})
-		}
 	}
 
 	// Cancellation is honoured at group boundaries.
@@ -753,40 +745,30 @@ func (s *Server) computeCampaign(ctx context.Context, jobID, key string, spec ca
 }
 
 // campaignJob is the queue work for one accepted campaign: run it,
-// file the result under the job ID, journal the terminal state. A
-// cancellation observed while the server is shutting down journals
-// StateInterrupted (re-run next boot) instead of StateFailed.
+// file the result on the job record, journal the terminal state. The
+// terminal journal append is the job's durability cost, recorded as
+// its persist stage. A cancellation observed while the server is
+// shutting down journals StateInterrupted (re-run next boot) instead
+// of StateFailed.
 func (s *Server) campaignJob(id, key, rid string, spec campaign.Spec) JobFunc {
 	return func(ctx context.Context, progress func(done, total int)) error {
 		res, _, err := s.runCampaign(ctx, id, spec, progress)
-		if err != nil {
-			state := journal.StateFailed
-			if errors.Is(err, context.Canceled) && s.closing.Load() {
-				state = journal.StateInterrupted
-			}
-			persist := time.Now()
-			s.journalAppend(journal.Entry{State: state, Job: id, Kind: "campaign", Key: key, Req: rid, Error: err.Error()})
-			s.queue.AddStage(id, "persist", persist, time.Since(persist))
-			if tr := obs.TraceFrom(ctx); tr != nil {
-				tr.AddSpan(obs.SpanIDFrom(ctx), "persist", persist, time.Since(persist))
-			}
-			return err
+		entry := journal.Entry{State: journal.StateFailed, Job: id, Kind: "campaign", Key: key, Req: rid}
+		switch {
+		case err == nil:
+			s.queue.SetResult(id, res)
+			entry.State = journal.StateDone
+			entry.Done = res.Points + len(res.Experiments)
+			entry.Total = entry.Done
+		case errors.Is(err, context.Canceled) && s.closing.Load():
+			entry.State, entry.Error = journal.StateInterrupted, err.Error()
+		default:
+			entry.Error = err.Error()
 		}
-		s.mu.Lock()
-		s.results[id] = res
-		s.mu.Unlock()
-		total := res.Points + len(res.Experiments)
-		// The terminal journal append is the job's durability cost;
-		// surface it as the persist span on the timeline — and mirror it
-		// onto the request's span tree with identical bounds.
 		persist := time.Now()
-		s.journalAppend(journal.Entry{State: journal.StateDone, Job: id, Kind: "campaign", Key: key, Req: rid, Done: total, Total: total})
-		d := time.Since(persist)
-		s.queue.AddStage(id, "persist", persist, d)
-		if tr := obs.TraceFrom(ctx); tr != nil {
-			tr.AddSpan(obs.SpanIDFrom(ctx), "persist", persist, d)
-		}
-		return nil
+		s.journalAppend(entry)
+		s.queue.AddStage(id, "persist", persist, time.Since(persist))
+		return err
 	}
 }
 
@@ -862,17 +844,10 @@ func (s *Server) handleSubmitCampaign(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusInternalServerError, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, CampaignResponse{Job: final, Result: s.resultFor(info.ID)})
+		writeJSON(w, http.StatusOK, CampaignResponse{Job: final, Result: s.queue.Result(info.ID)})
 		return
 	}
 	writeJSON(w, http.StatusAccepted, CampaignResponse{Job: info})
-}
-
-// resultFor returns a finished campaign result by job ID.
-func (s *Server) resultFor(jobID string) *CampaignResult {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.results[jobID]
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
@@ -881,7 +856,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, fmt.Errorf("service: unknown job %q", r.PathValue("id")))
 		return
 	}
-	writeJSON(w, http.StatusOK, CampaignResponse{Job: info, Result: s.resultFor(info.ID)})
+	writeJSON(w, http.StatusOK, CampaignResponse{Job: info, Result: s.queue.Result(info.ID)})
 }
 
 func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
@@ -895,58 +870,5 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, CampaignResponse{Job: info})
 		return
 	}
-	writeJSON(w, http.StatusOK, CampaignResponse{Job: info, Result: s.resultFor(id)})
-}
-
-// handleJobStream streams newline-delimited JobInfo snapshots until
-// the job finishes — the campaign progress feed simctl renders.
-func (s *Server) handleJobStream(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if _, ok := s.queue.Get(id); !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("service: unknown job %q", id))
-		return
-	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	ticker := time.NewTicker(25 * time.Millisecond)
-	defer ticker.Stop()
-	var last JobInfo
-	lastWrite := time.Now()
-	emit := func(info JobInfo) {
-		if info.State == last.State && info.Done == last.Done && info.Total == last.Total {
-			return
-		}
-		last = info
-		lastWrite = time.Now()
-		_ = enc.Encode(info)
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-	for {
-		info, ok := s.queue.Get(id)
-		if !ok {
-			return
-		}
-		emit(info)
-		if info.State == JobDone || info.State == JobFailed {
-			return
-		}
-		// A long-running stage emits nothing; heartbeat with a blank
-		// line (clients skip empty NDJSON lines) so idle proxies keep
-		// the connection open.
-		if time.Since(lastWrite) >= s.keepAlive {
-			lastWrite = time.Now()
-			_, _ = io.WriteString(w, "\n")
-			if flusher != nil {
-				flusher.Flush()
-			}
-		}
-		select {
-		case <-r.Context().Done():
-			return
-		case <-ticker.C:
-		}
-	}
+	writeJSON(w, http.StatusOK, CampaignResponse{Job: info, Result: s.queue.Result(id)})
 }

@@ -2,6 +2,9 @@ package service
 
 import (
 	"context"
+	"encoding/json"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -70,9 +73,9 @@ func TestSpanTreeEndToEnd(t *testing.T) {
 		t.Errorf("cache.campaign parent = %d, want execute %d", byName["cache.campaign"][0].Parent, execute.ID)
 	}
 
-	// The span tree and the PR-7 stage timeline are two views of the
-	// same measurement; the queue mirrors the identical timestamps, so
-	// the durations must agree to within float rounding.
+	// The span tree and the stage timeline are two views of one
+	// measurement: the queue's stage recorder writes both from the same
+	// start and duration, so they agree to within float rounding.
 	stages := map[string]StageSpan{}
 	for _, st := range resp.Job.Timeline {
 		stages[st.Stage] = st
@@ -284,5 +287,88 @@ func TestJobEventsTerminalSnapshot(t *testing.T) {
 	}
 	if len(got) != 1 || !got[0].Final || got[0].State != string(JobDone) {
 		t.Fatalf("events = %+v, want exactly one final done snapshot", got)
+	}
+}
+
+// TestJobStreamFollowsBus: a /stream watcher holds a bus subscription
+// on its job for as long as it is connected — progress reaches it by
+// push, not by polling the queue — and lets go once the job finishes.
+func TestJobStreamFollowsBus(t *testing.T) {
+	srv := NewServer(Options{Workers: 1, QueueDepth: 8})
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		_ = srv.Close(context.Background())
+	})
+	c := NewClient(ts.URL)
+	ctx := context.Background()
+
+	release := make(chan struct{})
+	if _, err := srv.queue.Submit("block", func(ctx context.Context, _ func(int, int)) error {
+		<-release
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	spec := campaign.Spec{Workloads: []string{"STREAM"}, Configs: []string{"dram", "hbm"}, Sizes: []string{"1GB"}}
+	resp, err := c.SubmitCampaign(ctx, spec, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := resp.Job.ID
+
+	var snaps []JobInfo
+	done := make(chan error, 1)
+	go func() {
+		done <- c.StreamJob(ctx, id, func(info JobInfo) { snaps = append(snaps, info) })
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for srv.events.SubscriberCount(id) != 1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("stream watcher never subscribed: %d subscribers", srv.events.SubscriberCount(id))
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if n := len(snaps); n < 2 || snaps[0].State != JobQueued || snaps[n-1].State != JobDone || snaps[n-1].Done != 2 {
+		t.Fatalf("snapshots %+v, want queued ... done 2/2", snaps)
+	}
+	if n := srv.events.SubscriberCount(id); n != 0 {
+		t.Fatalf("%d subscriptions left after the stream closed", n)
+	}
+}
+
+// TestJobStreamTerminalSnapshot: streaming an already finished job
+// writes exactly one line — its final snapshot — and closes.
+func TestJobStreamTerminalSnapshot(t *testing.T) {
+	_, c := newTestServer(t)
+	ctx := context.Background()
+	spec := campaign.Spec{Workloads: []string{"STREAM"}, Configs: []string{"dram"}, Sizes: []string{"1GB"}}
+	resp, err := c.SubmitCampaign(ctx, spec, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := http.Get(c.BaseURL + "/v1/jobs/" + resp.Job.ID + "/stream")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Body.Close()
+	body, err := io.ReadAll(r.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(string(body), "\n"), "\n")
+	if len(lines) != 1 {
+		t.Fatalf("stream wrote %d lines, want 1:\n%s", len(lines), body)
+	}
+	var info JobInfo
+	if err := json.Unmarshal([]byte(lines[0]), &info); err != nil {
+		t.Fatal(err)
+	}
+	if info.ID != resp.Job.ID || info.State != JobDone {
+		t.Fatalf("snapshot %+v, want the finished job", info)
 	}
 }

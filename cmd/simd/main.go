@@ -37,8 +37,8 @@
 // With -data the whole service is crash-safe: accepted jobs are
 // journaled before the 202 and finished results persisted, so a
 // restart over the same directory re-enqueues interrupted work, keeps
-// answering for finished job IDs, and serves repeated queries from a
-// warm cache. -job-timeout bounds every job (clients can override per
+// answering for finished job IDs, and serves repeated queries from the
+// results on disk, read on demand. -job-timeout bounds every job (clients can override per
 // request with the X-Simd-Timeout header).
 //
 // Use cmd/simctl to talk to it from the shell.
@@ -143,15 +143,14 @@ func run(args []string, stdout, stderr io.Writer) error {
 			return fmt.Errorf("open data directory %s: %w", *dataDir, err)
 		}
 		logger.Info("recovered state",
-			"dir", *dataDir, "results_warmed", rec.Results,
+			"dir", *dataDir, "results_stored", rec.Results,
 			"restored", rec.Restored, "requeued", rec.Requeued)
 		if rec.RequeueFailed > 0 {
 			logger.Warn("recovered jobs exceed the queue; they stay journaled for the next start",
 				"requeue_failed", rec.RequeueFailed)
 		}
-		if rec.TornBytes > 0 || rec.ResultsQuarantined > 0 {
-			logger.Warn("quarantined corrupt state at boot",
-				"torn_journal_bytes", rec.TornBytes, "corrupt_result_files", rec.ResultsQuarantined)
+		if rec.TornBytes > 0 {
+			logger.Warn("quarantined a torn journal tail at boot", "torn_journal_bytes", rec.TornBytes)
 		}
 	}
 	ln, err := net.Listen("tcp", *addr)

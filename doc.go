@@ -154,10 +154,11 @@
 //     and an NDJSON progress stream (/stream).
 //   - Crash safety. With simd -data, accepted jobs are journaled
 //     (CRC-framed, fsynced) before the 202 and results persisted
-//     content-addressed; a restart quarantines torn tails, warms the
-//     caches from disk, restores finished job IDs and re-enqueues
-//     interrupted jobs idempotently (internal/journal, proven with
-//     the internal/faultfs fault-injection filesystem).
+//     content-addressed; a restart reads only the journal,
+//     quarantines torn tails, restores finished job IDs and
+//     re-enqueues interrupted jobs idempotently. The result store is
+//     the caches' second tier, read on demand (internal/journal,
+//     proven with the internal/faultfs fault-injection filesystem).
 //   - Declarative campaigns. internal/campaign expands workload x
 //     config x size-grid x thread grids into deduplicated point sets
 //     and aggregates outcomes into per-workload tables; the paper's

@@ -3,7 +3,7 @@
 // through, one passthrough implementation over the real OS, and one
 // failpoint implementation that can kill the store mid-write — after
 // the Nth write, with a torn (partial) final write, with ENOSPC, or
-// with injected latency.
+// with injected latency — or fail its reads after the Nth.
 //
 // The point is the paper-adjacent durability claim (Fridman et al.,
 // arXiv:2109.02166): recovery must be *proven under injected
@@ -90,6 +90,9 @@ var ErrInjected = errors.New("faultfs: injected fault")
 // ENOSPC is the "disk full" errno, exported so tests read naturally.
 var ENOSPC = syscall.ENOSPC
 
+// EIO is the I/O-error errno, the default of a tripped read failpoint.
+var EIO = syscall.EIO
+
 // Fault wraps an FS with failpoints. The zero value (over a nil FS)
 // is unusable; build one with New. All failpoints count operations
 // across every file opened through the Fault, which is what lets a
@@ -106,10 +109,13 @@ type Fault struct {
 	// torn: when the write failpoint trips, write a prefix of the
 	// buffer through first — a torn write, the crash-mid-append shape.
 	torn bool
-	// syncsLeft / renamesLeft mirror writesLeft for Sync and Rename.
+	// syncsLeft / renamesLeft / readsLeft mirror writesLeft for Sync,
+	// Rename and Read.
 	syncsLeft   int64
 	renamesLeft int64
-	// err is what a tripped failpoint returns.
+	readsLeft   int64
+	// err is what a tripped failpoint returns; nil means the default:
+	// EIO for reads, ErrInjected for everything else.
 	err error
 	// slow delays every write (slow-I/O mode).
 	slow time.Duration
@@ -122,7 +128,7 @@ func New(base FS) *Fault {
 	if base == nil {
 		base = OS{}
 	}
-	return &Fault{fs: base, writesLeft: -1, syncsLeft: -1, renamesLeft: -1, err: ErrInjected}
+	return &Fault{fs: base, writesLeft: -1, syncsLeft: -1, renamesLeft: -1, readsLeft: -1}
 }
 
 // FailAfterWrites arms the write failpoint: the next n writes succeed,
@@ -150,6 +156,15 @@ func (f *Fault) FailAfterRenames(n int) {
 	f.renamesLeft = int64(n)
 }
 
+// FailAfterReads arms the read failpoint: after n successful reads,
+// Read and ReadAt on every file opened through the Fault fail with EIO
+// (or the error SetErr set).
+func (f *Fault) FailAfterReads(n int) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.readsLeft = int64(n)
+}
+
 // SetErr substitutes the error tripped failpoints return (e.g.
 // faultfs.ENOSPC).
 func (f *Fault) SetErr(err error) {
@@ -169,10 +184,10 @@ func (f *Fault) SlowWrites(d time.Duration) {
 func (f *Fault) Reset() {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.writesLeft, f.syncsLeft, f.renamesLeft = -1, -1, -1
+	f.writesLeft, f.syncsLeft, f.renamesLeft, f.readsLeft = -1, -1, -1, -1
 	f.torn, f.tripped = false, false
 	f.slow = 0
-	f.err = ErrInjected
+	f.err = nil
 }
 
 // Tripped reports whether any failpoint has fired.
@@ -196,40 +211,42 @@ func (f *Fault) admitWrite(n int) (tear int, err error) {
 	if f.writesLeft == 0 || f.tripped {
 		f.tripped = true
 		if f.torn {
-			return n / 2, f.err
+			return n / 2, f.errOr(ErrInjected)
 		}
-		return 0, f.err
+		return 0, f.errOr(ErrInjected)
 	}
 	f.writesLeft--
 	return 0, nil
 }
 
-func (f *Fault) admitSync() error {
+func (f *Fault) admitSync() error { return f.admit(&f.syncsLeft, ErrInjected) }
+
+func (f *Fault) admitRename() error { return f.admit(&f.renamesLeft, ErrInjected) }
+
+func (f *Fault) admitRead() error { return f.admit(&f.readsLeft, EIO) }
+
+// admit consumes one credit of the failpoint whose counter is left
+// (-1: unarmed). A tripped failpoint returns the set error, or def.
+func (f *Fault) admit(left *int64, def error) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.syncsLeft < 0 {
+	if *left < 0 {
 		return nil
 	}
-	if f.syncsLeft == 0 || f.tripped {
+	if *left == 0 || f.tripped {
 		f.tripped = true
-		return f.err
+		return f.errOr(def)
 	}
-	f.syncsLeft--
+	*left--
 	return nil
 }
 
-func (f *Fault) admitRename() error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.renamesLeft < 0 {
-		return nil
-	}
-	if f.renamesLeft == 0 || f.tripped {
-		f.tripped = true
+// errOr returns the error SetErr set, or def. Callers hold mu.
+func (f *Fault) errOr(def error) error {
+	if f.err != nil {
 		return f.err
 	}
-	f.renamesLeft--
-	return nil
+	return def
 }
 
 // MkdirAll implements FS.
@@ -288,7 +305,8 @@ func (f *Fault) ReadDir(name string) ([]fs.DirEntry, error) { return f.fs.ReadDi
 // Stat implements FS.
 func (f *Fault) Stat(name string) (os.FileInfo, error) { return f.fs.Stat(name) }
 
-// faultFile routes writes and syncs through the Fault's failpoints.
+// faultFile routes reads, writes and syncs through the Fault's
+// failpoints.
 type faultFile struct {
 	File
 	fault *Fault
@@ -317,6 +335,20 @@ func (ff *faultFile) WriteAt(p []byte, off int64) (int, error) {
 		return n, &os.PathError{Op: "writeat", Path: ff.Name(), Err: err}
 	}
 	return ff.File.WriteAt(p, off)
+}
+
+func (ff *faultFile) Read(p []byte) (int, error) {
+	if err := ff.fault.admitRead(); err != nil {
+		return 0, &os.PathError{Op: "read", Path: ff.Name(), Err: err}
+	}
+	return ff.File.Read(p)
+}
+
+func (ff *faultFile) ReadAt(p []byte, off int64) (int, error) {
+	if err := ff.fault.admitRead(); err != nil {
+		return 0, &os.PathError{Op: "readat", Path: ff.Name(), Err: err}
+	}
+	return ff.File.ReadAt(p, off)
 }
 
 func (ff *faultFile) Sync() error {

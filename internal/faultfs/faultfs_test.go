@@ -123,6 +123,58 @@ func TestSyncFailpointAndReset(t *testing.T) {
 	}
 }
 
+func TestFailAfterReads(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "r")
+	if err := os.WriteFile(path, []byte("abcdef"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fault := New(nil)
+	fault.FailAfterReads(2)
+
+	f, err := fault.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	buf := make([]byte, 2)
+	for i := 0; i < 2; i++ {
+		if _, err := f.Read(buf); err != nil {
+			t.Fatalf("read %d failed early: %v", i, err)
+		}
+	}
+	if _, err := f.Read(buf); !errors.Is(err, EIO) {
+		t.Fatalf("3rd read err = %v, want EIO", err)
+	}
+	// Every file opened through the Fault shares the latched failpoint.
+	g, err := fault.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	if _, err := g.ReadAt(buf, 0); !errors.Is(err, EIO) {
+		t.Fatalf("post-trip ReadAt err = %v, want EIO", err)
+	}
+	// Writes are not armed, so they keep working.
+	w, err := fault.Create(filepath.Join(dir, "w"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if _, err := w.Write([]byte("ok")); err != nil {
+		t.Fatalf("unarmed write failed: %v", err)
+	}
+
+	fault.SetErr(ENOSPC)
+	if _, err := g.Read(buf); !errors.Is(err, ENOSPC) {
+		t.Fatalf("read err after SetErr = %v, want ENOSPC", err)
+	}
+	fault.Reset()
+	if _, err := g.Read(buf); err != nil {
+		t.Fatalf("read after Reset: %v", err)
+	}
+}
+
 func TestSlowWrites(t *testing.T) {
 	dir := t.TempDir()
 	fault := New(nil)

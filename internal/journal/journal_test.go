@@ -255,7 +255,7 @@ func TestCompactRenameFaultLeavesOldJournal(t *testing.T) {
 	}
 }
 
-func TestResultsPutLoadRoundTrip(t *testing.T) {
+func TestResultsPutGetRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	r, err := OpenResults(dir)
 	if err != nil {
@@ -277,22 +277,23 @@ func TestResultsPutLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seen := map[string]int{}
-	n, err := r2.Load(func(kind, key string, value json.RawMessage) {
-		var v val
-		if err := json.Unmarshal(value, &v); err != nil {
-			t.Fatalf("bad stored value for %s/%s: %v", kind, key, err)
-		}
-		seen[kind+"/"+key] = v.N
-	})
-	if err != nil {
-		t.Fatal(err)
+	if n, _ := r2.Stats(); n != 9 {
+		t.Fatalf("reopened store counts %d results, want 9", n)
 	}
-	if n != 9 || len(seen) != 9 {
-		t.Fatalf("loaded %d results, want 9", n)
+	seen := map[string]int{}
+	for _, kk := range [][2]string{{"point", "k0"}, {"point", "k3"}, {"point", "k7"}, {"campaign", "k0"}} {
+		var v val
+		if !r2.Get(kk[0], kk[1], &v) {
+			t.Fatalf("%s/%s not served after reopen", kk[0], kk[1])
+		}
+		seen[kk[0]+"/"+kk[1]] = v.N
 	}
 	if seen["point/k3"] != 3 || seen["campaign/k0"] != 100 {
 		t.Fatalf("wrong values: %v", seen)
+	}
+	var v val
+	if r2.Get("point", "k8", &v) || r2.Get("campaign", "k1", &v) {
+		t.Fatal("Get served a result that was never put")
 	}
 }
 
@@ -330,22 +331,16 @@ func TestResultsCrashMidPersist(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var keys []string
-			n, err := r2.Load(func(kind, key string, _ json.RawMessage) {
-				keys = append(keys, key)
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if n != 1 || len(keys) != 1 || keys[0] != "good" {
-				t.Fatalf("after %s: loaded %v, want only [good]", name, keys)
+			var good, doomed val
+			if n, _ := r2.Stats(); n != 1 || !r2.Get("point", "good", &good) || good.N != 1 || r2.Get("point", "doomed", &doomed) {
+				t.Fatalf("after %s: %d results, good=%+v doomed=%+v; want only good", name, n, good, doomed)
 			}
 		})
 	}
 }
 
 // TestResultsCorruptFileQuarantined: a bit-rotted result file must be
-// quarantined at Load, never handed to the cache warmer.
+// quarantined when read, never served, and leave the stored count.
 func TestResultsCorruptFileQuarantined(t *testing.T) {
 	dir := t.TempDir()
 	r, err := OpenResults(dir)
@@ -383,18 +378,74 @@ func TestResultsCorruptFileQuarantined(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, err := r2.Load(func(string, string, json.RawMessage) {})
-	if err != nil {
-		t.Fatal(err)
+	served := 0
+	for _, key := range []string{"alpha", "beta"} {
+		var v map[string]int
+		if r2.Get("replay", key, &v) {
+			served++
+		}
 	}
-	if n != 1 {
-		t.Fatalf("loaded %d results from a store with one rotted file, want 1", n)
+	if served != 1 {
+		t.Fatalf("served %d results from a store with one rotted file, want 1", served)
 	}
-	if _, q := r2.Stats(); q != 1 {
-		t.Fatalf("quarantined %d files, want 1", q)
+	if n, q := r2.Stats(); n != 1 || q != 1 {
+		t.Fatalf("stored %d, quarantined %d files, want 1 and 1", n, q)
 	}
 	if qs, err := os.ReadDir(filepath.Join(dir, "quarantine")); err != nil || len(qs) != 1 {
 		t.Fatalf("quarantine dir: %v entries, err %v", len(qs), err)
+	}
+}
+
+// TestResultsCountsNames: the stored count counts names, not renames —
+// re-persisting a result replaces its file without counting it twice.
+func TestResultsCountsNames(t *testing.T) {
+	dir := t.TempDir()
+	r, err := OpenResults(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if err := r.Put("point", "k", i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n, _ := r.Stats(); n != 1 {
+		t.Fatalf("two Puts of one (kind, key) count %d results, want 1", n)
+	}
+	var v int
+	if !r.Get("point", "k", &v) || v != 1 {
+		t.Fatalf("Get = %d, want the second Put's value 1", v)
+	}
+}
+
+// TestResultsGetMisses: a read fault and a value that no longer
+// decodes are plain misses — the file stays put, counted and
+// unquarantined, for a later read or a re-persist.
+func TestResultsGetMisses(t *testing.T) {
+	dir := t.TempDir()
+	fault := faultfs.New(nil)
+	r, err := OpenResultsFS(fault, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Put("point", "k", map[string]int{"v": 1}); err != nil {
+		t.Fatal(err)
+	}
+	fault.FailAfterReads(0)
+	var v map[string]int
+	if r.Get("point", "k", &v) {
+		t.Fatal("Get served a result through a failing read")
+	}
+	fault.Reset()
+	var wrongType string
+	if r.Get("point", "k", &wrongType) {
+		t.Fatal("Get served a value that does not decode into its target")
+	}
+	if n, q := r.Stats(); n != 1 || q != 0 {
+		t.Fatalf("stored %d, quarantined %d after misses, want 1 and 0", n, q)
+	}
+	if !r.Get("point", "k", &v) || v["v"] != 1 {
+		t.Fatalf("Get after the fault cleared = %v, want v=1", v)
 	}
 }
 

@@ -2,7 +2,9 @@ package journal
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"path/filepath"
 	"strings"
 	"sync/atomic"
@@ -27,7 +29,7 @@ type Results struct {
 }
 
 // resultRecord is the on-disk envelope inside each frame. Kind and
-// key are stored (not only hashed into the name) so Load can verify a
+// key are stored (not only hashed into the name) so Get can verify a
 // file answers the query its name claims.
 type resultRecord struct {
 	Kind  string          `json:"kind"`
@@ -47,13 +49,19 @@ func OpenResultsFS(fsys faultfs.FS, dir string) (*Results, error) {
 	}
 	r := &Results{fs: fsys, dir: dir}
 	// Sweep temp files a crash left behind; they were never visible.
+	// Count the results without reading them: Get checks each file
+	// when it is first asked for.
 	entries, err := fsys.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("journal: results: %w", err)
 	}
 	for _, e := range entries {
-		if !e.IsDir() && strings.HasPrefix(e.Name(), ".res-") {
-			fsys.Remove(filepath.Join(dir, e.Name()))
+		switch name := e.Name(); {
+		case e.IsDir():
+		case strings.HasPrefix(name, ".res-"):
+			fsys.Remove(filepath.Join(dir, name))
+		case strings.HasSuffix(name, ".res"):
+			r.count.Add(1)
 		}
 	}
 	return r, nil
@@ -69,7 +77,8 @@ func (r *Results) path(kind, key string) string {
 
 // Put durably persists one result. Concurrent Puts of the same
 // (kind, key) race benignly: both rename identical content onto the
-// same name.
+// same name. Only a rename that creates a name counts as a new
+// result; one that replaces a stale or raced copy does not.
 func (r *Results) Put(kind, key string, v any) error {
 	value, err := json.Marshal(v)
 	if err != nil {
@@ -100,77 +109,59 @@ func (r *Results) Put(kind, key string, v any) error {
 		r.fs.Remove(tmpPath)
 		return fmt.Errorf("journal: results: %w", err)
 	}
-	if err := r.fs.Rename(tmpPath, r.path(kind, key)); err != nil {
+	path := r.path(kind, key)
+	_, statErr := r.fs.Stat(path)
+	if err := r.fs.Rename(tmpPath, path); err != nil {
 		r.fs.Remove(tmpPath)
 		return fmt.Errorf("journal: results: %w", err)
 	}
-	r.count.Add(1)
+	if errors.Is(statErr, fs.ErrNotExist) {
+		r.count.Add(1)
+	}
 	return nil
 }
 
-// Load walks the store and hands every intact result to fn. Corrupt
-// files — torn frame, CRC mismatch, undecodable envelope, name not
-// matching the stored (kind, key) — are moved to a quarantine
-// directory, never served. It returns the number of intact results.
-func (r *Results) Load(fn func(kind, key string, value json.RawMessage)) (int, error) {
-	entries, err := r.fs.ReadDir(r.dir)
-	if err != nil {
-		return 0, fmt.Errorf("journal: results: %w", err)
-	}
-	loaded := 0
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".res") {
-			continue
-		}
-		path := filepath.Join(r.dir, name)
-		rec, err := r.readRecord(path)
-		if err != nil || r.path(rec.Kind, rec.Key) != path {
-			if qerr := r.quarantine(name); qerr != nil {
-				return loaded, qerr
-			}
-			continue
-		}
-		fn(rec.Kind, rec.Key, rec.Value)
-		loaded++
-	}
-	r.count.Store(int64(loaded))
-	return loaded, nil
-}
-
-// readRecord reads and validates one result file.
-func (r *Results) readRecord(path string) (resultRecord, error) {
+// Get reads the (kind, key) result into v and reports whether it was
+// served. A missing file, or one the filesystem fails to read, is a
+// plain miss. A corrupt file — torn frame, CRC mismatch, undecodable
+// envelope, stored (kind, key) not the requested pair — is moved to
+// the quarantine directory and reported absent, never served. A value
+// that no longer unmarshals into v is a miss too: the caller
+// recomputes and re-persists it.
+func (r *Results) Get(kind, key string, v any) bool {
+	path := r.path(kind, key)
 	f, err := r.fs.Open(path)
 	if err != nil {
-		return resultRecord{}, err
+		return false
 	}
-	defer f.Close()
 	payload, err := readFrame(f)
-	if err != nil {
-		return resultRecord{}, err
+	f.Close()
+	var ioErr *fs.PathError
+	if errors.As(err, &ioErr) {
+		return false // the read failed, not the bytes on disk
 	}
 	var rec resultRecord
-	if err := json.Unmarshal(payload, &rec); err != nil {
-		return resultRecord{}, err
+	if err != nil || json.Unmarshal(payload, &rec) != nil || rec.Kind != kind || rec.Key != key {
+		r.quarantine(filepath.Base(path))
+		return false
 	}
-	return rec, nil
+	return json.Unmarshal(rec.Value, v) == nil
 }
 
-// quarantine moves one corrupt result file aside.
-func (r *Results) quarantine(name string) error {
+// quarantine moves one corrupt result file aside, out of the stored
+// count. A file that cannot be moved stays where it is; Get reports it
+// absent either way.
+func (r *Results) quarantine(name string) {
 	qdir := filepath.Join(r.dir, "quarantine")
-	if err := r.fs.MkdirAll(qdir, 0o755); err != nil {
-		return fmt.Errorf("journal: results quarantine: %w", err)
+	if r.fs.MkdirAll(qdir, 0o755) != nil || r.fs.Rename(filepath.Join(r.dir, name), filepath.Join(qdir, name)) != nil {
+		return
 	}
-	if err := r.fs.Rename(filepath.Join(r.dir, name), filepath.Join(qdir, name)); err != nil {
-		return fmt.Errorf("journal: results quarantine: %w", err)
-	}
+	r.count.Add(-1)
 	r.quarantined.Add(1)
-	return nil
 }
 
 // Stats returns the resident result count and how many corrupt files
-// Load quarantined (the /metrics rows).
+// Get quarantined (the /metrics rows).
 func (r *Results) Stats() (count, quarantined int64) {
 	return r.count.Load(), r.quarantined.Load()
 }

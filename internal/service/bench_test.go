@@ -6,10 +6,13 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http/httptest"
+	"path/filepath"
+	"sync"
 	"testing"
 
 	"repro/internal/cache"
 	"repro/internal/campaign"
+	"repro/internal/journal"
 	"repro/internal/tracesim"
 )
 
@@ -258,6 +261,57 @@ func BenchmarkReplayStored(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkDurableBoot measures NewDurableServer over a data directory
+// holding n persisted point results. Boot reads the journal only, so
+// its cost must not grow with n.
+func BenchmarkDurableBoot(b *testing.B) {
+	p, err := (RunRequest{Workload: "STREAM", Config: "hbm", Size: "8GB", Threads: 64}).Point()
+	if err != nil {
+		b.Fatal(err)
+	}
+	out, err := NewExecutor().RunPoint(context.Background(), p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, n := range []int{200, 2000} {
+		b.Run(fmt.Sprintf("results=%d", n), func(b *testing.B) {
+			dir := b.TempDir()
+			results, err := journal.OpenResults(filepath.Join(dir, "results"))
+			if err != nil {
+				b.Fatal(err)
+			}
+			// Persist from a few goroutines: each Put pays an fsync.
+			var wg sync.WaitGroup
+			for w := 0; w < 8; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for i := w; i < n; i += 8 {
+						if err := results.Put("point", fmt.Sprintf("%s#%d", p.Key(), i), out); err != nil {
+							b.Error(err)
+							return
+						}
+					}
+				}(w)
+			}
+			wg.Wait()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				srv, rec, err := NewDurableServer(Options{DataDir: dir, Workers: 2})
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				if rec.Results != n {
+					b.Fatalf("boot counted %d results, want %d", rec.Results, n)
+				}
+				_ = srv.Close(context.Background())
+				b.StartTimer()
+			}
+		})
+	}
 }
 
 // benchReplayAccesses mirrors the test stream shape at benchmark size.

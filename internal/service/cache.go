@@ -1,9 +1,11 @@
 package service
 
 import (
+	"errors"
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/journal"
 	"repro/internal/obs"
 )
 
@@ -13,15 +15,33 @@ import (
 // evicted in insertion order (the access pattern is sweep-shaped, so
 // FIFO ~= LRU at a fraction of the bookkeeping). Errors are never
 // cached — a failed computation is retried by the next caller.
+//
+// On a durable server the cache is the memory tier over a second,
+// durable one: the result store, under the cache's name as the result
+// kind. A memory miss reads the store before computing, and every
+// computed value is persisted to it — the paper's cache mode, where
+// MCDRAM fills from DDR on first touch.
 type Cache[V any] struct {
+	name    string
 	mu      sync.Mutex
 	entries map[string]*cacheEntry[V] // guarded by mu
 	fifo    []string                  // insertion order for eviction; guarded by mu
 	max     int
 
-	hits   atomic.Int64
-	misses atomic.Int64
+	// disk is the durable tier (nil: memory only) and persistErrs
+	// counts the persists it refused; both are set once by attach,
+	// before the server serves.
+	disk        *journal.Results
+	persistErrs *atomic.Int64
+
+	hits     atomic.Int64
+	misses   atomic.Int64
+	diskHits atomic.Int64
 }
+
+// errNotStored is the fill error of a Get that found the key in
+// neither tier.
+var errNotStored = errors.New("service: result not stored")
 
 type cacheEntry[V any] struct {
 	// done is closed when val/err are set. Once the entry is filled,
@@ -41,33 +61,47 @@ var closedDone = func() chan struct{} {
 
 // NewCache builds a cache bounded to max entries (<=0 means a default
 // of 64k, plenty for any single-node study) and registers its hit,
-// miss and entry counts on reg under cache=name.
+// miss, disk-hit and entry counts on reg under cache=name.
 func NewCache[V any](name string, reg *obs.Registry, max int) *Cache[V] {
 	if max <= 0 {
 		max = 1 << 16
 	}
-	c := &Cache[V]{entries: make(map[string]*cacheEntry[V]), max: max}
+	c := &Cache[V]{name: name, entries: make(map[string]*cacheEntry[V]), max: max}
 	reg.CounterFunc("simd_cache_hits_total", "Content-addressed cache hits.", count(&c.hits), "cache", name)
 	reg.CounterFunc("simd_cache_misses_total", "Content-addressed cache misses.", count(&c.misses), "cache", name)
+	reg.CounterFunc("simd_cache_disk_hits_total", "Cache hits served from the durable result store.",
+		count(&c.diskHits), "cache", name)
 	reg.GaugeFunc("simd_cache_entries", "Cached entries resident.",
 		func() float64 { return float64(c.Len()) }, "cache", name)
 	return c
 }
 
-// GetOrCompute returns the cached value for key, computing it with fn
-// on a miss. The second return reports whether the value was served
-// from cache (true also for callers that joined an in-flight
-// computation — they did not pay for it).
+// attach makes store the cache's durable tier; failed persists count
+// into errs.
+func (c *Cache[V]) attach(store *journal.Results, errs *atomic.Int64) {
+	c.disk, c.persistErrs = store, errs
+}
+
+// GetOrCompute returns the cached value for key. On a memory miss it
+// reads the durable tier, then computes with fn and persists what fn
+// returns. The second return reports whether the value was served
+// from cache — memory or disk — rather than computed (true also for
+// callers that joined an in-flight lookup: they did not pay for it).
+// A nil fn never computes: a key neither tier holds fails with
+// errNotStored.
 func (c *Cache[V]) GetOrCompute(key string, fn func() (V, error)) (V, bool, error) {
+	var zero V
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {
 		done := e.done
 		c.mu.Unlock()
 		<-done
 		if e.err != nil {
-			// The computing caller failed; retry independently rather
+			// The filling caller failed; retry independently rather
 			// than serving a cached error.
-			var zero V
+			if fn == nil {
+				return zero, false, errNotStored
+			}
 			v, err := fn()
 			if err != nil {
 				return zero, false, err
@@ -77,14 +111,30 @@ func (c *Cache[V]) GetOrCompute(key string, fn func() (V, error)) (V, bool, erro
 		c.hits.Add(1)
 		return e.val, true, nil
 	}
+	if fn == nil && c.disk == nil {
+		c.mu.Unlock()
+		return zero, false, errNotStored
+	}
 	e := &cacheEntry[V]{done: make(chan struct{})}
 	c.entries[key] = e
 	c.fifo = append(c.fifo, key)
 	c.evictLocked()
 	c.mu.Unlock()
 
-	c.misses.Add(1)
-	e.val, e.err = fn()
+	cached := c.disk != nil && c.disk.Get(c.name, key, &e.val)
+	switch {
+	case cached:
+		c.hits.Add(1)
+		c.diskHits.Add(1)
+	case fn == nil:
+		e.err = errNotStored
+	default:
+		c.misses.Add(1)
+		e.val, e.err = fn()
+		if e.err == nil && c.disk != nil && c.disk.Put(c.name, key, e.val) != nil {
+			c.persistErrs.Add(1)
+		}
+	}
 	close(e.done)
 	c.mu.Lock()
 	e.done = closedDone
@@ -98,49 +148,17 @@ func (c *Cache[V]) GetOrCompute(key string, fn func() (V, error)) (V, bool, erro
 			c.dropFIFOLocked(key)
 		}
 		c.mu.Unlock()
-		var zero V
 		return zero, false, e.err
 	}
 	c.mu.Unlock()
-	return e.val, false, nil
+	return e.val, cached, nil
 }
 
-// Peek returns the cached value for key if a finished computation
-// holds one, without computing anything or counting a hit.
-func (c *Cache[V]) Peek(key string) (V, bool) {
-	var zero V
-	c.mu.Lock()
-	e, ok := c.entries[key]
-	if !ok {
-		c.mu.Unlock()
-		return zero, false
-	}
-	done := e.done
-	c.mu.Unlock()
-	select {
-	case <-done:
-		if e.err != nil {
-			return zero, false
-		}
-		return e.val, true
-	default:
-		return zero, false
-	}
-}
-
-// Seed inserts an already-computed value — journal recovery warming
-// the caches at boot. It counts as neither hit nor miss and never
-// replaces an existing entry (a live computation wins over a stale
-// disk copy).
-func (c *Cache[V]) Seed(key string, v V) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.entries[key]; ok {
-		return
-	}
-	c.entries[key] = &cacheEntry[V]{done: closedDone, val: v}
-	c.fifo = append(c.fifo, key)
-	c.evictLocked()
+// Get returns key's value from memory or the durable tier without
+// computing anything. A value found counts as a hit.
+func (c *Cache[V]) Get(key string) (V, bool) {
+	v, _, err := c.GetOrCompute(key, nil)
+	return v, err == nil
 }
 
 // dropFIFOLocked removes one occurrence of key from the eviction

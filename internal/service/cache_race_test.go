@@ -12,7 +12,8 @@ import (
 // TestCacheChurnRace is the guardedby audit's regression pin: it
 // hammers the exact paths the analyzer walks — miss-fill, eviction,
 // failed-entry drop (the one place entries and fifo are edited from a
-// re-acquired lock) and Peek — from many goroutines at once, then
+// re-acquired lock) and the compute-free Get — from many goroutines at
+// once, then
 // checks the entries/fifo bookkeeping stayed exact. Run under
 // -race -count=2 it also pins the absence of data races on the
 // `guarded by mu` fields.
@@ -37,7 +38,9 @@ func TestCacheChurnRace(t *testing.T) {
 				if err == nil && v < 0 {
 					t.Errorf("impossible value %d", v)
 				}
-				c.Peek(key)
+				if v, ok := c.Get(key); ok && v < 0 {
+					t.Errorf("impossible value %d", v)
+				}
 			}
 		}(g)
 	}

@@ -7,8 +7,56 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/journal"
 	"repro/internal/obs"
 )
+
+// TestCacheReadThrough: a memory miss reads the durable tier before
+// computing; a value found there is a hit that never computes, and a
+// computed value is persisted under the cache's name.
+func TestCacheReadThrough(t *testing.T) {
+	store, err := journal.OpenResults(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Put("test", "stored", 7); err != nil {
+		t.Fatal(err)
+	}
+	c := NewCache[int]("test", obs.NewRegistry(), 0)
+	var persistErrs atomic.Int64
+	c.attach(store, &persistErrs)
+	var calls atomic.Int64
+	fn := func() (int, error) { calls.Add(1); return 9, nil }
+
+	if v, cached, err := c.GetOrCompute("stored", fn); err != nil || v != 7 || !cached {
+		t.Fatalf("stored key: v=%d cached=%v err=%v, want 7 from disk", v, cached, err)
+	}
+	if v, cached, err := c.GetOrCompute("fresh", fn); err != nil || v != 9 || cached {
+		t.Fatalf("fresh key: v=%d cached=%v err=%v, want a compute of 9", v, cached, err)
+	}
+	var persisted int
+	if !store.Get("test", "fresh", &persisted) || persisted != 9 {
+		t.Fatalf("computed value not persisted: %d", persisted)
+	}
+	if v, ok := c.Get("stored"); !ok || v != 7 {
+		t.Fatalf("Get(stored) = %d, %v", v, ok)
+	}
+	if _, ok := c.Get("absent"); ok {
+		t.Fatal("Get served a key neither tier holds")
+	}
+	if calls.Load() != 1 || c.Len() != 2 || persistErrs.Load() != 0 {
+		t.Fatalf("calls=%d len=%d persistErrs=%d, want 1, 2, 0", calls.Load(), c.Len(), persistErrs.Load())
+	}
+	if h, m := c.Stats(); h != 2 || m != 1 || c.diskHits.Load() != 1 {
+		t.Fatalf("hits=%d misses=%d diskHits=%d, want 2, 1, 1", h, m, c.diskHits.Load())
+	}
+
+	// Without a durable tier, Get looks at memory only.
+	mem := NewCache[int]("test", obs.NewRegistry(), 0)
+	if _, ok := mem.Get("stored"); ok || mem.Len() != 0 {
+		t.Fatalf("memory-only Get found a value or left an entry (len %d)", mem.Len())
+	}
+}
 
 func TestCacheGetOrCompute(t *testing.T) {
 	c := NewCache[int]("test", obs.NewRegistry(), 0)
@@ -28,6 +76,39 @@ func TestCacheGetOrCompute(t *testing.T) {
 	}
 	if h, m := c.Stats(); h != 1 || m != 1 {
 		t.Fatalf("stats hits=%d misses=%d, want 1/1", h, m)
+	}
+}
+
+// TestCacheReadThroughSingleflight: concurrent lookups of a key only
+// the durable tier holds share one read and never compute.
+func TestCacheReadThroughSingleflight(t *testing.T) {
+	store, err := journal.OpenResults(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Put("test", "k", 7); err != nil {
+		t.Fatal(err)
+	}
+	c := NewCache[int]("test", obs.NewRegistry(), 0)
+	var persistErrs atomic.Int64
+	c.attach(store, &persistErrs)
+	const callers = 16
+	var wg sync.WaitGroup
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			v, cached, err := c.GetOrCompute("k", func() (int, error) {
+				return 0, errors.New("computed a stored value")
+			})
+			if err != nil || v != 7 || !cached {
+				t.Errorf("v=%d cached=%v err=%v, want 7 from disk", v, cached, err)
+			}
+		}()
+	}
+	wg.Wait()
+	if h, m := c.Stats(); h != callers || m != 0 || c.diskHits.Load() != 1 {
+		t.Fatalf("hits=%d misses=%d diskHits=%d, want %d, 0, 1", h, m, c.diskHits.Load(), callers)
 	}
 }
 

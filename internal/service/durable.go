@@ -17,21 +17,21 @@ import (
 //	<data>/journal.log   — CRC-framed job journal (accepted/terminal)
 //	<data>/results/      — one content-addressed file per result
 //
-// NewDurableServer replays both: persisted results warm the caches
-// (so a restarted service answers repeat queries without recomputing)
-// and journal entries with no terminal record are re-enqueued under
-// their original job IDs. Re-execution is idempotent — every job is
-// content-addressed, so a re-run of work that actually finished just
-// hits the warmed cache.
+// NewDurableServer reads only the journal. The result store becomes
+// the second tier behind every cache: a memory miss reads the one file
+// it names before computing, so a restarted service answers repeat
+// queries without recomputing, and boot costs O(journal), not
+// O(results ever computed). Journal entries with no terminal record
+// are re-enqueued under their original job IDs. Re-execution is
+// idempotent — every job is content-addressed, so a re-run of work
+// that actually finished reads its results back from disk.
 
 // RecoveryStats summarizes what boot replay restored; cmd/simd logs
 // it and /metrics exposes the counts.
 type RecoveryStats struct {
-	// Results is how many persisted results warmed the caches;
-	// ResultsQuarantined how many corrupt result files were moved
-	// aside, never served.
-	Results            int
-	ResultsQuarantined int64
+	// Results is how many result files the store holds, counted at
+	// open without reading one: each file is checked when first read.
+	Results int
 	// JournalEntries is the live entry count after compaction;
 	// TornBytes how many torn-tail bytes Open quarantined.
 	JournalEntries int64
@@ -46,7 +46,8 @@ type RecoveryStats struct {
 }
 
 // NewDurableServer builds a server whose job journal and result store
-// live under opt.DataDir, replaying both before it serves traffic.
+// live under opt.DataDir, replaying the journal before it serves
+// traffic.
 // TraceDir defaults to <DataDir>/traces so one directory carries the
 // full service state.
 func NewDurableServer(opt Options) (*Server, RecoveryStats, error) {
@@ -69,14 +70,6 @@ func NewDurableServer(opt Options) (*Server, RecoveryStats, error) {
 	}
 	jnl, entries, err := journal.OpenFS(fsys, opt.DataDir)
 	if err != nil {
-		return nil, rec, err
-	}
-
-	rec.Results, err = results.Load(func(kind, key string, value json.RawMessage) {
-		s.seedResult(kind, key, value)
-	})
-	if err != nil {
-		jnl.Close()
 		return nil, rec, err
 	}
 
@@ -130,8 +123,13 @@ func NewDurableServer(opt Options) (*Server, RecoveryStats, error) {
 		return nil, rec, err
 	}
 	s.journal = jnl
-	s.resultsStore = results
-	s.registerDurable(&rec)
+	s.points.attach(results, &s.persistErrs)
+	s.campaigns.attach(results, &s.persistErrs)
+	s.experiments.attach(results, &s.persistErrs)
+	s.advices.attach(results, &s.persistErrs)
+	s.clusters.attach(results, &s.persistErrs)
+	s.replays.attach(results, &s.persistErrs)
+	s.registerDurable(&rec, results)
 
 	for _, id := range order {
 		jr := byJob[id]
@@ -165,65 +163,29 @@ func NewDurableServer(opt Options) (*Server, RecoveryStats, error) {
 		rec.Requeued++
 	}
 	rec.JournalEntries, rec.TornBytes = jnl.Stats()
-	_, rec.ResultsQuarantined = results.Stats()
+	stored, _ := results.Stats()
+	rec.Results = int(stored)
 	return s, rec, nil
 }
 
 // restoreFinished registers one terminal journal record with the
-// queue so GET /v1/jobs/{id} keeps answering across restarts, with the
-// campaign result when the warmed cache holds it. The journal keeps no
-// stage timings, so a restored job has no timeline.
+// queue so GET /v1/jobs/{id} keeps answering across restarts. A
+// finished campaign keeps only its result key; the job endpoints
+// resolve it through the campaign cache when asked. The journal keeps
+// no stage timings, so a restored job has no timeline.
 func (s *Server) restoreFinished(e *journal.Entry) {
 	info := JobInfo{ID: e.Job, Kind: e.Kind, Done: e.Done, Total: e.Total, Submitted: e.Time, RequestID: e.Req}
 	t := e.Time
 	info.Started, info.Finished = &t, &t
-	var res *CampaignResult
+	var key string
 	if e.State == journal.StateDone {
 		info.State = JobDone
-		if e.Kind == "campaign" && e.Key != "" {
-			res, _ = s.campaigns.Peek(e.Key)
+		if e.Kind == "campaign" {
+			key = e.Key
 		}
 	} else {
 		info.State = JobFailed
 		info.Error = e.Error
 	}
-	s.queue.RestoreFinished(info, res)
-}
-
-// seedResult warms one cache from a persisted result. A value that no
-// longer unmarshals (a schema drifted across versions) is skipped —
-// the cache recomputes on demand, which is always safe.
-func (s *Server) seedResult(kind, key string, value json.RawMessage) {
-	switch kind {
-	case "point":
-		var v campaign.Outcome
-		if json.Unmarshal(value, &v) == nil {
-			s.points.Seed(key, v)
-		}
-	case "campaign":
-		var v CampaignResult
-		if json.Unmarshal(value, &v) == nil {
-			s.campaigns.Seed(key, &v)
-		}
-	case "experiment":
-		var v ExperimentResult
-		if json.Unmarshal(value, &v) == nil {
-			s.experiments.Seed(key, v)
-		}
-	case "advise":
-		var v AdviseResponse
-		if json.Unmarshal(value, &v) == nil {
-			s.advices.Seed(key, v)
-		}
-	case "cluster":
-		var v ClusterResponse
-		if json.Unmarshal(value, &v) == nil {
-			s.clusters.Seed(key, v)
-		}
-	case "replay":
-		var v ReplayResponse
-		if json.Unmarshal(value, &v) == nil {
-			s.replays.Seed(key, v)
-		}
-	}
+	s.queue.RestoreFinished(info, key)
 }

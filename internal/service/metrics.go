@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/journal"
 	"repro/internal/tracestore"
 )
 
@@ -63,7 +64,7 @@ func (s *Server) registerTraceStore(st *tracestore.Store) {
 // only on a durable server once its journal and result store are
 // attached; rec is the boot replay's record, final before the server
 // serves a scrape.
-func (s *Server) registerDurable(rec *RecoveryStats) {
+func (s *Server) registerDurable(rec *RecoveryStats, results *journal.Results) {
 	s.reg.GaugeFunc("simd_journal_entries", "Live entries in the job journal.",
 		func() float64 { n, _ := s.journal.Stats(); return float64(n) })
 	s.reg.GaugeFunc("simd_journal_quarantined_bytes", "Torn-tail bytes quarantined at boot.",
@@ -77,8 +78,8 @@ func (s *Server) registerDurable(rec *RecoveryStats) {
 			func() float64 { return float64(*r.n) }, "state", r.state)
 	}
 	s.reg.GaugeFunc("simd_results_stored", "Durable results resident on disk.",
-		func() float64 { n, _ := s.resultsStore.Stats(); return float64(n) })
-	s.reg.GaugeFunc("simd_results_quarantined", "Corrupt result files moved aside at boot.",
-		func() float64 { _, q := s.resultsStore.Stats(); return float64(q) })
+		func() float64 { n, _ := results.Stats(); return float64(n) })
+	s.reg.GaugeFunc("simd_results_quarantined", "Corrupt result files moved aside when read.",
+		func() float64 { _, q := results.Stats(); return float64(q) })
 	s.reg.CounterFunc("simd_result_persist_errors_total", "Result persists that failed (non-fatal).", count(&s.persistErrs))
 }

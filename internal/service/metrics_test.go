@@ -63,7 +63,8 @@ func expositionInventory(t *testing.T, body string) []string {
 // after one campaign, one replay and one experiment: the same families,
 // types, label names and fixed label values as the hand-rendered
 // exposition it replaced, plus the experiment cache's rows, which the
-// old exposition never listed.
+// old exposition never listed, and the per-cache disk-hit family of
+// the durable second tier.
 func TestMetricsInventory(t *testing.T) {
 	_, c, ts, _ := newDurableTestServer(t, t.TempDir(), Options{})
 	ctx := context.Background()
@@ -109,9 +110,16 @@ func TestMetricsInventory(t *testing.T) {
 }
 
 // metricsInventory is the exposition shape recorded from the
-// hand-rendered /metrics, plus the three cache="experiment" rows.
+// hand-rendered /metrics, plus the three cache="experiment" rows and
+// the simd_cache_disk_hits_total family.
 var metricsInventory = []string{
 	"simd_build_info gauge {go_version,revision}",
+	"simd_cache_disk_hits_total counter {cache=advice}", // added: hits the durable result store served
+	"simd_cache_disk_hits_total counter {cache=campaign}",
+	"simd_cache_disk_hits_total counter {cache=cluster}",
+	"simd_cache_disk_hits_total counter {cache=experiment}",
+	"simd_cache_disk_hits_total counter {cache=point}",
+	"simd_cache_disk_hits_total counter {cache=replay}",
 	"simd_cache_entries gauge {cache=advice}",
 	"simd_cache_entries gauge {cache=campaign}",
 	"simd_cache_entries gauge {cache=cluster}",
@@ -175,6 +183,7 @@ var metricsInventory = []string{
 // histogram nothing has observed) appear here too.
 var metricsHelp = map[string]string{
 	"simd_build_info":                  "Build metadata; the value is always 1.",
+	"simd_cache_disk_hits_total":       "Cache hits served from the durable result store.",
 	"simd_cache_entries":               "Cached entries resident.",
 	"simd_cache_hits_total":            "Content-addressed cache hits.",
 	"simd_cache_lookup_seconds":        "Content-addressed cache hit latency by cache.",
@@ -204,7 +213,7 @@ var metricsHelp = map[string]string{
 	"simd_queue_capacity":              "Bound of the pending-job queue.",
 	"simd_queue_depth":                 "Jobs waiting in the bounded queue right now.",
 	"simd_result_persist_errors_total": "Result persists that failed (non-fatal).",
-	"simd_results_quarantined":         "Corrupt result files moved aside at boot.",
+	"simd_results_quarantined":         "Corrupt result files moved aside when read.",
 	"simd_results_stored":              "Durable results resident on disk.",
 	"simd_trace_store_bytes":           "Encoded bytes in the trace store.",
 	"simd_traces_stored":               "Traces resident in the durable store.",

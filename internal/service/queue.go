@@ -120,6 +120,9 @@ type job struct {
 	// execID is the execute span's ID, the parent of the stages the
 	// job body records; set by the worker before the body runs.
 	execID int
+	// resultKey is the campaign key of a finished job restored from
+	// the journal: its result is read on demand, not held.
+	resultKey string
 }
 
 func (j *job) snapshot() JobInfo {
@@ -282,15 +285,16 @@ func (q *Queue) SetResult(id string, res *CampaignResult) {
 }
 
 // Result returns a job's campaign result, or nil when the job is
-// unknown, pruned, failed or still running.
-func (q *Queue) Result(id string) *CampaignResult {
+// unknown, pruned, failed or still running. A job restored from the
+// journal holds no result, only its key, for the caller to resolve.
+func (q *Queue) Result(id string) (res *CampaignResult, key string) {
 	j := q.lookup(id)
 	if j == nil {
-		return nil
+		return nil, ""
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.result
+	return j.result, j.resultKey
 }
 
 // lookup returns a retained job record, or nil.
@@ -367,10 +371,10 @@ func (q *Queue) bumpSeq(id string) {
 }
 
 // RestoreFinished registers a terminal job snapshot replayed from the
-// journal, with its campaign result when one survived, so GET
+// journal, with the key of its campaign result (empty: none), so GET
 // /v1/jobs/{id} keeps answering for jobs that finished before a
 // restart. The sequence is advanced past the restored ID.
-func (q *Queue) RestoreFinished(info JobInfo, res *CampaignResult) {
+func (q *Queue) RestoreFinished(info JobInfo, resultKey string) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed {
@@ -380,7 +384,7 @@ func (q *Queue) RestoreFinished(info JobInfo, res *CampaignResult) {
 		return
 	}
 	q.bumpSeq(info.ID)
-	j := &job{info: info, result: res, finished: make(chan struct{})}
+	j := &job{info: info, resultKey: resultKey, finished: make(chan struct{})}
 	close(j.finished)
 	q.jobs[info.ID] = j
 	q.order = append(q.order, info.ID)

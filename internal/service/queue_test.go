@@ -312,14 +312,14 @@ func TestQueueResultPrunedWithRecord(t *testing.T) {
 		if _, err := q.Wait(context.Background(), id); err != nil {
 			t.Fatal(err)
 		}
-		if res := q.Result(id); res == nil || res.Name != id {
+		if res, _ := q.Result(id); res == nil || res.Name != id {
 			t.Fatalf("job %s result = %+v, want its own", id, res)
 		}
-		if i == 1 && q.Result(ids[0]) == nil {
+		if res, _ := q.Result(ids[0]); i == 1 && res == nil {
 			t.Fatal("first result gone before the retention cap was passed")
 		}
 	}
-	if res := q.Result(ids[0]); res != nil {
+	if res, _ := q.Result(ids[0]); res != nil {
 		t.Fatalf("first job's result survived pruning: %+v", res)
 	}
 	if _, ok := q.Get(ids[0]); ok {

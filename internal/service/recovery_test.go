@@ -62,8 +62,8 @@ var quickSpec = campaign.Spec{
 // TestCrashRecoveryWarmsCaches is the headline crash invariant: kill
 // a durable server after a campaign finished (no graceful shutdown),
 // boot a fresh server over the same data directory, and the identical
-// campaign must be served from the warmed cache — zero recomputation
-// — while the old job ID still answers with its result.
+// campaign must be served from the persisted results — zero
+// recomputation — while the old job ID still answers with its result.
 func TestCrashRecoveryWarmsCaches(t *testing.T) {
 	dir := t.TempDir()
 	ctx := context.Background()
@@ -167,8 +167,8 @@ func TestCrashRecoveryRequeuesAcceptedJob(t *testing.T) {
 }
 
 // TestCrashRecoveryIdempotent: re-running an interrupted job must not
-// double-execute work that already persisted — its points land on the
-// warmed point cache.
+// double-execute work that already persisted — its points are read
+// back from disk.
 func TestCrashRecoveryIdempotent(t *testing.T) {
 	dir := t.TempDir()
 	ctx := context.Background()
@@ -209,7 +209,7 @@ func TestCrashRecoveryIdempotent(t *testing.T) {
 		t.Fatalf("requeued job: %v %+v", err, final.Job)
 	}
 	// Only the two never-run 24GB points cost a computation; the four
-	// persisted ones came off the warmed cache.
+	// persisted ones were read back from disk.
 	if _, misses := srv2.points.Stats(); misses != 2 {
 		t.Fatalf("re-run recomputed %d points, want 2; recovery must be idempotent over persisted results", misses)
 	}

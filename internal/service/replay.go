@@ -271,7 +271,7 @@ func (s *Server) computeReplay(ctx context.Context, q replayQuery) (resp ReplayR
 		// truncated trace, so fail loudly instead.
 		return ReplayResponse{}, fmt.Errorf("%w: %v", errStorage, perr)
 	}
-	out := ReplayResponse{
+	return ReplayResponse{
 		Trace:    traceInfo(prov.Meta()),
 		Config:   q.config.String(),
 		SKU:      q.sku,
@@ -282,9 +282,7 @@ func (s *Server) computeReplay(ctx context.Context, q replayQuery) (resp ReplayR
 		Metric:   "ns/access",
 		Value:    res.AvgLatencyNS(),
 		Stats:    replayStats(res),
-	}
-	s.persistResult("replay", q.Key(), out)
-	return out, nil
+	}, nil
 }
 
 // runReplayPoint executes one FidelityReplay campaign point through

@@ -119,10 +119,10 @@ type Server struct {
 	storeErr error             // guarded by storeMu
 
 	// Crash-safety state, nil on an ephemeral server (NewServer):
-	// every accepted job is journaled before its 202, every terminal
-	// result is persisted, and NewDurableServer replays both at boot.
-	journal      *journal.Journal
-	resultsStore *journal.Results
+	// every accepted job is journaled before its 202 and replayed by
+	// NewDurableServer at boot. The result store is reached through
+	// the caches it backs.
+	journal *journal.Journal
 
 	panics      atomic.Int64 // recovered handler panics
 	persistErrs atomic.Int64 // failed result persists (non-fatal)
@@ -370,9 +370,7 @@ func (s *Server) handleExperiments(w http.ResponseWriter, _ *http.Request) {
 
 // runPoint executes one point through the content-addressed cache.
 // Replay-fidelity points run on the server (they need the trace
-// store); everything else delegates to the executor. Fresh outcomes
-// are persisted to the durable result store so a restart serves them
-// from a warm cache instead of recomputing.
+// store); everything else delegates to the executor.
 func (s *Server) runPoint(ctx context.Context, p campaign.Point, key string) (campaign.Outcome, bool, error) {
 	return s.lookupPoint(ctx, p, key, func(ctx context.Context, _ *obs.Span) (campaign.Outcome, error) {
 		if p.Fidelity == campaign.FidelityReplay {
@@ -383,10 +381,9 @@ func (s *Server) runPoint(ctx context.Context, p campaign.Point, key string) (ca
 }
 
 // lookupPoint serves p, whose p.Key() is key, from the point cache,
-// running compute under a compute span on a miss and persisting what
-// it returns. Callers compute the key once and pass it along, so every
-// record that retains it (cache, span, journal, response) shares one
-// string.
+// running compute under a compute span on a miss. Callers compute the
+// key once and pass it along, so every record that retains it (cache,
+// span, journal, response) shares one string.
 func (s *Server) lookupPoint(ctx context.Context, p campaign.Point, key string, compute func(context.Context, *obs.Span) (campaign.Outcome, error)) (campaign.Outcome, bool, error) {
 	ctx, lookupSpan := obs.StartSpan(ctx, "cache.point")
 	lookupSpan.SetAttr("key", key)
@@ -404,9 +401,6 @@ func (s *Server) lookupPoint(ctx context.Context, p campaign.Point, key string, 
 				fidelity = campaign.FidelityModel
 			}
 			s.pointSeconds.Observe(time.Since(start).Seconds(), fidelity)
-			_, persistSpan := obs.StartSpan(computeCtx, "persist")
-			s.persistResult("point", key, out)
-			persistSpan.End()
 		}
 		return out, err
 	})
@@ -417,18 +411,6 @@ func (s *Server) lookupPoint(ctx context.Context, p campaign.Point, key string, 
 	lookupSpan.SetError(err != nil)
 	lookupSpan.End()
 	return out, cached, err
-}
-
-// persistResult durably stores one computed result. Persistence
-// faults must not fail the computation — the service still holds the
-// value — so they are counted for /metrics instead of propagated.
-func (s *Server) persistResult(kind, key string, v any) {
-	if s.resultsStore == nil {
-		return
-	}
-	if err := s.resultsStore.Put(kind, key, v); err != nil {
-		s.persistErrs.Add(1)
-	}
 }
 
 // journalAppend records a job-state transition when durability is on.
@@ -481,11 +463,7 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 	}
 	start := time.Now()
 	resp, cached, err := s.advices.GetOrCompute(q.Key(), func() (AdviseResponse, error) {
-		resp, err := s.exec.Advise(q)
-		if err == nil {
-			s.persistResult("advise", q.Key(), resp)
-		}
-		return resp, err
+		return s.exec.Advise(q)
 	})
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
@@ -514,11 +492,7 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 	}
 	start := time.Now()
 	resp, cached, err := s.clusters.GetOrCompute(q.Key(), func() (ClusterResponse, error) {
-		resp, err := s.exec.ClusterSweep(q)
-		if err == nil {
-			s.persistResult("cluster", q.Key(), resp)
-		}
-		return resp, err
+		return s.exec.ClusterSweep(q)
 	})
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
@@ -548,9 +522,7 @@ func (s *Server) runExperiment(id, sku string) ExperimentResult {
 		if err != nil {
 			return ExperimentResult{}, fmt.Errorf("service: experiment %s: %w", id, err)
 		}
-		res := ExperimentResult{ID: exp.ID, Title: exp.Title, Rendered: tbl.Render(), CSV: tbl.RenderCSV()}
-		s.persistResult("experiment", key, res)
-		return res, nil
+		return ExperimentResult{ID: exp.ID, Title: exp.Title, Rendered: tbl.Render(), CSV: tbl.RenderCSV()}, nil
 	})
 	if err != nil {
 		return ExperimentResult{ID: id, Error: err.Error()}
@@ -740,7 +712,6 @@ func (s *Server) computeCampaign(ctx context.Context, jobID, key string, spec ca
 		bump()
 	}
 	res.ElapsedMS = float64(time.Since(start).Microseconds()) / 1000
-	s.persistResult("campaign", key, res)
 	return res, nil
 }
 
@@ -844,7 +815,7 @@ func (s *Server) handleSubmitCampaign(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusInternalServerError, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, CampaignResponse{Job: final, Result: s.queue.Result(info.ID)})
+		writeJSON(w, http.StatusOK, CampaignResponse{Job: final, Result: s.jobResult(info.ID)})
 		return
 	}
 	writeJSON(w, http.StatusAccepted, CampaignResponse{Job: info})
@@ -856,7 +827,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, fmt.Errorf("service: unknown job %q", r.PathValue("id")))
 		return
 	}
-	writeJSON(w, http.StatusOK, CampaignResponse{Job: info, Result: s.queue.Result(info.ID)})
+	writeJSON(w, http.StatusOK, CampaignResponse{Job: info, Result: s.jobResult(info.ID)})
 }
 
 func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
@@ -870,5 +841,16 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, CampaignResponse{Job: info})
 		return
 	}
-	writeJSON(w, http.StatusOK, CampaignResponse{Job: info, Result: s.queue.Result(id)})
+	writeJSON(w, http.StatusOK, CampaignResponse{Job: info, Result: s.jobResult(id)})
+}
+
+// jobResult returns a job's campaign result. A job restored from the
+// journal resolves its result key through the campaign cache: memory
+// first, then disk.
+func (s *Server) jobResult(id string) *CampaignResult {
+	res, key := s.queue.Result(id)
+	if res == nil && key != "" {
+		res, _ = s.campaigns.Get(key)
+	}
+	return res
 }

@@ -352,26 +352,20 @@ func BenchmarkClusterStrongScaling(b *testing.B) {
 
 // BenchmarkTraceReplay replays the same two 40 MiB streams (sequential
 // and uniform random, 655,360 accesses each) through the cache-mode
-// hierarchy with the scalar simulator and with 2 and 4 shards, so the
-// simulators are compared on identical work. lanes=3 replays them once
-// through one Simulator carrying flat DDR, flat MCDRAM and cache-mode
-// memory lanes, the shape of a trace-campaign group.
+// hierarchy with a single-lane simulator. lanes=3 replays the same
+// streams once through one Simulator carrying flat DDR, flat MCDRAM
+// and cache-mode memory lanes, the shape of a trace-campaign group.
 func BenchmarkTraceReplay(b *testing.B) {
 	const footprint = 40 << 20
 	cfg := tracesim.DefaultConfig(8 << 20)
 	dram, hbm := tracesim.DefaultConfig(0), tracesim.DefaultConfig(0)
 	hbm.MemLat = hbm.MemCacheLat
-	type replayer interface {
-		Run(tracesim.BlockSource, int) (tracesim.Result, error)
-	}
 	sims := []struct {
 		name string
-		mk   func() (replayer, error)
+		mk   func() (*tracesim.Simulator, error)
 	}{
-		{"scalar", func() (replayer, error) { return tracesim.New(cfg) }},
-		{"sharded=2", func() (replayer, error) { return tracesim.NewSharded(cfg, 2) }},
-		{"sharded=4", func() (replayer, error) { return tracesim.NewSharded(cfg, 4) }},
-		{"lanes=3", func() (replayer, error) { return tracesim.NewLanes([]tracesim.Config{dram, hbm, cfg}) }},
+		{"scalar", func() (*tracesim.Simulator, error) { return tracesim.New(cfg) }},
+		{"lanes=3", func() (*tracesim.Simulator, error) { return tracesim.NewLanes([]tracesim.Config{dram, hbm, cfg}) }},
 	}
 	streams := []struct {
 		name string

@@ -321,13 +321,12 @@ func cmdTraceReplay(ctx context.Context, c *service.Client, args []string, stdou
 	cfg := fs.String("config", "cache", "memory configuration: dram|hbm|cache|interleave|hybrid:F")
 	sku := fs.String("sku", "", "KNL SKU (default 7210)")
 	passes := fs.Int("passes", 0, "replay passes, last one measured (default 1: cold caches)")
-	shards := fs.Int("shards", 0, "sharded replay worker count (power of two; 0/1 scalar)")
 	noPrefetch := fs.Bool("no-prefetch", false, "disable the stream prefetcher")
 	asJSON := fs.Bool("json", false, "print the raw JSON response")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	req := service.ReplayRequest{Trace: *id, Config: *cfg, SKU: *sku, Passes: *passes, Shards: *shards}
+	req := service.ReplayRequest{Trace: *id, Config: *cfg, SKU: *sku, Passes: *passes}
 	if *noPrefetch {
 		pf := false
 		req.Prefetch = &pf

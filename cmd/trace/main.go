@@ -7,7 +7,6 @@
 //	trace -pattern random -footprint 32MB -accesses 500000
 //	trace -pattern chase  -footprint 16MB -accesses 1000000
 //	trace -pattern seq    -footprint 6MB  -memcache 4MB -passes 3
-//	trace -pattern random -footprint 64MB -shards 4       # parallel replay
 //
 // With -o the generated stream is exported in the tracestore binary
 // format instead of being replayed, turning every synthetic pattern
@@ -29,11 +28,6 @@ import (
 	"repro/internal/units"
 )
 
-// replayer is satisfied by both the scalar and the sharded simulator.
-type replayer interface {
-	Run(tracesim.BlockSource, int) (tracesim.Result, error)
-}
-
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "trace:", err)
@@ -45,7 +39,6 @@ func main() {
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("trace", flag.ContinueOnError)
 	pattern := fs.String("pattern", "seq", "access pattern: seq|random|chase")
-	shards := fs.Int("shards", 1, "parallel replay shards (1 = scalar)")
 	footprint := fs.String("footprint", "8MB", "region size")
 	accesses := fs.Int64("accesses", 200000, "random accesses (random pattern)")
 	memcache := fs.String("memcache", "0", "memory-side cache size (0 = flat mode)")
@@ -99,12 +92,7 @@ func run(args []string, stdout io.Writer) error {
 
 	cfg := tracesim.DefaultConfig(mc)
 	cfg.Prefetcher = *prefetch
-	var sim replayer
-	if *shards > 1 {
-		sim, err = tracesim.NewSharded(cfg, *shards)
-	} else {
-		sim, err = tracesim.New(cfg)
-	}
+	sim, err := tracesim.New(cfg)
 	if err != nil {
 		return err
 	}
@@ -112,8 +100,8 @@ func run(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(stdout, "pattern=%s footprint=%v memcache=%v prefetch=%v passes=%d shards=%d\n",
-		*pattern, fp, mc, *prefetch, *passes, *shards)
+	fmt.Fprintf(stdout, "pattern=%s footprint=%v memcache=%v prefetch=%v passes=%d\n",
+		*pattern, fp, mc, *prefetch, *passes)
 	fmt.Fprintf(stdout, "accesses:      %d\n", res.Accesses)
 	fmt.Fprintf(stdout, "L1  hit ratio: %.3f (%d/%d)\n", res.L1.HitRatio(), res.L1.Hits, res.L1.Hits+res.L1.Misses)
 	fmt.Fprintf(stdout, "L2  hit ratio: %.3f (%d/%d)\n", res.L2.HitRatio(), res.L2.Hits, res.L2.Hits+res.L2.Misses)

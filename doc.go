@@ -94,16 +94,6 @@
 //     writer, keeping the content address byte-identical to serial
 //     encoding. simbench's upload_replay workload measures the
 //     service-level numbers (see BENCHMARK.json).
-//   - Sharded replay. tracesim.ShardedSimulator has the same Run but
-//     partitions the L2 and MCDRAM cache across N workers by set
-//     interleaving (per-tile-L2 semantics) while the dispatcher
-//     retains the core-private L1 and stream prefetcher. Because
-//     every cache set belongs to exactly one worker and operations are
-//     enqueued in stream order, aggregate hit/miss/writeback counts
-//     are exactly equal to scalar replay — the equivalence tests in
-//     internal/tracesim enforce this. Sharding pays a queueing
-//     overhead, so it wins on multi-core hosts for miss-heavy streams
-//     and loses on a single core.
 //   - Concurrent experiments. harness.RunAll and harness.VerifyAll
 //     fan the independent paper experiments out over a bounded worker
 //     pool (cmd/figures -j) with deterministic, paper-ordered output.
@@ -229,9 +219,9 @@
 // content-addressed singleflight cache; the campaign fidelity
 // "replay" sweeps stored traces over memory configurations and ranks
 // them per trace. Replay results are pinned by test to be
-// byte-identical to an in-process scalar tracesim.Simulator run, and
-// sharded replay (an execution hint, excluded from the cache key)
-// matches scalar exactly. cmd/trace -o exports every synthetic
+// byte-identical to an in-process scalar tracesim.Simulator run. A
+// replay campaign decodes each stored trace once and replays it with
+// one memory lane per configuration. cmd/trace -o exports every synthetic
 // generator as a seedable fixture; simctl trace
 // upload|list|show|replay|delete manages the store from the shell.
 // See examples/replay, simbench's upload_replay workload

@@ -66,14 +66,6 @@ func (s Stats) HitRatio() float64 {
 	return float64(s.Hits) / float64(t)
 }
 
-// Add accumulates other into s (used when merging sharded replays).
-func (s *Stats) Add(other Stats) {
-	s.Hits += other.Hits
-	s.Misses += other.Misses
-	s.Evictions += other.Evictions
-	s.DirtyWritebacks += other.DirtyWritebacks
-}
-
 // packedMaxWays is the widest associativity whose LRU order fits the
 // packed nibble-stack representation (16 four-bit way indices).
 const packedMaxWays = 16

@@ -10,7 +10,7 @@ import (
 
 // MetricReg guards the /metrics contract at its one entry point: a
 // family is declared by a call on the obs metrics registry
-// (Registry.Histogram, Counter, CounterFunc or GaugeFunc), and each
+// (Registry.Histogram, CounterFunc or GaugeFunc), and each
 // literal family name appears in exactly one such call per package.
 // Several owners may feed one family — every cache registers its own
 // cache="..." series — but from one call site, so a family's help,
@@ -26,7 +26,7 @@ var MetricReg = &Analyzer{
 
 // registryMethods are the Registry calls that declare a family; the
 // family name is their first argument.
-var registryMethods = map[string]bool{"Histogram": true, "Counter": true, "CounterFunc": true, "GaugeFunc": true}
+var registryMethods = map[string]bool{"Histogram": true, "CounterFunc": true, "GaugeFunc": true}
 
 func runMetricReg(p *Pass) {
 	sites := make(map[string][]token.Pos)

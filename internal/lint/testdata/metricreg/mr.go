@@ -8,7 +8,6 @@ package mrfix
 type Registry struct{}
 
 func (r *Registry) Histogram(name, help string, labels []string, bounds []float64)       {}
-func (r *Registry) Counter(name, help string, labels ...string)                          {}
 func (r *Registry) CounterFunc(name, help string, fn func() float64, pairs ...string)    {}
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labelPairs ...string) {}
 
@@ -16,19 +15,19 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64, labelPairs ..
 // its calls are not registrations.
 type other struct{}
 
-func (other) Counter(name, help string, labels ...string) {}
+func (other) CounterFunc(name, help string, fn func() float64, pairs ...string) {}
 
 func zero() float64 { return 0 }
 
 func register(r *Registry, o other, dynamic string) {
 	r.Histogram("fix_seconds", "Declared once.", nil, nil)
-	r.Counter("fix_requests_total", "Declared once.", "route")
+	r.CounterFunc("fix_requests_total", "Declared once.", zero, "route", "GET /")
 
 	r.GaugeFunc("fix_dup", "First.", zero)
 	r.GaugeFunc("fix_dup", "Second.", zero) // want "registered 2 times"
 
 	// Two different registry methods still declare one family.
-	r.Counter("fix_mixed_total", "Owned.")
+	r.Histogram("fix_mixed_total", "Owned.", nil, nil)
 	r.CounterFunc("fix_mixed_total", "Collected.", zero) // want "registered 2 times"
 
 	// One call site feeding several owners' series is the intended
@@ -42,5 +41,5 @@ func register(r *Registry, o other, dynamic string) {
 	r.GaugeFunc(dynamic, "Dynamic.", zero)
 
 	// Same literal on a non-registry type: not a registration.
-	o.Counter("fix_seconds", "Not a registry.")
+	o.CounterFunc("fix_seconds", "Not a registry.", zero)
 }

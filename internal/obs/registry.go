@@ -13,8 +13,8 @@ import (
 
 // Registry is the one metrics registry behind /metrics. A family is
 // declared once — name, help, type and label names — and its samples
-// come from exactly one place: a counter or histogram the registry
-// owns, or collect funcs supplied by the owners of values they already
+// come from exactly one place: a histogram the registry owns, or
+// collect funcs supplied by the owners of values they already
 // keep (a cache's hit counter, a queue's depth), one per fixed label
 // set. Owners register at construction, so nothing that exists can be
 // missing from a scrape; registering a family twice, or with a
@@ -38,9 +38,8 @@ type family struct {
 	name, help, typ string
 	labels          []string
 
-	hist    *HistogramVec // registry-owned histogram, or
-	counter *CounterVec   // registry-owned counter, or
-	funcs   []funcSeries  // owner-supplied samples; guarded by Registry.mu
+	hist  *HistogramVec // registry-owned histogram, or
+	funcs []funcSeries  // owner-supplied samples; guarded by Registry.mu
 }
 
 // funcSeries is one owner-supplied sample with fixed label values.
@@ -74,15 +73,6 @@ func (r *Registry) Histogram(name, help string, labels []string, bounds []float6
 		hist: newHistogramVec(name, labels, bounds)}).hist
 }
 
-// Counter registers a registry-owned counter family keyed by the given
-// label names.
-func (r *Registry) Counter(name, help string, labels ...string) *CounterVec {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.declareLocked(&family{name: name, help: help, typ: "counter", labels: labels,
-		counter: &CounterVec{name: name, labels: labels, kids: make(map[string]uint64)}}).counter
-}
-
 // CounterFunc registers one counter sample read from fn at scrape
 // time. labelPairs alternate label names and fixed values; further
 // samples of the same family (one per cache, say) register with the
@@ -111,7 +101,7 @@ func (r *Registry) addFunc(name, help, typ string, fn func() float64, labelPairs
 	if f == nil {
 		f = r.declareLocked(&family{name: name, help: help, typ: typ, labels: labels})
 	}
-	if f.hist != nil || f.counter != nil || f.help != help || f.typ != typ || !slices.Equal(f.labels, labels) {
+	if f.hist != nil || f.help != help || f.typ != typ || !slices.Equal(f.labels, labels) {
 		panic(fmt.Sprintf("obs: metric family %s re-registered with a conflicting shape", name))
 	}
 	for _, s := range f.funcs {
@@ -154,11 +144,8 @@ func (r *Registry) Render(w io.Writer) {
 	var b []byte
 	for i, f := range fams {
 		b = fmt.Appendf(b, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.typ)
-		switch {
-		case f.hist != nil:
+		if f.hist != nil {
 			b = f.hist.appendSamples(b)
-		case f.counter != nil:
-			b = f.counter.appendSamples(b)
 		}
 		for _, s := range funcs[i] {
 			b = appendValue(appendName(b, f.name, "", f.labels, s.values, ""), s.fn())
@@ -198,38 +185,6 @@ func appendValue(b []byte, v float64) []byte {
 		b = strconv.AppendFloat(b, v, 'g', -1, 64)
 	}
 	return append(b, '\n')
-}
-
-// CounterVec is a registry-owned counter family keyed by label values
-// (simd_http_requests_total{route}). Label sets appear on first
-// increment and render in sorted order.
-type CounterVec struct {
-	name   string
-	labels []string
-
-	mu   sync.Mutex
-	kids map[string]uint64 // by joined label values; guarded by mu
-}
-
-// Inc adds one to the counter for the given label values; the value
-// count must match the label names.
-func (c *CounterVec) Inc(labelValues ...string) {
-	if len(labelValues) != len(c.labels) {
-		panic(fmt.Sprintf("obs: %s incremented with %d label values, want %d", c.name, len(labelValues), len(c.labels)))
-	}
-	key := strings.Join(labelValues, labelSep)
-	c.mu.Lock()
-	c.kids[key]++
-	c.mu.Unlock()
-}
-
-func (c *CounterVec) appendSamples(b []byte) []byte {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, k := range sortedKeys(c.kids) {
-		b = appendValue(appendName(b, c.name, "", c.labels, splitLabels(k, len(c.labels)), ""), float64(c.kids[k]))
-	}
-	return b
 }
 
 // sortedKeys returns a label-keyed map's keys in scrape order.

@@ -20,12 +20,12 @@ func TestRegistryRejectsDuplicatesAndConflicts(t *testing.T) {
 			r.Histogram("x_seconds", "x", nil, nil)
 		},
 		"counter twice": func(r *Registry) {
-			r.Counter("x_total", "x", "route")
-			r.Counter("x_total", "x", "route")
+			r.CounterFunc("x_total", "x", zero)
+			r.CounterFunc("x_total", "x", zero)
 		},
 		"func over owned family": func(r *Registry) {
-			r.Counter("x_total", "x")
-			r.CounterFunc("x_total", "x", zero)
+			r.Histogram("x_seconds", "x", nil, nil)
+			r.CounterFunc("x_seconds", "x", zero)
 		},
 		"owned over func family": func(r *Registry) {
 			r.GaugeFunc("x", "x", zero)
@@ -76,10 +76,10 @@ func TestRegistryRender(t *testing.T) {
 		r.CounterFunc("x_hits_total", "Hits.", func() float64 { return hits[cache] }, "cache", cache)
 	}
 	r.GaugeFunc("x_uptime_seconds", "Uptime.", func() float64 { return 1.5 })
-	reqs := r.Counter("x_requests_total", "Requests.", "route")
-	reqs.Inc("GET /b")
-	reqs.Inc("GET /a")
-	reqs.Inc("GET /b")
+	lat := r.Histogram("x_seconds", "Latency.", []string{"route"}, []float64{1})
+	lat.Observe(2, "GET /b")
+	lat.Observe(0.5, "GET /a")
+	lat.Observe(0.5, "GET /b")
 	scrapes := 0
 	r.OnScrape(func() { scrapes++ })
 
@@ -92,10 +92,16 @@ x_hits_total{cache="advice"} 0
 # HELP x_uptime_seconds Uptime.
 # TYPE x_uptime_seconds gauge
 x_uptime_seconds 1.5
-# HELP x_requests_total Requests.
-# TYPE x_requests_total counter
-x_requests_total{route="GET /a"} 1
-x_requests_total{route="GET /b"} 2
+# HELP x_seconds Latency.
+# TYPE x_seconds histogram
+x_seconds_bucket{route="GET /a",le="1"} 1
+x_seconds_bucket{route="GET /a",le="+Inf"} 1
+x_seconds_sum{route="GET /a"} 0.5
+x_seconds_count{route="GET /a"} 1
+x_seconds_bucket{route="GET /b",le="1"} 1
+x_seconds_bucket{route="GET /b",le="+Inf"} 2
+x_seconds_sum{route="GET /b"} 2.5
+x_seconds_count{route="GET /b"} 2
 `
 	if got := b.String(); got != want {
 		t.Errorf("render:\n%s\nwant:\n%s", got, want)
@@ -109,12 +115,11 @@ x_requests_total{route="GET /b"} 2
 }
 
 // TestRegistryConcurrentUse: owners register late (a trace store on
-// first open) while traffic increments counters and scrapes run; under
+// first open) while traffic observes histograms and scrapes run; under
 // -race every path must be synchronized, and each scrape must see each
 // family declared once.
 func TestRegistryConcurrentUse(t *testing.T) {
 	r := NewRegistry()
-	reqs := r.Counter("x_requests_total", "Requests.", "route")
 	lat := r.Histogram("x_seconds", "Latency.", []string{"route"}, nil)
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -123,7 +128,6 @@ func TestRegistryConcurrentUse(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
 				route := fmt.Sprintf("r%d", i%3)
-				reqs.Inc(route)
 				lat.Observe(0.01, route)
 				r.GaugeFunc("x_store_bytes", "Bytes.", func() float64 { return 1 }, "store", fmt.Sprintf("s%d-%d", g, i))
 			}
@@ -146,7 +150,7 @@ func TestRegistryConcurrentUse(t *testing.T) {
 	if got := strings.Count(b.String(), "x_store_bytes{"); got != 200 {
 		t.Errorf("rendered %d store series, want 200", got)
 	}
-	if !strings.Contains(b.String(), `x_requests_total{route="r0"} 68`) {
-		t.Errorf("request counter lost increments:\n%s", b.String())
+	if !strings.Contains(b.String(), `x_seconds_count{route="r0"} 68`) {
+		t.Errorf("histogram lost observations:\n%s", b.String())
 	}
 }

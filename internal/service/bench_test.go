@@ -234,6 +234,38 @@ func BenchmarkReplayStored(b *testing.B) {
 		}
 	})
 
+	b.Run("ColdCampaign", func(b *testing.B) {
+		// One stored trace under dram, hbm and cache as a replay
+		// campaign on a fresh server per iteration: the trace is
+		// decoded and replayed once, with a memory lane per config.
+		spec := campaign.Spec{Fidelity: campaign.FidelityReplay, Configs: []string{"dram", "hbm", "cache"}}
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			srv := NewServer(Options{Workers: 2, QueueDepth: 16, TraceDir: b.TempDir()})
+			ts := httptest.NewServer(srv.Handler())
+			c := NewClient(ts.URL)
+			up, err := c.UploadTrace(context.Background(), bytes.NewReader(body))
+			if err != nil {
+				b.Fatal(err)
+			}
+			spec.Traces = []string{up.ID}
+			b.StartTimer()
+
+			resp, err := c.SubmitCampaign(context.Background(), spec, true)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if resp.Result == nil || resp.Result.Points != 3 || resp.Result.CacheHits != 0 {
+				b.Fatalf("cold replay campaign: %+v", resp.Job)
+			}
+
+			b.StopTimer()
+			ts.Close()
+			_ = srv.Close(context.Background())
+			b.StartTimer()
+		}
+	})
+
 	b.Run("WarmReplay", func(b *testing.B) {
 		srv := NewServer(Options{Workers: 2, QueueDepth: 16, TraceDir: b.TempDir()})
 		ts := httptest.NewServer(srv.Handler())

@@ -97,16 +97,10 @@ func (c *Cache[V]) GetOrCompute(key string, fn func() (V, error)) (V, bool, erro
 		c.mu.Unlock()
 		<-done
 		if e.err != nil {
-			// The filling caller failed; retry independently rather
-			// than serving a cached error.
-			if fn == nil {
-				return zero, false, errNotStored
-			}
-			v, err := fn()
-			if err != nil {
-				return zero, false, err
-			}
-			return v, false, nil
+			// The filling caller failed and dropped its entry: retry
+			// through the cache, so the retry is single-flighted,
+			// counted, cached and persisted like any fill.
+			return c.GetOrCompute(key, fn)
 		}
 		c.hits.Add(1)
 		return e.val, true, nil
@@ -135,22 +129,25 @@ func (c *Cache[V]) GetOrCompute(key string, fn func() (V, error)) (V, bool, erro
 			c.persistErrs.Add(1)
 		}
 	}
-	close(e.done)
 	c.mu.Lock()
+	done := e.done
 	e.done = closedDone
 	if e.err != nil {
-		// Drop the failed entry — map AND fifo — so the key stays
-		// retryable without growing the eviction queue: a retry appends
-		// the key again, so leaving the stale slot behind would let
-		// repeated failures grow fifo without bound.
+		// Drop the failed entry — map AND fifo — before waking the
+		// waiters, so their retries cannot find it again and the key
+		// stays retryable without growing the eviction queue: a retry
+		// appends the key again, so leaving the stale slot behind would
+		// let repeated failures grow fifo without bound.
 		if cur, ok := c.entries[key]; ok && cur == e {
 			delete(c.entries, key)
 			c.dropFIFOLocked(key)
 		}
-		c.mu.Unlock()
-		return zero, false, e.err
 	}
 	c.mu.Unlock()
+	close(done)
+	if e.err != nil {
+		return zero, false, e.err
+	}
 	return e.val, cached, nil
 }
 

@@ -3,9 +3,11 @@ package service
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/journal"
 	"repro/internal/obs"
@@ -157,6 +159,65 @@ func TestCacheErrorsNotCached(t *testing.T) {
 	}
 	if calls.Load() != 1 {
 		t.Fatalf("failing fn ran %d times, want 1", calls.Load())
+	}
+}
+
+// TestCacheWaiterRetriesThroughCache: when the filling caller fails,
+// the callers that joined its fill retry through the cache. The retry
+// is single-flighted, counted as a miss, cached and persisted, and the
+// next caller hits.
+func TestCacheWaiterRetriesThroughCache(t *testing.T) {
+	store, err := journal.OpenResults(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewCache[int]("test", obs.NewRegistry(), 0)
+	var persistErrs atomic.Int64
+	c.attach(store, &persistErrs)
+	boom := errors.New("boom")
+	release := make(chan struct{})
+	filled := make(chan error)
+	go func() {
+		_, _, err := c.GetOrCompute("k", func() (int, error) { <-release; return 0, boom })
+		filled <- err
+	}()
+	for c.Len() == 0 {
+		runtime.Gosched() // until the fill is in flight
+	}
+	const waiters = 4
+	var computes atomic.Int64
+	var wg sync.WaitGroup
+	for i := 0; i < waiters; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			v, _, err := c.GetOrCompute("k", func() (int, error) { computes.Add(1); return 7, nil })
+			if err != nil || v != 7 {
+				t.Errorf("waiter: v=%d err=%v, want 7", v, err)
+			}
+		}()
+	}
+	// Give the waiters time to join the fill. Any interleaving must
+	// pass; a waiter that arrives after the failure is simply the retry.
+	time.Sleep(50 * time.Millisecond)
+	close(release)
+	if err := <-filled; !errors.Is(err, boom) {
+		t.Fatalf("filler err = %v, want boom", err)
+	}
+	wg.Wait()
+	if n := computes.Load(); n != 1 {
+		t.Fatalf("waiters computed the retry %d times, want 1", n)
+	}
+	v, cached, err := c.GetOrCompute("k", func() (int, error) { return 0, errors.New("recomputed a cached value") })
+	if err != nil || v != 7 || !cached {
+		t.Fatalf("next call: v=%d cached=%v err=%v, want a hit on 7", v, cached, err)
+	}
+	if h, m := c.Stats(); h != waiters || m != 2 || c.Len() != 1 {
+		t.Fatalf("hits=%d misses=%d len=%d, want %d, 2, 1", h, m, c.Len(), waiters)
+	}
+	var persisted int
+	if !store.Get("test", "k", &persisted) || persisted != 7 || persistErrs.Load() != 0 {
+		t.Fatalf("retry not persisted: %d (persistErrs %d)", persisted, persistErrs.Load())
 	}
 }
 

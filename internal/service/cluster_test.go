@@ -280,7 +280,7 @@ func TestClusterMetricsRows(t *testing.T) {
 		`simd_cache_hits_total{cache="cluster"} 1`,
 		`simd_cache_misses_total{cache="cluster"} 1`,
 		`simd_cache_entries{cache="cluster"} 1`,
-		`simd_http_requests_total{route="POST /v1/cluster"} 2`,
+		`simd_http_request_seconds_count{route="POST /v1/cluster",code="200"} 2`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics missing %q", want)

@@ -78,7 +78,7 @@ func (e *Executor) RunPoint(ctx context.Context, p campaign.Point) (campaign.Out
 		return e.runClusterPoint(p)
 	case campaign.FidelityReplay:
 		// Replay points need the trace store, which the server owns;
-		// Server.runPoint intercepts them before reaching here.
+		// its campaigns run them as stream groups (streamCompute).
 		return campaign.Outcome{}, fmt.Errorf("service: replay points are served by the server's trace store, not the bare executor")
 	default:
 		return campaign.Outcome{}, fmt.Errorf("service: unknown fidelity %q (model|trace|replay|advise|cluster)", p.Fidelity)

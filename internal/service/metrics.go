@@ -23,7 +23,6 @@ func (s *Server) registerServer() {
 		func() float64 { return 1 }, "go_version", runtime.Version(), "revision", buildRevision())
 	s.reg.GaugeFunc("simd_uptime_seconds", "Time since the service started.",
 		func() float64 { return time.Since(start).Seconds() })
-	s.requests = s.reg.Counter("simd_http_requests_total", "HTTP requests by route.", "route")
 	s.httpSeconds = s.reg.Histogram("simd_http_request_seconds",
 		"HTTP request latency by route and status code.", []string{"route", "code"}, nil)
 	s.pointSeconds = s.reg.Histogram("simd_point_compute_seconds",

@@ -153,7 +153,6 @@ var metricsInventory = []string{
 	"simd_go_sched_latency_seconds gauge {quantile=0.99}",
 	"simd_go_sched_latency_seconds gauge {quantile=max}",
 	"simd_http_request_seconds histogram {code,route}",
-	"simd_http_requests_total counter {route}",
 	"simd_job_stage_seconds histogram {stage=execute}",
 	"simd_job_stage_seconds histogram {stage=persist}",
 	"simd_job_stage_seconds histogram {stage=queue_wait}",
@@ -199,7 +198,6 @@ var metricsHelp = map[string]string{
 	"simd_go_heap_bytes":               "Live heap object bytes (runtime/metrics).",
 	"simd_go_sched_latency_seconds":    "Goroutine scheduling latency quantiles since process start.",
 	"simd_http_request_seconds":        "HTTP request latency by route and status code.",
-	"simd_http_requests_total":         "HTTP requests by route.",
 	"simd_job_stage_seconds":           "Job stage latency: queue_wait, execute, persist.",
 	"simd_jobs_finished_total":         "Jobs finished by outcome.",
 	"simd_jobs_pending":                "Jobs waiting in the bounded queue.",

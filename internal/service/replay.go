@@ -26,12 +26,10 @@ import (
 // fidelity, behind its own content-addressed singleflight cache
 // (key = trace id + SKU + config + passes + prefetch).
 //
-// Replay defaults to the scalar simulator so responses are
-// byte-identical to an in-process tracesim.Simulator run; requests
-// may opt into sharded replay (shards > 1), whose aggregate counts
-// AND integer-picosecond replay time are exactly equal (the
-// tracestore and tracesim equivalence tests pin this). The shard
-// count is an execution hint and is excluded from the cache key.
+// A replay is byte-identical to an in-process tracesim.Simulator run
+// of the same stored trace. A replay campaign opens and decodes each
+// stored trace once per SKU, with one memory lane per configuration
+// (see streamCompute).
 
 // errStorage marks server-side trace-storage faults (a corrupted
 // block, a vanished file); the HTTP layer maps it to 500, unlike
@@ -99,10 +97,6 @@ type ReplayRequest struct {
 	Passes int `json:"passes,omitempty"`
 	// Prefetch enables the stream prefetcher (default true).
 	Prefetch *bool `json:"prefetch,omitempty"`
-	// Shards is an execution hint: >1 replays through the sharded
-	// simulator (power of two). Results are exactly equivalent, so
-	// the shard count is not part of the cache key.
-	Shards int `json:"shards,omitempty"`
 }
 
 // replayQuery is the canonical resolved form of a ReplayRequest: the
@@ -113,12 +107,11 @@ type replayQuery struct {
 	sku      string
 	passes   int
 	prefetch bool
-	shards   int // execution only; never part of the key
 }
 
 // Resolve canonicalizes the request. Validation errors map to 400.
 func (r ReplayRequest) Resolve() (replayQuery, error) {
-	q := replayQuery{trace: strings.TrimSpace(r.Trace), sku: r.SKU, passes: r.Passes, prefetch: true, shards: r.Shards}
+	q := replayQuery{trace: strings.TrimSpace(r.Trace), sku: r.SKU, passes: r.Passes, prefetch: true}
 	if q.trace == "" {
 		return replayQuery{}, fmt.Errorf("service: replay request names no trace")
 	}
@@ -139,18 +132,10 @@ func (r ReplayRequest) Resolve() (replayQuery, error) {
 	if r.Prefetch != nil {
 		q.prefetch = *r.Prefetch
 	}
-	if q.shards < 0 || (q.shards > 1 && q.shards&(q.shards-1) != 0) {
-		return replayQuery{}, fmt.Errorf("service: shards %d must be a power of two", r.Shards)
-	}
-	if q.shards == 0 {
-		q.shards = 1
-	}
 	return q, nil
 }
 
-// Key is the content address of the replay result. Shards are
-// excluded: sharded and scalar replay of a stored trace are exactly
-// equivalent, so they must share a cache entry.
+// Key is the content address of the replay result.
 func (q replayQuery) Key() string {
 	return keys.New("replay").
 		Str("tr", q.trace).
@@ -201,10 +186,8 @@ type ReplayResponse struct {
 	Config string    `json:"config"`
 	SKU    string    `json:"sku"`
 	Passes int       `json:"passes"`
-	// Prefetch and Shards echo how the result was computed (a cached
-	// response reports the shard count of the computing run).
+	// Prefetch echoes whether the stream prefetcher was on.
 	Prefetch bool `json:"prefetch"`
-	Shards   int  `json:"shards"`
 	// Key is the content address the result is cached under.
 	Key string `json:"key"`
 	// Metric/Value is the headline number: mean ns per access.
@@ -216,14 +199,17 @@ type ReplayResponse struct {
 	ElapsedMS float64     `json:"elapsed_ms"`
 }
 
-// computeReplay opens the stored trace and drives it through the
-// functional hierarchy. Cancellation is checked before the replay
-// starts; a begun replay runs to completion so a cancelled result is
-// never cached half-done.
-func (s *Server) computeReplay(ctx context.Context, q replayQuery) (resp ReplayResponse, err error) {
+// computeReplay opens the stored trace the queries share and replays
+// it once, with one memory lane per query: response i equals a replay
+// of qs[i] alone. The queries differ only in their configs; a direct
+// /v1/replay is a group of one. Cancellation is checked before the
+// replay starts; a begun replay runs to completion so a cancelled
+// result is never cached half-done.
+func (s *Server) computeReplay(ctx context.Context, qs []replayQuery) (resps []ReplayResponse, err error) {
 	if err := ctx.Err(); err != nil {
-		return ReplayResponse{}, err
+		return nil, err
 	}
+	q := qs[0]
 	_, span := obs.StartSpan(ctx, "replay")
 	span.SetAttr("trace", q.trace)
 	defer func() {
@@ -232,70 +218,49 @@ func (s *Server) computeReplay(ctx context.Context, q replayQuery) (resp ReplayR
 	}()
 	st, err := s.traceStore()
 	if err != nil {
-		return ReplayResponse{}, err
+		return nil, err
 	}
 	prov, err := st.Open(q.trace)
 	if err != nil {
-		return ReplayResponse{}, err
+		return nil, err
 	}
 	defer prov.Close()
 
-	cfg, err := s.exec.replayHierarchy(q.sku, q.config)
+	configs := make([]engine.MemoryConfig, len(qs))
+	for i, m := range qs {
+		configs[i] = m.config
+	}
+	// Decoded varint-delta blocks are walked in place
+	// (tracestore.BlockReader) with no staging copy.
+	results, err := s.exec.replayLanes(prov.Blocks(), q.sku, configs, q.passes, q.prefetch)
 	if err != nil {
-		return ReplayResponse{}, err
-	}
-	cfg.Prefetcher = q.prefetch
-
-	// Either simulator consumes the stored trace block-fed: decoded
-	// varint-delta blocks are walked in place (tracestore.BlockReader)
-	// with no staging copy. Replay time is integer-picosecond, so
-	// scalar and sharded replay produce byte-identical results — the
-	// equivalence suites in tracestore and tracesim pin this.
-	var sim interface {
-		Run(tracesim.BlockSource, int) (tracesim.Result, error)
-	}
-	if q.shards > 1 {
-		sim, err = tracesim.NewSharded(cfg, q.shards)
-	} else {
-		sim, err = tracesim.New(cfg)
-	}
-	if err != nil {
-		return ReplayResponse{}, err
-	}
-	res, err := sim.Run(prov.Blocks(), q.passes)
-	if err != nil {
-		return ReplayResponse{}, err
+		return nil, err
 	}
 	if perr := prov.Err(); perr != nil {
 		// The stream ended early: the result would silently describe a
 		// truncated trace, so fail loudly instead.
-		return ReplayResponse{}, fmt.Errorf("%w: %v", errStorage, perr)
+		return nil, fmt.Errorf("%w: %v", errStorage, perr)
 	}
-	return ReplayResponse{
-		Trace:    traceInfo(prov.Meta()),
-		Config:   q.config.String(),
-		SKU:      q.sku,
-		Passes:   q.passes,
-		Prefetch: q.prefetch,
-		Shards:   q.shards,
-		Key:      q.Key(),
-		Metric:   "ns/access",
-		Value:    res.AvgLatencyNS(),
-		Stats:    replayStats(res),
-	}, nil
+	info := traceInfo(prov.Meta())
+	resps = make([]ReplayResponse, len(qs))
+	for i, m := range qs {
+		resps[i] = ReplayResponse{
+			Trace:    info,
+			Config:   m.config.String(),
+			SKU:      m.sku,
+			Passes:   m.passes,
+			Prefetch: m.prefetch,
+			Key:      m.Key(),
+			Metric:   "ns/access",
+			Value:    results[i].AvgLatencyNS(),
+			Stats:    replayStats(results[i]),
+		}
+	}
+	return resps, nil
 }
 
-// runReplayPoint executes one FidelityReplay campaign point through
-// the replay cache, so campaign sweeps and direct /v1/replay calls of
-// the same (trace, config, SKU) share one computation.
-func (s *Server) runReplayPoint(ctx context.Context, p campaign.Point) (campaign.Outcome, error) {
-	q := replayQuery{trace: p.TraceID, config: p.Config, sku: p.SKU, passes: 1, prefetch: true, shards: 1}
-	resp, cached, err := s.replays.GetOrCompute(q.Key(), func() (ReplayResponse, error) {
-		return s.computeReplay(ctx, q)
-	})
-	if err != nil {
-		return campaign.Outcome{}, fmt.Errorf("service: %s: %w", p, err)
-	}
+// replayOutcome is the campaign outcome of replay point p.
+func replayOutcome(p campaign.Point, resp ReplayResponse, cached bool) campaign.Outcome {
 	return campaign.Outcome{
 		Point:  p,
 		Metric: resp.Metric,
@@ -310,7 +275,7 @@ func (s *Server) runReplayPoint(ctx context.Context, p campaign.Point) (campaign
 			MemWrites:    resp.Stats.MemWrites,
 			AvgLatencyNS: resp.Value,
 		},
-	}, nil
+	}
 }
 
 func hitRatio(hits, misses int64) float64 {
@@ -452,7 +417,11 @@ func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 	}
 	start := time.Now()
 	resp, cached, err := s.replays.GetOrCompute(q.Key(), func() (ReplayResponse, error) {
-		return s.computeReplay(r.Context(), q)
+		resps, err := s.computeReplay(r.Context(), []replayQuery{q})
+		if err != nil {
+			return ReplayResponse{}, err
+		}
+		return resps[0], nil
 	})
 	if err != nil {
 		status := http.StatusBadRequest
@@ -491,8 +460,8 @@ func RenderReplay(r ReplayResponse) string {
 	if r.Cached {
 		from = "served from cache"
 	}
-	fmt.Fprintf(&b, "replay of trace %s under %s on %s (passes=%d prefetch=%t shards=%d), %s\n",
-		campaign.ShortTraceID(r.Trace.ID), r.Config, r.SKU, r.Passes, r.Prefetch, r.Shards, from)
+	fmt.Fprintf(&b, "replay of trace %s under %s on %s (passes=%d prefetch=%t), %s\n",
+		campaign.ShortTraceID(r.Trace.ID), r.Config, r.SKU, r.Passes, r.Prefetch, from)
 	fmt.Fprintf(&b, "accesses:      %d (%d reads, %d writes, footprint %s)\n",
 		r.Trace.Accesses, r.Trace.Reads, r.Trace.Writes, r.Trace.Footprint)
 	fmt.Fprintf(&b, "L1  hit ratio: %.3f (%d/%d)\n", hitRatio(r.Stats.L1Hits, r.Stats.L1Misses), r.Stats.L1Hits, r.Stats.L1Hits+r.Stats.L1Misses)

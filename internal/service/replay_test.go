@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"compress/gzip"
 	"context"
+	"encoding/json"
 	"fmt"
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -201,41 +203,134 @@ func TestReplayPinnedToScalarSimulator(t *testing.T) {
 	}
 }
 
-// TestReplayShardedMatchesScalar pins sharded == scalar on stored
-// traces: identical event counts, time equal up to summation order.
-func TestReplayShardedMatchesScalar(t *testing.T) {
-	_, c := newReplayServer(t, Options{})
+// TestReplayIgnoresShardsField: the sharded replay hint is gone, and
+// an old client's "shards" field is ignored like any unknown field: the
+// request succeeds, computes the same Stats as one without it, and
+// lands on the same cache entry.
+func TestReplayIgnoresShardsField(t *testing.T) {
 	ctx := context.Background()
-	up, err := c.UploadTrace(ctx, bytes.NewReader(ndjsonBody(replayAccesses(80000))))
+	body := ndjsonBody(replayAccesses(80000))
+	_, c := newReplayServer(t, Options{})
+	up, err := c.UploadTrace(ctx, bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
-	scalar, err := c.Replay(ctx, ReplayRequest{Trace: up.ID, Config: "cache", Passes: 2})
+	resp, err := http.Post(c.BaseURL+"/v1/replay", "application/json",
+		strings.NewReader(fmt.Sprintf(`{"trace":%q,"config":"cache","passes":2,"shards":4}`, up.ID)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The shard count is excluded from the cache key (results are
-	// equivalent), so the sharded run needs a second server with a
-	// cold cache holding the same trace.
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("replay with a shards field: HTTP %d", resp.StatusCode)
+	}
+	var legacy ReplayResponse
+	if err := json.NewDecoder(resp.Body).Decode(&legacy); err != nil {
+		t.Fatal(err)
+	}
+	if legacy.Cached {
+		t.Fatal("first replay served from cache")
+	}
+
+	// A second server with a cold cache computes the same replay from a
+	// request without the field.
 	_, c2 := newReplayServer(t, Options{})
-	up2, err := c2.UploadTrace(ctx, bytes.NewReader(ndjsonBody(replayAccesses(80000))))
+	if _, err := c2.UploadTrace(ctx, bytes.NewReader(body)); err != nil {
+		t.Fatal(err)
+	}
+	plain, err := c2.Replay(ctx, ReplayRequest{Trace: up.ID, Config: "cache", Passes: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if up2.ID != up.ID {
-		t.Fatalf("content address differs across stores: %s vs %s", up2.ID, up.ID)
+	if plain.Cached || plain.Stats != legacy.Stats || plain.Key != legacy.Key {
+		t.Fatalf("replay without shards %+v differs from replay with it %+v", plain, legacy)
 	}
-	sharded, err := c2.Replay(ctx, ReplayRequest{Trace: up.ID, Config: "cache", Passes: 2, Shards: 4})
+	again, err := c.Replay(ctx, ReplayRequest{Trace: up.ID, Config: "cache", Passes: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sharded.Cached || sharded.Shards != 4 {
-		t.Fatalf("sharded replay %+v", sharded)
+	if !again.Cached || again.Stats != legacy.Stats {
+		t.Fatalf("replay without shards missed the entry computed with it: %+v", again)
 	}
-	// Replay time accumulates in integer picoseconds, so the sharded
-	// result — counts AND time — must be exactly the scalar one.
-	if scalar.Stats != sharded.Stats {
-		t.Fatalf("sharded result diverges from scalar:\n got %+v\nwant %+v", sharded.Stats, scalar.Stats)
+}
+
+// TestReplayCampaignSharesStreams pins the grouping of replay
+// campaigns, the stored-trace twin of TestTraceCampaignSharesStreams:
+// one trace under three configs is opened, decoded and replayed once
+// with a memory lane per config, and each point still equals a direct
+// /v1/replay of its config.
+func TestReplayCampaignSharesStreams(t *testing.T) {
+	ctx := context.Background()
+	body := ndjsonBody(replayAccesses(40000))
+	configs := []string{"dram", "hbm", "cache"}
+
+	// The reference: direct replays on a separate server.
+	_, ref := newReplayServer(t, Options{})
+	up, err := ref.UploadTrace(ctx, bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]campaign.Outcome{}
+	for _, cfg := range configs {
+		r, err := ref.Replay(ctx, ReplayRequest{Trace: up.ID, Config: cfg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[r.Config] = replayOutcome(campaign.Point{}, r, false)
+	}
+
+	const rid = "share-replay-1"
+	srv, c := newReplayServer(t, Options{})
+	if _, err := c.UploadTrace(ctx, bytes.NewReader(body)); err != nil {
+		t.Fatal(err)
+	}
+	c.RequestID = rid
+	resp, err := c.SubmitCampaign(ctx, campaign.Spec{
+		Fidelity: campaign.FidelityReplay,
+		Traces:   []string{up.ID},
+		Configs:  configs,
+	}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.RequestID = ""
+	if resp.Job.State != JobDone || resp.Result.Points != 3 || resp.Result.CacheHits != 0 {
+		t.Fatalf("campaign job %+v result %+v", resp.Job, resp.Result)
+	}
+	for _, r := range resp.Result.Results {
+		w, ok := want[r.Config]
+		if !ok {
+			t.Fatalf("unexpected config %s", r.Config)
+		}
+		if r.Value != w.Value || r.Trace == nil || *r.Trace != *w.Trace {
+			t.Errorf("%s: grouped %+v != direct replay %+v", r.Config, r.Trace, w.Trace)
+		}
+	}
+	// Each member still resolves through the replay cache.
+	if hits, misses := srv.replays.Stats(); hits != 0 || misses != 3 || srv.replays.Len() != 3 {
+		t.Errorf("replay cache: %d hits, %d misses, %d entries; want 0, 3, 3", hits, misses, srv.replays.Len())
+	}
+
+	tr, err := c.DebugTrace(ctx, rid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lanes, shared, replays int
+	for _, sp := range tr.Spans {
+		if sp.Name == "replay" {
+			replays++
+		}
+		for _, a := range sp.Attrs {
+			if sp.Name == "compute" && a.Key == "lanes" && a.Value == "3" {
+				lanes++
+			}
+			if sp.Name == "compute" && a.Key == "shared" && a.Value == "true" {
+				shared++
+			}
+		}
+	}
+	if lanes != 1 || shared != 2 || replays != 1 {
+		t.Errorf("spans: %d compute with lanes=3, %d shared, %d replay; want 1, 2, 1", lanes, shared, replays)
 	}
 }
 
@@ -256,7 +351,6 @@ func TestReplayRequestErrors(t *testing.T) {
 		{"bad-config", ReplayRequest{Trace: up.ID, Config: "quantum"}, "400"},
 		{"bad-passes", ReplayRequest{Trace: up.ID, Config: "dram", Passes: 99}, "out of range"},
 		{"negative-passes", ReplayRequest{Trace: up.ID, Config: "dram", Passes: -1}, "out of range"},
-		{"bad-shards", ReplayRequest{Trace: up.ID, Config: "dram", Shards: 3}, "power of two"},
 		{"unknown-sku", ReplayRequest{Trace: up.ID, Config: "dram", SKU: "9999"}, "400"},
 	}
 	for _, tc := range cases {

@@ -104,7 +104,6 @@ type Server struct {
 	events      *events.Bus
 	keepAlive   time.Duration
 
-	requests      *obs.CounterVec   // HTTP requests by route
 	httpSeconds   *obs.HistogramVec // end-to-end request latency by route and status
 	pointSeconds  *obs.HistogramVec // fresh point compute latency by fidelity (cache misses only)
 	lookupSeconds *obs.HistogramVec // content-addressed cache hit latency by cache
@@ -275,7 +274,6 @@ func (s *Server) Handler() http.Handler {
 		obs.Tracing(s.tracer),
 		obs.Logging(s.logger, s.slowReq),
 		obs.Timing(func(r *http.Request, route string, status int, _ int64, elapsed time.Duration) {
-			s.requests.Inc(route)
 			// The request ID doubles as the trace ID, so the histogram
 			// bucket's exemplar links straight to the span tree.
 			s.httpSeconds.ObserveExemplar(elapsed.Seconds(), obs.RequestID(r.Context()), route, strconv.Itoa(status))
@@ -369,13 +367,8 @@ func (s *Server) handleExperiments(w http.ResponseWriter, _ *http.Request) {
 }
 
 // runPoint executes one point through the content-addressed cache.
-// Replay-fidelity points run on the server (they need the trace
-// store); everything else delegates to the executor.
 func (s *Server) runPoint(ctx context.Context, p campaign.Point, key string) (campaign.Outcome, bool, error) {
 	return s.lookupPoint(ctx, p, key, func(ctx context.Context, _ *obs.Span) (campaign.Outcome, error) {
-		if p.Fidelity == campaign.FidelityReplay {
-			return s.runReplayPoint(ctx, p)
-		}
 		return s.exec.RunPoint(ctx, p)
 	})
 }
@@ -643,7 +636,7 @@ func (s *Server) computeCampaign(ctx context.Context, jobID, key string, spec ca
 	}
 
 	// Cancellation is honoured at group boundaries.
-	groups := pointGroups(s.exec, points)
+	groups := pointGroups(points)
 	workers := s.queue.Workers()
 	if workers > len(groups) {
 		workers = len(groups)
@@ -667,13 +660,14 @@ func (s *Server) computeCampaign(ctx context.Context, jobID, key string, spec ca
 					return
 				}
 				grp := groups[g]
+				shared := s.streamCompute(grp.stream)
 				for j, i := range grp.idx {
 					keys[i] = points[i].Key()
-					if grp.trace == nil {
+					if shared == nil {
 						outcomes[i], cachedFlags[i], errs[i] = s.runPoint(ctx, points[i], keys[i])
 					} else {
 						outcomes[i], cachedFlags[i], errs[i] = s.lookupPoint(ctx, points[i], keys[i], func(ctx context.Context, span *obs.Span) (campaign.Outcome, error) {
-							return grp.trace.outcome(ctx, j, span)
+							return shared(ctx, j, span)
 						})
 					}
 					if jobID != "" {

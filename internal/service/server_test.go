@@ -313,7 +313,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	body := string(raw)
 	for _, want := range []string{
 		"simd_uptime_seconds",
-		`simd_http_requests_total{route="POST /v1/run"} 2`,
+		`simd_http_request_seconds_count{route="POST /v1/run",code="200"} 2`,
 		`simd_cache_hits_total{cache="point"} 1`,
 		`simd_cache_misses_total{cache="point"} 1`,
 		"simd_jobs_pending",

@@ -45,9 +45,10 @@ const (
 // second pass measures warm-cache behaviour).
 const tracePasses = 2
 
-// TraceGroupKey identifies the access stream of a FidelityTrace point:
-// the key of the point with its memory configuration cleared. Points
-// with equal group keys replay the same stream.
+// TraceGroupKey identifies the access stream of a FidelityTrace or
+// FidelityReplay point: the key of the point with its memory
+// configuration cleared. Points with equal group keys replay the same
+// stream (for replay points, the same stored trace on the same SKU).
 func TraceGroupKey(p campaign.Point) string {
 	p.Config = engine.MemoryConfig{}
 	return p.Key()
@@ -60,12 +61,6 @@ func traceSeed(p campaign.Point) int64 {
 	var buf [8]byte
 	copy(buf[:], k)
 	return int64(binary.LittleEndian.Uint64(buf[:]) >> 1)
-}
-
-// traceConfig maps a point's memory configuration onto the scaled
-// hierarchy (see replayHierarchy).
-func (e *Executor) traceConfig(p campaign.Point) (tracesim.Config, error) {
-	return e.replayHierarchy(p.SKU, p.Config)
 }
 
 // replayHierarchy maps a memory configuration onto a scaled-down
@@ -114,6 +109,35 @@ func (e *Executor) replayHierarchy(sku string, mc engine.MemoryConfig) (tracesim
 	return cfg, nil
 }
 
+// replayLanes replays src `passes` times through the scaled hierarchy
+// of sku (see replayHierarchy), with the prefetcher on or off and one
+// memory lane per config. Result i is exactly what a replay under
+// configs[i] alone reports. Every replay in the service runs here:
+// synthetic trace groups and stored traces alike.
+func (e *Executor) replayLanes(src tracesim.BlockSource, sku string, configs []engine.MemoryConfig, passes int, prefetch bool) ([]tracesim.Result, error) {
+	cfgs := make([]tracesim.Config, len(configs))
+	for i, mc := range configs {
+		cfg, err := e.replayHierarchy(sku, mc)
+		if err != nil {
+			return nil, err
+		}
+		cfg.Prefetcher = prefetch
+		cfgs[i] = cfg
+	}
+	sim, err := tracesim.NewLanes(cfgs)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := sim.Run(src, passes); err != nil {
+		return nil, err
+	}
+	res := make([]tracesim.Result, len(cfgs))
+	for i := range res {
+		res[i] = sim.LaneResult(i)
+	}
+	return res, nil
+}
+
 // runTracePoint executes one FidelityTrace point as a group of one.
 func (e *Executor) runTracePoint(ctx context.Context, p campaign.Point) (campaign.Outcome, error) {
 	outs, err := e.RunTraceGroup(ctx, []campaign.Point{p})
@@ -136,16 +160,12 @@ func (e *Executor) RunTraceGroup(ctx context.Context, points []campaign.Point) (
 	}
 	p := points[0]
 	stream := TraceGroupKey(p)
-	cfgs := make([]tracesim.Config, len(points))
+	configs := make([]engine.MemoryConfig, len(points))
 	for i, q := range points {
 		if q.Fidelity != campaign.FidelityTrace || TraceGroupKey(q) != stream {
 			return nil, fmt.Errorf("service: trace point %s does not share the stream of %s", q, p)
 		}
-		cfg, err := e.traceConfig(q)
-		if err != nil {
-			return nil, err
-		}
-		cfgs[i] = cfg
+		configs[i] = q.Config
 	}
 	sys, err := e.System(p.SKU)
 	if err != nil {
@@ -165,11 +185,6 @@ func (e *Executor) RunTraceGroup(ctx context.Context, points []campaign.Point) (
 		foot = traceMaxFootprint
 	}
 
-	sim, err := tracesim.NewLanes(cfgs)
-	if err != nil {
-		return nil, err
-	}
-
 	var src tracesim.BlockSource
 	lines := int64(foot / units.CacheLine)
 	if info.Pattern == workload.PatternRandom {
@@ -180,13 +195,14 @@ func (e *Executor) RunTraceGroup(ctx context.Context, points []campaign.Point) (
 	if err != nil {
 		return nil, err
 	}
-	if _, err := sim.Run(src, tracePasses); err != nil {
+	results, err := e.replayLanes(src, p.SKU, configs, tracePasses, true)
+	if err != nil {
 		return nil, err
 	}
 
 	outs := make([]campaign.Outcome, len(points))
 	for i, q := range points {
-		res := sim.LaneResult(i)
+		res := results[i]
 		outs[i] = campaign.Outcome{
 			Point:  q,
 			Metric: "ns/access",
@@ -205,49 +221,51 @@ func (e *Executor) RunTraceGroup(ctx context.Context, points []campaign.Point) (
 	return outs, nil
 }
 
-// traceGroupMemo is a campaign task's memo for one trace stream: the
-// first member that misses the point cache replays the whole group,
-// and the later misses are served from the memo.
-type traceGroupMemo struct {
-	exec   *Executor
-	points []campaign.Point
-	outs   []campaign.Outcome
-	err    error
-	ran    bool
+// groupMemo is a campaign task's memo for one shared stream: the first
+// member that needs a computation runs the whole group, and the later
+// ones are served from the memo. The compute span of the member that
+// ran the group carries lanes=<n>; a member served from the memo
+// carries shared=true.
+type groupMemo[T any] struct {
+	lanes int
+	run   func(context.Context) ([]T, error)
+	outs  []T
+	err   error
+	ran   bool
 }
 
-// outcome returns member i's outcome, replaying the group on first
-// use. The compute span of the member that replayed the group carries
-// lanes=<n>; a member served from the memo carries shared=true.
-func (m *traceGroupMemo) outcome(ctx context.Context, i int, span *obs.Span) (campaign.Outcome, error) {
+// get returns member i's result, running the group on first use.
+func (m *groupMemo[T]) get(ctx context.Context, i int, span *obs.Span) (T, error) {
 	if m.ran {
 		span.SetAttr("shared", "true")
 	} else {
 		m.ran = true
-		span.SetAttr("lanes", strconv.Itoa(len(m.points)))
-		m.outs, m.err = m.exec.RunTraceGroup(ctx, m.points)
+		span.SetAttr("lanes", strconv.Itoa(m.lanes))
+		m.outs, m.err = m.run(ctx)
 	}
 	if m.err != nil {
-		return campaign.Outcome{}, m.err
+		var zero T
+		return zero, m.err
 	}
 	return m.outs[i], nil
 }
 
 // pointGroup is one pool task of a campaign: the indices of its
-// points, plus the memo they share when they are one trace stream.
+// points, plus the points themselves when they share one stream.
 type pointGroup struct {
-	idx   []int
-	trace *traceGroupMemo // nil for a single non-trace point
+	idx    []int
+	stream []campaign.Point // nil for a single point of another fidelity
 }
 
 // pointGroups partitions a campaign's points into pool tasks: trace
-// points that share a stream (equal TraceGroupKey) form one group, in
-// order of first appearance; every other point is a group of its own.
-func pointGroups(exec *Executor, points []campaign.Point) []pointGroup {
+// and replay points that share a stream (equal TraceGroupKey) form one
+// group, in order of first appearance; every other point is a group of
+// its own.
+func pointGroups(points []campaign.Point) []pointGroup {
 	var groups []pointGroup
 	byStream := make(map[string]int)
 	for i, p := range points {
-		if p.Fidelity != campaign.FidelityTrace {
+		if p.Fidelity != campaign.FidelityTrace && p.Fidelity != campaign.FidelityReplay {
 			groups = append(groups, pointGroup{idx: []int{i}})
 			continue
 		}
@@ -256,10 +274,44 @@ func pointGroups(exec *Executor, points []campaign.Point) []pointGroup {
 		if !ok {
 			g = len(groups)
 			byStream[k] = g
-			groups = append(groups, pointGroup{trace: &traceGroupMemo{exec: exec}})
+			groups = append(groups, pointGroup{})
 		}
 		groups[g].idx = append(groups[g].idx, i)
-		groups[g].trace.points = append(groups[g].trace.points, p)
+		groups[g].stream = append(groups[g].stream, p)
 	}
 	return groups
+}
+
+// streamCompute returns the compute the members of one stream group
+// share, or nil for a group without a stream. The first member that
+// misses the point cache replays the stream once, one memory lane per
+// member; later misses are served from the memo. A replay member
+// resolves through the replay cache first, so campaigns and
+// /v1/replay share entries.
+func (s *Server) streamCompute(stream []campaign.Point) func(context.Context, int, *obs.Span) (campaign.Outcome, error) {
+	if len(stream) == 0 {
+		return nil
+	}
+	if stream[0].Fidelity == campaign.FidelityTrace {
+		m := &groupMemo[campaign.Outcome]{lanes: len(stream), run: func(ctx context.Context) ([]campaign.Outcome, error) {
+			return s.exec.RunTraceGroup(ctx, stream)
+		}}
+		return m.get
+	}
+	qs := make([]replayQuery, len(stream))
+	for i, p := range stream {
+		qs[i] = replayQuery{trace: p.TraceID, config: p.Config, sku: p.SKU, passes: 1, prefetch: true}
+	}
+	m := &groupMemo[ReplayResponse]{lanes: len(qs), run: func(ctx context.Context) ([]ReplayResponse, error) {
+		return s.computeReplay(ctx, qs)
+	}}
+	return func(ctx context.Context, i int, span *obs.Span) (campaign.Outcome, error) {
+		resp, cached, err := s.replays.GetOrCompute(qs[i].Key(), func() (ReplayResponse, error) {
+			return m.get(ctx, i, span)
+		})
+		if err != nil {
+			return campaign.Outcome{}, fmt.Errorf("service: %s: %w", stream[i], err)
+		}
+		return replayOutcome(stream[i], resp, cached), nil
+	}
 }

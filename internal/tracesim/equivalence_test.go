@@ -1,7 +1,6 @@
 package tracesim
 
 import (
-	"fmt"
 	"slices"
 	"testing"
 
@@ -169,65 +168,6 @@ func TestBatchedMatchesScalar(t *testing.T) {
 			}
 			requireEqualResults(t, cfgName+"/"+genName, want, got)
 		}
-	}
-}
-
-// TestShardedMatchesScalar proves the concurrent sharded replay merges
-// to exactly the scalar aggregate counts for every generator,
-// configuration, and shard count.
-func TestShardedMatchesScalar(t *testing.T) {
-	for cfgName, cfg := range configs() {
-		for genName, mk := range generators(t) {
-			acc, _ := drain(mk())
-			want := scalarReplay(t, cfg, acc, 1)
-			for _, shards := range []int{1, 2, 4, 8} {
-				sh, err := NewSharded(cfg, shards)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := sh.Run(mk(), 1)
-				if err != nil {
-					t.Fatal(err)
-				}
-				requireEqualResults(t, fmt.Sprintf("%s/%s/shards=%d", cfgName, genName, shards), want, got)
-			}
-		}
-	}
-}
-
-// TestShardedRunPassesMatchesScalar covers the steady-state
-// (multi-pass, rewind-in-between) path of sharded Run.
-func TestShardedRunPassesMatchesScalar(t *testing.T) {
-	cfg := DefaultConfig(4 << 20)
-	g, _ := NewUniformRandom(0, 8<<20, 100000, cache.Read, 3)
-	acc, _ := drain(g)
-	want := scalarReplay(t, cfg, acc, 3)
-	sh, err := NewSharded(cfg, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := sh.Run(g, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireEqualResults(t, "run-passes", want, got)
-}
-
-// TestShardedValidation exercises the geometry preconditions.
-func TestShardedValidation(t *testing.T) {
-	cfg := DefaultConfig(0)
-	if _, err := NewSharded(cfg, 0); err == nil {
-		t.Error("zero shards accepted")
-	}
-	if _, err := NewSharded(cfg, 3); err == nil {
-		t.Error("non-power-of-two shards accepted")
-	}
-	if _, err := NewSharded(cfg, 4); err != nil {
-		t.Errorf("4 shards rejected: %v", err)
-	}
-	bad := DefaultConfig(3 * 64) // 3 lines: not divisible by 2 shards
-	if _, err := NewSharded(bad, 2); err == nil {
-		t.Error("indivisible memory-side cache accepted")
 	}
 }
 

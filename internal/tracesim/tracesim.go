@@ -30,11 +30,6 @@
 //     host misses overlap instead of serializing behind each access.
 //   - One reference. Simulator.Access replays a single reference; it is
 //     the scalar oracle the equivalence tests compare Run against.
-//   - Sharded: ShardedSimulator (sharded.go) is a concurrent simulator
-//     behind the same Run. It partitions the stream across N workers by
-//     cache-set interleaving with per-tile-L2 semantics and merges
-//     Results; aggregate hit/miss/writeback counts and replay time
-//     match scalar replay exactly.
 //
 // See the repository doc.go for how to benchmark replay.
 //
@@ -267,9 +262,9 @@ func DefaultConfig(memCache units.Bytes) Config {
 // Replay time is accumulated in integer picoseconds (TotalTimePS):
 // the configured float latencies are quantized to ps once, up front,
 // and every accumulation is a uint64 add. Integer addition is
-// associative, so per-access (Access), block-fed (Run) and sharded
-// replay produce byte-identical times regardless of summation order — the
-// equivalence suite requires exact equality, not a tolerance.
+// associative, so per-access (Access), block-fed (Run) and multi-lane
+// replay produce byte-identical times regardless of summation order —
+// the equivalence suite requires exact equality, not a tolerance.
 // TotalTimeNS is derived from TotalTimePS when a Result is
 // materialized and is kept for reporting compatibility.
 type Result struct {
@@ -303,11 +298,7 @@ func psFromNS(ns float64) uint64 {
 }
 
 // memSys is the memory system below the L2: the optional memory-side
-// cache plus traffic counters. Each lane of the scalar simulator owns
-// one; each shard worker owns one shard of it — sharing the
-// implementation is what keeps the two replay paths' latency/traffic
-// models in lock-step, which the exact-equivalence guarantee depends
-// on.
+// cache plus traffic counters. Each lane of a simulator owns one.
 type memSys struct {
 	mc        *cache.MemSideCache
 	mcPS      uint64 // memory-side cache hit latency
@@ -317,14 +308,14 @@ type memSys struct {
 	memWrites int64
 }
 
-func newMemSys(cfg Config, capacity units.Bytes) (memSys, error) {
+func newMemSys(cfg Config) (memSys, error) {
 	m := memSys{
 		mcPS:     psFromNS(cfg.MemCacheLat),
 		memPS:    psFromNS(cfg.MemLat),
 		mcMissPS: psFromNS(cfg.MemCacheLat*0.3 + cfg.MemLat),
 	}
-	if capacity > 0 {
-		mc, err := cache.NewMemSideCache(capacity, units.CacheLine)
+	if cfg.MemCache > 0 {
+		mc, err := cache.NewMemSideCache(cfg.MemCache, units.CacheLine)
 		if err != nil {
 			return memSys{}, err
 		}
@@ -473,7 +464,7 @@ func NewLanes(cfgs []Config) (*Simulator, error) {
 			c.Prefetcher != cfg.Prefetcher || c.L1Lat != cfg.L1Lat || c.L2Lat != cfg.L2Lat {
 			return nil, fmt.Errorf("tracesim: lane %d differs from lane 0 above the memory system", i)
 		}
-		mem, err := newMemSys(c, c.MemCache)
+		mem, err := newMemSys(c)
 		if err != nil {
 			return nil, err
 		}

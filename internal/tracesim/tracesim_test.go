@@ -193,10 +193,6 @@ func TestRunPassesValidation(t *testing.T) {
 	if _, err := sim.Run(g, 0); err == nil {
 		t.Error("zero passes accepted")
 	}
-	sh, _ := NewSharded(DefaultConfig(0), 2)
-	if _, err := sh.Run(g, 0); err == nil {
-		t.Error("sharded: zero passes accepted")
-	}
 }
 
 func TestNewValidation(t *testing.T) {

@@ -2,7 +2,6 @@ package tracestore
 
 import (
 	"bytes"
-	"fmt"
 	"os"
 	"testing"
 
@@ -91,10 +90,9 @@ func decodeAll(src blockFeed) []tracesim.Access {
 
 // TestBlockFedReplayEquivalence is the pinned guarantee behind stored
 // trace replay: for every memory organization, replaying a stored trace
-// block-fed (Provider.Blocks) into the scalar simulator and into the
-// sharded simulator at 1 and 4 shards produces counts and replay time
-// identical to feeding the original stream to Access one reference at
-// a time.
+// block-fed (Provider.Blocks) into the simulator produces counts and
+// replay time identical to feeding the original stream to Access one
+// reference at a time.
 func TestBlockFedReplayEquivalence(t *testing.T) {
 	accs := testAccesses(3*blockAccesses + 1234) // several blocks + tail
 	st, id := storeWith(t, accs)
@@ -109,9 +107,7 @@ func TestBlockFedReplayEquivalence(t *testing.T) {
 		return p
 	}
 	// replay runs one simulator over a freshly opened stored trace.
-	replay := func(sim interface {
-		Run(tracesim.BlockSource, int) (tracesim.Result, error)
-	}) tracesim.Result {
+	replay := func(sim *tracesim.Simulator) tracesim.Result {
 		p := open()
 		got, err := sim.Run(p.Blocks(), passes)
 		if err != nil {
@@ -132,14 +128,6 @@ func TestBlockFedReplayEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			requireSame(t, cfgName+"/scalar-blocks", ref, replay(scalar))
-
-			for _, shards := range []int{1, 4} {
-				sh, err := tracesim.NewSharded(cfg, shards)
-				if err != nil {
-					t.Fatal(err)
-				}
-				requireSame(t, fmt.Sprintf("%s/sharded-blocks/%d", cfgName, shards), ref, replay(sh))
-			}
 		})
 	}
 }

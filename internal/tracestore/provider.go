@@ -11,7 +11,7 @@ import (
 
 // Provider is an open stored trace. Blocks feeds it to replay as a
 // tracesim.BlockSource, the same stream interface the synthetic
-// generators implement, so scalar, sharded and multi-lane replay of a
+// generators implement, so single- and multi-lane replay of a
 // stored trace are exactly the replay of the stream it was built from.
 //
 // The BlockSource interface carries no error channel, so decode

@@ -208,9 +208,9 @@ func encodeHeaderFor(t *testing.T, accs []tracesim.Access) []byte {
 }
 
 // TestProviderMatchesGenerator replays the same stream once from the
-// in-memory generator and once from the store, through both the
-// scalar and the sharded simulator, and requires identical results —
-// the pinned equivalence the replay service builds on.
+// in-memory generator and once from the store, in one pass and in two
+// (exercising Reset), and requires identical results — the pinned
+// equivalence the replay service builds on.
 func TestProviderMatchesGenerator(t *testing.T) {
 	st, err := Open(t.TempDir())
 	if err != nil {
@@ -274,17 +274,17 @@ func TestProviderMatchesGenerator(t *testing.T) {
 		t.Fatalf("stored scalar replay diverges:\n got %+v\nwant %+v", got, want)
 	}
 
-	// Sharded replay from the store (multi-pass, exercising Reset).
+	// Multi-pass replay from the store, exercising Reset.
 	prov2, err := st.Open(meta.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer prov2.Close()
-	sh, err := tracesim.NewSharded(cfg, 4)
+	warm, err := tracesim.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err = sh.Run(prov2.Blocks(), 2)
+	got, err = warm.Run(prov2.Blocks(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +292,7 @@ func TestProviderMatchesGenerator(t *testing.T) {
 		t.Fatal(err)
 	}
 	if want := generatorRun(2); got != want {
-		t.Fatalf("stored sharded replay diverges:\n got %+v\nwant %+v", got, want)
+		t.Fatalf("stored multi-pass replay diverges:\n got %+v\nwant %+v", got, want)
 	}
 }
 

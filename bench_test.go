@@ -10,11 +10,9 @@ import (
 	"testing"
 
 	"repro/internal/cache"
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/harness"
-	"repro/internal/noc"
 	"repro/internal/placement"
 	"repro/internal/tracesim"
 	"repro/internal/units"
@@ -187,7 +185,7 @@ func BenchmarkAblationCacheAssoc(b *testing.B) {
 	var direct, assoc float64
 	for i := 0; i < b.N; i++ {
 		direct = cache.DirectMappedConflictHitRatio(ws, capacity)
-		assoc = cache.SetAssocStreamHitRatio(ws, capacity)
+		assoc = cache.RandomHitRatio(ws, capacity)
 	}
 	b.ReportMetric(direct, "hit-direct")
 	b.ReportMetric(assoc, "hit-assoc")
@@ -225,27 +223,6 @@ func BenchmarkAblationPrefetch(b *testing.B) {
 	b.ReportMetric(without/with, "prefetch-gain-x")
 }
 
-// BenchmarkAblationMLP sweeps the per-thread memory-level parallelism
-// of a random workload: the knob behind the paper's hyper-threading
-// story.
-func BenchmarkAblationMLP(b *testing.B) {
-	sys := newSys(b)
-	var rates [4]float64
-	mlps := []float64{1, 2, 4, 8}
-	for i := 0; i < b.N; i++ {
-		for j, mlp := range mlps {
-			r, err := sys.Machine.RandomAccessRate(engine.HBM, units.GB(8), 64, mlp)
-			if err != nil {
-				b.Fatal(err)
-			}
-			rates[j] = r
-		}
-	}
-	for j, mlp := range mlps {
-		b.ReportMetric(rates[j], "acc/ns-mlp"+string(rune('0'+int(mlp))))
-	}
-}
-
 // BenchmarkAblationHybridMode sweeps the hybrid-mode MCDRAM partition
 // (the BIOS 25/50/75% options, §II).
 func BenchmarkAblationHybridMode(b *testing.B) {
@@ -259,7 +236,7 @@ func BenchmarkAblationHybridMode(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			bws[j] = bw.GBpsf()
+			bws[j] = float64(bw)
 		}
 	}
 	b.ReportMetric(bws[0], "GB/s-25%flat")
@@ -277,32 +254,15 @@ func BenchmarkAblationInterleave(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		il = bw.GBpsf()
+		il = float64(bw)
 		dbw, err := sys.Machine.SeqBandwidth(engine.DRAM, units.GB(8), 64)
 		if err != nil {
 			b.Fatal(err)
 		}
-		dram = dbw.GBpsf()
+		dram = float64(dbw)
 	}
 	b.ReportMetric(il, "GB/s-interleave")
 	b.ReportMetric(il/dram, "vs-DRAM-x")
-}
-
-// BenchmarkAblationClusterMode compares the mesh cluster modes
-// (quadrant is the testbed's BIOS setting; §II-III).
-func BenchmarkAblationClusterMode(b *testing.B) {
-	sys := newSys(b)
-	var quadrant, a2a float64
-	for i := 0; i < b.N; i++ {
-		quadrant = sys.Machine.MeshMissLatencyNS()
-		alt, err := sys.Machine.WithClusterMode(noc.AllToAll)
-		if err != nil {
-			b.Fatal(err)
-		}
-		a2a = alt.MeshMissLatencyNS()
-	}
-	b.ReportMetric(quadrant, "ns-mesh-quadrant")
-	b.ReportMetric(a2a, "ns-mesh-alltoall")
 }
 
 // BenchmarkPlacementOptimizer exercises the §VI future-work feature:
@@ -325,29 +285,6 @@ func BenchmarkPlacementOptimizer(b *testing.B) {
 		speedup = plan.SpeedupVsDRAM
 	}
 	b.ReportMetric(speedup, "speedup-x")
-}
-
-// BenchmarkClusterStrongScaling exercises the §IV-C multi-node sizing
-// model.
-func BenchmarkClusterStrongScaling(b *testing.B) {
-	mdl := minife.Model{}
-	var sweet float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		results, err := cluster.StrongScaling(engine.Default(), cluster.Aries(),
-			mdl, units.GB(120), 64, []int{2, 4, 8, 12, 16})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for n, r := range results {
-			if r.Config.Kind == engine.BindHBM {
-				if sweet == 0 || float64(n) < sweet {
-					sweet = float64(n)
-				}
-			}
-		}
-	}
-	b.ReportMetric(sweet, "hbm-sweet-spot-nodes")
 }
 
 // BenchmarkTraceReplay replays the same two 40 MiB streams (sequential

@@ -35,7 +35,7 @@ func main() {
 	}
 
 	if *verify {
-		checks, err := harness.VerifyAllN(sys, *jobs)
+		checks, err := harness.VerifyAll(sys, *jobs)
 		if err != nil {
 			fatal(err)
 		}

@@ -13,7 +13,9 @@
 // `guarded by` locking, context flow, hot-path allocation, error
 // envelopes, metric registration) as `go vet -vettool`, plus an
 // escape-analysis guard pinning every //simd:hotpath function
-// allocation-free.
+// allocation-free; the lint package's tests also run a whole-program
+// guard that fails on any declaration under internal/ that no binary
+// reaches.
 //
 // # Quickstart
 //

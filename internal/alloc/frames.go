@@ -57,6 +57,8 @@ func (f *FrameAllocator) setUsed(frame int64, used bool) {
 }
 
 // Node returns the node this allocator serves.
+//
+//simd:oracle ROADMAP item 4: accessor of the page map trace replay will place pages through
 func (f *FrameAllocator) Node() numa.NodeID { return f.node }
 
 // TotalFrames returns the node's frame capacity.
@@ -184,6 +186,8 @@ func (pt *PageTable) Lookup(vpn int64) (PageMapping, bool) {
 }
 
 // Mapped returns the number of live mappings.
+//
+//simd:oracle ROADMAP item 4: accessor of the page map trace replay will place pages through
 func (pt *PageTable) Mapped() int { return pt.mapped }
 
 // Region is one allocated virtual range. Regions are page-aligned and
@@ -201,6 +205,8 @@ func (r *Region) baseVPN() int64 { return int64(r.Base / uint64(units.Page)) }
 func (r *Region) End() uint64 { return r.Base + uint64(r.Size) }
 
 // NodeOf returns the NUMA node backing the page containing offset.
+//
+//simd:oracle ROADMAP item 4: accessor of the page map trace replay will place pages through
 func (r *Region) NodeOf(space *AddressSpace, offset units.Bytes) (numa.NodeID, error) {
 	if offset < 0 || offset >= r.Size {
 		return 0, fmt.Errorf("alloc: offset %d outside region %q of %v", offset, r.Label, r.Size)
@@ -242,6 +248,8 @@ func NewAddressSpace(topo *numa.Topology) *AddressSpace {
 func (s *AddressSpace) Topology() *numa.Topology { return s.topo }
 
 // FreeBytes reports the unallocated capacity of a node.
+//
+//simd:oracle ROADMAP item 4: accessor of the page map trace replay will place pages through
 func (s *AddressSpace) FreeBytes(node numa.NodeID) units.Bytes {
 	fa, ok := s.nodes[node]
 	if !ok {
@@ -251,6 +259,8 @@ func (s *AddressSpace) FreeBytes(node numa.NodeID) units.Bytes {
 }
 
 // UsedBytes reports the allocated capacity of a node.
+//
+//simd:oracle ROADMAP item 4: accessor of the page map trace replay will place pages through
 func (s *AddressSpace) UsedBytes(node numa.NodeID) units.Bytes {
 	fa, ok := s.nodes[node]
 	if !ok {
@@ -302,6 +312,8 @@ func (s *AddressSpace) Alloc(size units.Bytes, policy numa.Policy, label string)
 }
 
 // Free releases a region.
+//
+//simd:oracle ROADMAP item 4: accessor of the page map trace replay will place pages through
 func (s *AddressSpace) Free(r *Region) error {
 	if _, ok := s.regions[r.Base]; !ok {
 		return fmt.Errorf("alloc: region %q at %#x not live", r.Label, r.Base)
@@ -331,4 +343,6 @@ func (s *AddressSpace) NodeBytes(r *Region) map[numa.NodeID]units.Bytes {
 }
 
 // Regions returns the number of live regions.
+//
+//simd:oracle ROADMAP item 4: accessor of the page map trace replay will place pages through
 func (s *AddressSpace) Regions() int { return len(s.regions) }

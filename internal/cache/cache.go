@@ -1,7 +1,7 @@
 // Package cache implements the cache hierarchy of the simulated KNL:
 // generic set-associative SRAM caches (L1D, per-tile L2), a stream
-// prefetcher, a two-level TLB with page-walk costs, and the MCDRAM
-// direct-mapped memory-side cache that backs the paper's "cache mode".
+// prefetcher, and the MCDRAM direct-mapped memory-side cache that
+// backs the paper's "cache mode".
 //
 // Two layers coexist deliberately:
 //
@@ -29,8 +29,7 @@
 // branch-free bit operations, and the replacement state of a 16-way
 // 1024-set L2 is 8 KB of host memory instead of 128 KB of per-way
 // ticks. Dirty state is one bitmask per set for the same reason.
-// Wider geometries (the fully-associative TLB arrays) fall back to a
-// per-way tick scan.
+// Wider geometries fall back to a per-way tick scan.
 package cache
 
 import (
@@ -162,20 +161,6 @@ func NewSetAssoc(name string, capacity units.Bytes, ways int, lineSize units.Byt
 		c.dirty = make([]bool, int(lines))
 	}
 	return c, nil
-}
-
-// Name returns the cache's label.
-func (c *SetAssoc) Name() string { return c.name }
-
-// Sets returns the number of sets.
-func (c *SetAssoc) Sets() int { return c.sets }
-
-// Ways returns the associativity.
-func (c *SetAssoc) Ways() int { return c.ways }
-
-// Capacity returns the data capacity.
-func (c *SetAssoc) Capacity() units.Bytes {
-	return units.Bytes(c.sets*c.ways) * c.lineSize
 }
 
 // Stats returns a copy of the event counters.
@@ -417,7 +402,7 @@ func (c *SetAssoc) AccessLine(lineAddr uint64, kind AccessKind) (hit bool, wbLin
 }
 
 // TouchMRU re-touches the line affected by the immediately preceding
-// Access/AccessLine/Install on this cache, exactly as a repeated hit
+// AccessLine or InstallLineIfAbsent on this cache, exactly as a repeated hit
 // on that line would (recency, dirty, hit count). Callers must
 // guarantee no other operation intervened; the trace simulator uses it
 // to coalesce consecutive references to one line. On the packed path
@@ -440,46 +425,12 @@ func (c *SetAssoc) TouchMRU(kind AccessKind) {
 	c.stats.Hits++
 }
 
-// Access performs one access by byte address. It returns whether it
-// hit, and if a dirty line had to be written back, its byte address
-// (else 0) with wb=true.
-func (c *SetAssoc) Access(addr uint64, kind AccessKind) (hit bool, wbAddr uint64, wb bool) {
-	hit, wbLine, wb := c.AccessLine(addr>>c.lineShift, kind)
-	if wb {
-		wbAddr = wbLine << c.lineShift
-	}
-	return hit, wbAddr, wb
-}
-
-// ContainsLine reports whether the given line is resident (without
-// updating recency or stats); used by tests and the prefetcher.
-func (c *SetAssoc) ContainsLine(lineAddr uint64) bool {
-	if c.mruSet >= 0 && lineAddr == c.mruLine {
-		return true
-	}
-	set := lineAddr & c.setMask
-	stag := (lineAddr >> c.setShift) + 1
-	return c.findWay(int(set)*c.ways, stag) >= 0
-}
-
-// Contains reports whether the line holding addr is resident.
-func (c *SetAssoc) Contains(addr uint64) bool {
-	return c.ContainsLine(addr >> c.lineShift)
-}
-
-// InstallLine inserts a line (by line address) without counting a
-// demand miss (prefetch fill). It returns writeback info like
-// AccessLine. An already-resident line is left untouched — residency
-// check and install share one tag scan.
-func (c *SetAssoc) InstallLine(lineAddr uint64) (wbLine uint64, wb bool) {
-	_, wbLine, wb = c.InstallLineIfAbsent(lineAddr)
-	return wbLine, wb
-}
-
-// InstallLineIfAbsent is InstallLine plus an installed report: true
-// when the line was absent and has been installed, false when it was
-// already resident (left untouched). The combined check-and-install
-// costs one tag scan, where a ContainsLine+InstallLine pair costs two.
+// InstallLineIfAbsent inserts a line (by line address) without
+// counting a demand miss (prefetch fill). installed is true when the
+// line was absent and has been installed, false when it was already
+// resident (left untouched); writeback info is as for AccessLine. The
+// combined check-and-install costs one tag scan, where a separate
+// residency probe and install would cost two.
 func (c *SetAssoc) InstallLineIfAbsent(lineAddr uint64) (installed bool, wbLine uint64, wb bool) {
 	if c.mruSet >= 0 && lineAddr == c.mruLine {
 		return false, 0, false
@@ -526,45 +477,4 @@ func (c *SetAssoc) InstallLineIfAbsent(lineAddr uint64) (installed bool, wbLine 
 	c.lru[idx] = c.tick
 	c.mruSet, c.mruWay, c.mruLine = set, way, lineAddr
 	return true, wbLine, wb
-}
-
-// Install inserts a line by byte address without counting a demand
-// miss (prefetch fill). It returns writeback info like Access.
-func (c *SetAssoc) Install(addr uint64) (wbAddr uint64, wb bool) {
-	wbLine, wb := c.InstallLine(addr >> c.lineShift)
-	if wb {
-		wbAddr = wbLine << c.lineShift
-	}
-	return wbAddr, wb
-}
-
-// Flush invalidates everything, returning how many dirty lines were
-// written back.
-func (c *SetAssoc) Flush() int64 {
-	var wb int64
-	if c.packed {
-		for s := range c.stack {
-			wb += int64(bits.OnesCount16(c.dmask[s]))
-			c.stack[s] = 0
-			c.dmask[s] = 0
-		}
-		for i := range c.tags {
-			c.tags[i] = 0
-		}
-	} else {
-		for i := range c.tags {
-			if c.tags[i] != 0 && c.dirty[i] {
-				wb++
-			}
-			c.tags[i] = 0
-			c.dirty[i] = false
-			c.lru[i] = 0
-		}
-	}
-	for i := range c.vcnt {
-		c.vcnt[i] = 0
-	}
-	c.mruSet = -1
-	c.stats.DirtyWritebacks += wb
-	return wb
 }

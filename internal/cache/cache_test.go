@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"math/bits"
 	"testing"
 	"testing/quick"
 
@@ -228,7 +229,7 @@ func (n *naiveLRU) access(addr uint64, kind AccessKind) (hit bool, wbAddr uint64
 // identical per-access outcomes and aggregate counters.
 func TestSetAssocMatchesNaiveModel(t *testing.T) {
 	// 1..16 exercise the packed nibble-stack LRU; 20 and 64 the
-	// generic tick path (fully-associative TLB geometries).
+	// generic tick path.
 	for _, ways := range []int{1, 2, 4, 8, 16, 3, 20, 64} {
 		sets := 8
 		c, err := NewSetAssoc("ref", units.Bytes(sets*ways*64), ways, 64)
@@ -265,4 +266,95 @@ func TestSetAssocMatchesNaiveModel(t *testing.T) {
 				ways, st, ref.hits, ref.misses, ref.evictions, ref.writebacks)
 		}
 	}
+}
+
+// Name returns the cache's label.
+func (c *SetAssoc) Name() string { return c.name }
+
+// Sets returns the number of sets.
+func (c *SetAssoc) Sets() int { return c.sets }
+
+// Ways returns the associativity.
+func (c *SetAssoc) Ways() int { return c.ways }
+
+// Capacity returns the data capacity.
+func (c *SetAssoc) Capacity() units.Bytes {
+	return units.Bytes(c.sets*c.ways) * c.lineSize
+}
+
+// Contains reports whether the line holding addr is resident.
+func (c *SetAssoc) Contains(addr uint64) bool {
+	return c.ContainsLine(addr >> c.lineShift)
+}
+
+// Flush invalidates everything, returning how many dirty lines were
+// written back.
+func (c *SetAssoc) Flush() int64 {
+	var wb int64
+	if c.packed {
+		for s := range c.stack {
+			wb += int64(bits.OnesCount16(c.dmask[s]))
+			c.stack[s] = 0
+			c.dmask[s] = 0
+		}
+		for i := range c.tags {
+			c.tags[i] = 0
+		}
+	} else {
+		for i := range c.tags {
+			if c.tags[i] != 0 && c.dirty[i] {
+				wb++
+			}
+			c.tags[i] = 0
+			c.dirty[i] = false
+			c.lru[i] = 0
+		}
+	}
+	for i := range c.vcnt {
+		c.vcnt[i] = 0
+	}
+	c.mruSet = -1
+	c.stats.DirtyWritebacks += wb
+	return wb
+}
+
+// Access performs one access by byte address. It returns whether it
+// hit, and if a dirty line had to be written back, its byte address
+// (else 0) with wb=true.
+func (c *SetAssoc) Access(addr uint64, kind AccessKind) (hit bool, wbAddr uint64, wb bool) {
+	hit, wbLine, wb := c.AccessLine(addr>>c.lineShift, kind)
+	if wb {
+		wbAddr = wbLine << c.lineShift
+	}
+	return hit, wbAddr, wb
+}
+
+// ContainsLine reports whether the given line is resident (without
+// updating recency or stats); used by tests and the prefetcher.
+func (c *SetAssoc) ContainsLine(lineAddr uint64) bool {
+	if c.mruSet >= 0 && lineAddr == c.mruLine {
+		return true
+	}
+	set := lineAddr & c.setMask
+	stag := (lineAddr >> c.setShift) + 1
+	return c.findWay(int(set)*c.ways, stag) >= 0
+}
+
+// Install inserts a line by byte address without counting a demand
+// miss (prefetch fill). It returns writeback info like Access.
+func (c *SetAssoc) Install(addr uint64) (wbAddr uint64, wb bool) {
+	wbLine, wb := c.InstallLine(addr >> c.lineShift)
+	if wb {
+		wbAddr = wbLine << c.lineShift
+	}
+	return wbAddr, wb
+}
+
+// InstallLine inserts a line (by line address) without counting a
+// demand miss (prefetch fill). It returns writeback info like
+// AccessLine. An already-resident line is left untouched — residency
+// check and install share one tag scan.
+func (c *SetAssoc) InstallLine(lineAddr uint64) (wbLine uint64, wb bool) {
+	_, wbLine, wb = c.InstallLineIfAbsent(lineAddr)
+	return wbLine, wb
 }

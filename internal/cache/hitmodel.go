@@ -83,12 +83,3 @@ func DirectMappedConflictHitRatio(ws, capacity units.Bytes) float64 {
 	}
 	return math.Exp(-float64(ws) / float64(capacity))
 }
-
-// SetAssocStreamHitRatio is the idealized streaming-reuse hit ratio of
-// a cache with enough associativity to avoid conflicts: 1 while the
-// working set fits, capacity/ws after (LRU keeps a resident subset hot
-// only under favourable reuse; for cyclic streaming LRU actually
-// thrashes, so this is the optimistic bound used by the ablation).
-func SetAssocStreamHitRatio(ws, capacity units.Bytes) float64 {
-	return RandomHitRatio(ws, capacity)
-}

@@ -64,9 +64,6 @@ func NewMemSideCache(capacity units.Bytes, lineSize units.Bytes) (*MemSideCache,
 	return m, nil
 }
 
-// Capacity returns the cache capacity.
-func (m *MemSideCache) Capacity() units.Bytes { return units.Bytes(m.sets) * m.lineSize }
-
 // Stats returns the event counters.
 func (m *MemSideCache) Stats() Stats { return m.stats }
 
@@ -140,20 +137,4 @@ func (m *MemSideCache) AccessLine(lineAddr uint64, kind AccessKind) (hit bool, w
 	m.tags[set] = tag
 	m.setDirty(set, kind == Write)
 	return false, wb
-}
-
-// Access performs one access by physical byte address.
-func (m *MemSideCache) Access(addr uint64, kind AccessKind) (hit bool, wb bool) {
-	return m.AccessLine(addr>>m.lineShift, kind)
-}
-
-// Resident returns the number of valid lines (for occupancy tests).
-func (m *MemSideCache) Resident() int64 {
-	var n int64
-	for _, t := range m.tags {
-		if t != 0 {
-			n++
-		}
-	}
-	return n
 }

@@ -139,8 +139,8 @@ func TestHitModelFunctions(t *testing.T) {
 	if math.Abs(got-math.Exp(-1)) > 1e-12 {
 		t.Errorf("conflict ratio at r=1: %v", got)
 	}
-	if SetAssocStreamHitRatio(2*units.MiB, units.MiB) != 0.5 {
-		t.Error("set-assoc stream ratio")
+	if RandomHitRatio(2*units.MiB, units.MiB) != 0.5 {
+		t.Error("random hit ratio past capacity")
 	}
 }
 
@@ -171,4 +171,23 @@ func TestDirectMappedStreamHitRatioAnchors(t *testing.T) {
 	if DirectMappedStreamHitRatio(units.GiB, cap16, nil) != 0 {
 		t.Error("no anchors should yield 0")
 	}
+}
+
+// Capacity returns the cache capacity.
+func (m *MemSideCache) Capacity() units.Bytes { return units.Bytes(m.sets) * m.lineSize }
+
+// Access performs one access by physical byte address.
+func (m *MemSideCache) Access(addr uint64, kind AccessKind) (hit bool, wb bool) {
+	return m.AccessLine(addr>>m.lineShift, kind)
+}
+
+// Resident returns the number of valid lines (for occupancy tests).
+func (m *MemSideCache) Resident() int64 {
+	var n int64
+	for _, t := range m.tags {
+		if t != 0 {
+			n++
+		}
+	}
+	return n
 }

@@ -37,7 +37,7 @@ type StreamPrefetcher struct {
 	newer    []int32  // per stream: the next more recently touched stream (-1 at the mru end)
 	mru, lru int32    // most and least recently touched streams
 	n        int      // streams allocated so far (valid entries are [0, n))
-	buf      []uint64 // reused result buffer (ObserveLines/Observe)
+	buf      []uint64 // reused result buffer (ObserveLines)
 	issued   int64
 }
 
@@ -62,9 +62,6 @@ func NewStreamPrefetcher(streams, depth int, lineSize units.Bytes) *StreamPrefet
 	p.newer[streams-1] = -1
 	return p
 }
-
-// Issued returns how many prefetches were issued.
-func (p *StreamPrefetcher) Issued() int64 { return p.issued }
 
 // touch moves entry i to the most-recent end of the recency list.
 func (p *StreamPrefetcher) touch(i int32) {
@@ -135,15 +132,4 @@ func (p *StreamPrefetcher) ObserveLines(lineAddr uint64) []uint64 {
 	p.frontier[v] = 0
 	p.hits[v] = 1
 	return nil
-}
-
-// Observe feeds a demand byte address to the prefetcher and returns
-// the byte addresses to prefetch (possibly none). Like ObserveLines,
-// the returned slice is only valid until the next call.
-func (p *StreamPrefetcher) Observe(addr uint64) []uint64 {
-	out := p.ObserveLines(addr / uint64(p.lineSize))
-	for i, line := range out {
-		out[i] = line * uint64(p.lineSize)
-	}
-	return out
 }

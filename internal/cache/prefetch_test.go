@@ -118,3 +118,65 @@ func FuzzStreamPrefetcher(f *testing.F) {
 		}
 	})
 }
+
+// Issued returns how many prefetches were issued.
+func (p *StreamPrefetcher) Issued() int64 { return p.issued }
+
+// Observe is ObserveLines over byte addresses, the form the unit
+// tests below read most easily.
+func (p *StreamPrefetcher) Observe(addr uint64) []uint64 {
+	out := p.ObserveLines(addr / uint64(p.lineSize))
+	for i, line := range out {
+		out[i] = line * uint64(p.lineSize)
+	}
+	return out
+}
+
+func TestPrefetcherConfirmsStream(t *testing.T) {
+	p := NewStreamPrefetcher(4, 4, 64)
+	if got := p.Observe(0); got != nil {
+		t.Fatal("first access should not prefetch")
+	}
+	got := p.Observe(64)
+	if len(got) != 4 {
+		t.Fatalf("confirmed stream issued %d prefetches, want 4", len(got))
+	}
+	if got[0] != 2*64 || got[3] != 5*64 {
+		t.Fatalf("prefetch window = %v", got)
+	}
+	if p.Issued() != 4 {
+		t.Fatalf("Issued = %d", p.Issued())
+	}
+}
+
+func TestPrefetcherIgnoresRandom(t *testing.T) {
+	p := NewStreamPrefetcher(4, 4, 64)
+	addrs := []uint64{0, 640, 128000, 42 * 64, 7 * 64, 99 * 64}
+	for _, a := range addrs {
+		if got := p.Observe(a); got != nil {
+			t.Fatalf("random access %#x triggered prefetch", a)
+		}
+	}
+}
+
+func TestPrefetcherTracksMultipleStreams(t *testing.T) {
+	p := NewStreamPrefetcher(2, 2, 64)
+	base1, base2 := uint64(0), uint64(1<<20)
+	p.Observe(base1)
+	p.Observe(base2)
+	if got := p.Observe(base1 + 64); len(got) != 2 {
+		t.Fatal("stream 1 not tracked")
+	}
+	if got := p.Observe(base2 + 64); len(got) != 2 {
+		t.Fatal("stream 2 not tracked")
+	}
+}
+
+func TestPrefetcherLRUReplacement(t *testing.T) {
+	p := NewStreamPrefetcher(1, 2, 64)
+	p.Observe(0)       // tracked
+	p.Observe(1 << 20) // replaces (single entry)
+	if got := p.Observe(64); got != nil {
+		t.Fatal("evicted stream continued")
+	}
+}

@@ -49,15 +49,6 @@ type ClusterStats struct {
 	FitsHBM bool `json:"fits_hbm"`
 }
 
-// CommFraction is the fraction of the iteration spent on the network
-// (halo exchange + allreduce).
-func (s ClusterStats) CommFraction() float64 {
-	if s.TotalNS <= 0 {
-		return 0
-	}
-	return (s.HaloNS + s.ReduceNS) / s.TotalNS
-}
-
 // MinHBMNodes is the decomposition advisor's answer for one swept
 // workload: the smallest node count whose best per-node configuration
 // binds to HBM (0 when no swept decomposition fits) — §IV-C's "with

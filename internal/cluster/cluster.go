@@ -105,19 +105,13 @@ type IterationResult struct {
 	Efficiency float64 // parallel efficiency vs single node with the global problem
 }
 
-// Iterate is the service-facing name of PredictIterations: one
-// bulk-synchronous iteration of the global problem on this cluster.
-// The HTTP /v1/cluster answer is pinned by test to match an
-// in-process New(...).Iterate run exactly.
+// Iterate predicts the per-iteration time of a MiniFE-like
+// bulk-synchronous workload (one model evaluation per iteration plus
+// halo exchange and one allreduce) on this cluster, choosing the best
+// per-node memory configuration automatically. The HTTP /v1/cluster
+// answer is pinned by test to match an in-process New(...).Iterate
+// run exactly.
 func (c *Cluster) Iterate(mdl workload.Model, global units.Bytes, threads int) (IterationResult, error) {
-	return c.PredictIterations(mdl, global, threads)
-}
-
-// PredictIterations predicts the per-iteration time of a
-// MiniFE-like bulk-synchronous workload (one model evaluation per
-// iteration plus halo exchange and one allreduce), choosing the best
-// per-node memory configuration automatically.
-func (c *Cluster) PredictIterations(mdl workload.Model, global units.Bytes, threads int) (IterationResult, error) {
 	dec, err := c.Decompose(global)
 	if err != nil {
 		return IterationResult{}, err
@@ -185,26 +179,4 @@ func (c *Cluster) SweetSpot(global units.Bytes, workingSetFactor float64) (int, 
 		nodes = 1
 	}
 	return nodes, nil
-}
-
-// StrongScaling sweeps node counts for a workload and returns the
-// per-node-count iteration predictions (the multi-node planning table
-// of examples/capacity, with network effects included).
-func StrongScaling(node *engine.Machine, network Interconnect, mdl workload.Model, global units.Bytes, threads int, nodeCounts []int) (map[int]IterationResult, error) {
-	out := make(map[int]IterationResult, len(nodeCounts))
-	for _, n := range nodeCounts {
-		c, err := New(node, n, network)
-		if err != nil {
-			return nil, err
-		}
-		r, err := c.PredictIterations(mdl, global, threads)
-		if err != nil {
-			continue // some decompositions may not fit anywhere
-		}
-		out[n] = r
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("cluster: no node count could run the problem")
-	}
-	return out, nil
 }

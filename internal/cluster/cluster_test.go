@@ -79,7 +79,7 @@ func TestPredictIterationsPrefersHBMWhenFits(t *testing.T) {
 	mdl := minife.Model{}
 	// 12 nodes x 10 GB/node: fits HBM; the chosen config must be HBM.
 	c := testCluster(t, 12)
-	r, err := c.PredictIterations(mdl, units.GB(120), 64)
+	r, err := c.Iterate(mdl, units.GB(120), 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestPredictIterationsPrefersHBMWhenFits(t *testing.T) {
 	}
 	// 2 nodes x 60 GB/node: cannot be HBM.
 	c2 := testCluster(t, 2)
-	r2, err := c2.PredictIterations(mdl, units.GB(120), 64)
+	r2, err := c2.Iterate(mdl, units.GB(120), 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestPredictIterationsPrefersHBMWhenFits(t *testing.T) {
 func TestPredictIterationsEfficiency(t *testing.T) {
 	mdl := minife.Model{}
 	c := testCluster(t, 4)
-	r, err := c.PredictIterations(mdl, units.GB(40), 64)
+	r, err := c.Iterate(mdl, units.GB(40), 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,10 +122,11 @@ func TestPredictIterationsEfficiency(t *testing.T) {
 
 func TestStrongScalingShowsHBMSweetSpot(t *testing.T) {
 	mdl := minife.Model{}
-	results, err := StrongScaling(engine.Default(), Aries(), mdl, units.GB(120), 64,
-		[]int{2, 4, 8, 12, 16})
-	if err != nil {
-		t.Fatal(err)
+	results := map[int]IterationResult{}
+	for _, n := range []int{2, 4, 8, 12, 16} {
+		if r, err := testCluster(t, n).Iterate(mdl, units.GB(120), 64); err == nil {
+			results[n] = r
+		}
 	}
 	if len(results) < 4 {
 		t.Fatalf("only %d node counts ran", len(results))
@@ -137,31 +138,5 @@ func TestStrongScalingShowsHBMSweetSpot(t *testing.T) {
 	}
 	if r2, r12 := results[2], results[12]; r2.TotalNS <= r12.TotalNS {
 		t.Error("scaling should reduce iteration time")
-	}
-}
-
-// TestIterateIsPredictIterations pins the service-facing alias: the
-// HTTP equivalence tests compare against Iterate, so it must be the
-// same computation.
-func TestIterateIsPredictIterations(t *testing.T) {
-	mdl := minife.Model{}
-	c := testCluster(t, 12)
-	a, err := c.Iterate(mdl, units.GB(120), 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := c.PredictIterations(mdl, units.GB(120), 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Fatalf("Iterate %+v != PredictIterations %+v", a, b)
-	}
-}
-
-func TestStrongScalingErrors(t *testing.T) {
-	mdl := minife.Model{}
-	if _, err := StrongScaling(engine.Default(), Aries(), mdl, units.GB(120), 64, []int{0}); err == nil {
-		t.Error("invalid node count list accepted")
 	}
 }

@@ -131,53 +131,3 @@ type knlDevice struct {
 	idle   units.Nanoseconds
 	loaded func(float64) units.Nanoseconds
 }
-
-// RandomAccessRate predicts the sustained rate (accesses/ns) of
-// independent random line-granule accesses by `threads` threads with
-// per-thread MLP (0 = calibrated default) over a footprint, under a
-// configuration.
-//
-// It solves the fixed point of Little's Law with queueing: the rate is
-// concurrency/latency, but the latency itself inflates with the
-// utilization the rate imposes on the backing device. This feedback is
-// what makes DRAM (77 GB/s budget) saturate under many hardware
-// threads while HBM keeps scaling — the mechanism behind Fig. 6d's
-// XSBench crossover.
-func (m *Machine) RandomAccessRate(cfg MemoryConfig, footprint units.Bytes, threads int, mlp float64) (float64, error) {
-	return m.randomAccessRateOcc(cfg, footprint, footprint, threads, mlp)
-}
-
-// randomAccessRateOcc is RandomAccessRate with an explicit cache-mode
-// occupancy (see memoryRandomLatencyNS).
-func (m *Machine) randomAccessRateOcc(cfg MemoryConfig, footprint, occupancy units.Bytes, threads int, mlp float64) (float64, error) {
-	if err := cfg.Validate(); err != nil {
-		return 0, err
-	}
-	if err := m.CheckFit(cfg, footprint); err != nil {
-		return 0, err
-	}
-	conc := m.Chip.RandomConcurrency(threads, mlp)
-	base := float64(m.randomReadLatencyOcc(cfg, footprint, occupancy, 1, mlp)) // unloaded
-	bwCap := m.randomBandwidthCap(cfg, occupancy)
-	maxRate := bwCap / float64(units.CacheLine)
-	dev := m.backingDevice(cfg)
-
-	rate := conc / base
-	for i := 0; i < 8; i++ {
-		util := rate * float64(units.CacheLine) / bwCap
-		if util > 1 {
-			util = 1
-		}
-		factor := float64(dev.loaded(util)) / float64(dev.idle)
-		next := conc / (base * factor)
-		if next > maxRate {
-			next = maxRate
-		}
-		// Damped update for stable convergence.
-		rate = 0.5*rate + 0.5*next
-	}
-	if rate > maxRate {
-		rate = maxRate
-	}
-	return rate, nil
-}

@@ -99,7 +99,7 @@ func TestSeqBandwidthFig2Anchors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(d.GBpsf()-77) > 3 {
+	if math.Abs(float64(d)-77) > 3 {
 		t.Errorf("DRAM stream = %v, want ~77 GB/s", d)
 	}
 
@@ -107,10 +107,10 @@ func TestSeqBandwidthFig2Anchors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.GBpsf() < 310 || h.GBpsf() > 350 {
+	if float64(h) < 310 || float64(h) > 350 {
 		t.Errorf("HBM stream = %v, want ~330 GB/s", h)
 	}
-	if r := h.GBpsf() / d.GBpsf(); r < 3.8 || r > 4.8 {
+	if r := float64(h) / float64(d); r < 3.8 || r > 4.8 {
 		t.Errorf("HBM/DRAM = %.2f, want ~4.3x (the paper's '4x higher bandwidth')", r)
 	}
 
@@ -118,7 +118,7 @@ func TestSeqBandwidthFig2Anchors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(c.GBpsf()-260) > 25 {
+	if math.Abs(float64(c)-260) > 25 {
 		t.Errorf("cache-mode stream at 8 GB = %v, want ~260 GB/s", c)
 	}
 }
@@ -130,7 +130,7 @@ func TestSeqBandwidthCacheModeCliff(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return bw.GBpsf()
+		return float64(bw)
 	}
 	// 11.4 GB: the measured collapse to ~125 GB/s.
 	if v := at(11.4); math.Abs(v-125) > 20 {
@@ -138,14 +138,14 @@ func TestSeqBandwidthCacheModeCliff(t *testing.T) {
 	}
 	// 22.8 GB: below the DRAM line (the paper's crossover).
 	dram, _ := m.SeqBandwidth(DRAM, units.GB(22.8), 64)
-	if v := at(22.8); v >= dram.GBpsf() {
-		t.Errorf("cache mode at 22.8 GB = %.0f, should drop below DRAM %.0f", v, dram.GBpsf())
+	if v := at(22.8); v >= float64(dram) {
+		t.Errorf("cache mode at 22.8 GB = %.0f, should drop below DRAM %.0f", v, float64(dram))
 	}
 	// Still better than DRAM in the 16-20 GB band ("larger than HBM
 	// but comparable": cache mode provides higher bandwidth).
 	dram16, _ := m.SeqBandwidth(DRAM, units.GB(16), 64)
-	if v := at(16); v <= dram16.GBpsf() {
-		t.Errorf("cache mode at 16 GB = %.0f, should beat DRAM %.0f", v, dram16.GBpsf())
+	if v := at(16); v <= float64(dram16) {
+		t.Errorf("cache mode at 16 GB = %.0f, should beat DRAM %.0f", v, float64(dram16))
 	}
 	// Monotone nonincreasing beyond half capacity.
 	prev := math.Inf(1)
@@ -173,11 +173,11 @@ func TestSeqBandwidthHardwareThreads(t *testing.T) {
 
 	h1, _ := m.SeqBandwidth(HBM, ws, 64)
 	h2, _ := m.SeqBandwidth(HBM, ws, 128)
-	r := h2.GBpsf() / h1.GBpsf()
+	r := float64(h2) / float64(h1)
 	if r < 1.2 || r > 1.35 {
 		t.Errorf("HBM ht2/ht1 = %.3f, want ~1.27 (Fig. 5)", r)
 	}
-	if h2.GBpsf() < 400 || h2.GBpsf() > 440 {
+	if float64(h2) < 400 || float64(h2) > 440 {
 		t.Errorf("HBM ht=2 = %v, want ~420 GB/s", h2)
 	}
 
@@ -185,7 +185,7 @@ func TestSeqBandwidthHardwareThreads(t *testing.T) {
 	d1, _ := m.SeqBandwidth(DRAM, ws, 64)
 	for _, threads := range []int{128, 192, 256} {
 		dn, _ := m.SeqBandwidth(DRAM, ws, threads)
-		if math.Abs(dn.GBpsf()-d1.GBpsf()) > 1 {
+		if math.Abs(float64(dn)-float64(d1)) > 1 {
 			t.Errorf("DRAM bandwidth moved with threads=%d: %v vs %v", threads, dn, d1)
 		}
 	}
@@ -403,7 +403,7 @@ func TestInterleaveBandwidthBetween(t *testing.T) {
 	}
 	d, _ := m.SeqBandwidth(DRAM, units.GB(8), 64)
 	h, _ := m.SeqBandwidth(HBM, units.GB(8), 64)
-	if bw.GBpsf() <= d.GBpsf() || bw.GBpsf() >= h.GBpsf() {
+	if float64(bw) <= float64(d) || float64(bw) >= float64(h) {
 		t.Errorf("interleave bw %v should sit between DRAM %v and HBM %v", bw, d, h)
 	}
 	// And it can hold a 100 GiB problem that fits neither device rule
@@ -422,7 +422,7 @@ func TestHybridBandwidth(t *testing.T) {
 		t.Fatal(err)
 	}
 	hbm, _ := m.SeqBandwidth(HBM, units.GB(7), 64)
-	if math.Abs(bw.GBpsf()-hbm.GBpsf()) > 1 {
+	if math.Abs(float64(bw)-float64(hbm)) > 1 {
 		t.Errorf("hybrid within flat part = %v, want %v", bw, hbm)
 	}
 	// Larger: blended below pure HBM.
@@ -437,13 +437,16 @@ func TestHybridBandwidth(t *testing.T) {
 
 func TestRandomAccessRateBandwidthCap(t *testing.T) {
 	m := Default()
-	// Huge MLP pushes the rate into the bandwidth cap.
-	rate, err := m.RandomAccessRate(DRAM, units.GB(8), 256, 64)
+	// Huge MLP pushes the solved random-access rate into the bandwidth
+	// cap.
+	p := Phase{RandomAccesses: 1e9, RandomFootprint: units.GB(8), RandomMLP: 64}
+	r, err := m.SolvePhase(DRAM, 256, p)
 	if err != nil {
 		t.Fatal(err)
 	}
+	rate := p.RandomAccesses / float64(r.RandomTime)
 	maxRate := float64(m.Chip.DDR.EffSeqBW) / 64
-	if rate > maxRate+1e-9 {
+	if rate > maxRate*(1+1e-9) {
 		t.Errorf("rate %v exceeds DRAM line cap %v", rate, maxRate)
 	}
 }

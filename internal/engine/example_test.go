@@ -15,7 +15,7 @@ func ExampleMachine_SeqBandwidth() {
 	for _, threads := range []int{64, 128} {
 		d, _ := m.SeqBandwidth(engine.DRAM, units.GB(8), threads)
 		h, _ := m.SeqBandwidth(engine.HBM, units.GB(8), threads)
-		fmt.Printf("threads=%d DRAM=%.0f HBM=%.0f GB/s\n", threads, d.GBpsf(), h.GBpsf())
+		fmt.Printf("threads=%d DRAM=%.0f HBM=%.0f GB/s\n", threads, float64(d), float64(h))
 	}
 	// Output:
 	// threads=64 DRAM=77 HBM=330 GB/s

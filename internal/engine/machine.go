@@ -4,31 +4,22 @@ import (
 	"fmt"
 
 	"repro/internal/knl"
-	"repro/internal/noc"
 	"repro/internal/numa"
 	"repro/internal/units"
 )
 
-// Machine is a configured simulated node: the chip spec plus the mesh
-// and the derived mesh latency constant.
+// Machine is a configured simulated node. The on-die mesh cost of a
+// miss is folded into the chip's calibrated dual-read plateaus.
 type Machine struct {
 	Chip knl.ChipSpec
-	Mesh *noc.Mesh
-
-	meshMissNS float64
 }
 
-// NewMachine builds a machine from a chip spec (quadrant cluster mode,
-// matching the testbed).
+// NewMachine builds a machine from a chip spec.
 func NewMachine(chip knl.ChipSpec) (*Machine, error) {
 	if err := chip.Validate(); err != nil {
 		return nil, err
 	}
-	mesh, err := noc.NewMesh(chip.MeshCols, chip.MeshRows, chip.ActiveTiles, noc.Quadrant)
-	if err != nil {
-		return nil, err
-	}
-	return &Machine{Chip: chip, Mesh: mesh, meshMissNS: mesh.AvgMissPathLatencyNS()}, nil
+	return &Machine{Chip: chip}, nil
 }
 
 // Default returns the KNL 7210 testbed machine, panicking on internal
@@ -83,31 +74,4 @@ func (m *Machine) NUMATopology(cfg MemoryConfig) (*numa.Topology, error) {
 // two devices (the §IV-A "154.0 ns HBM / 130.4 ns DRAM" experiment).
 func (m *Machine) IdleLatencies() (dram, hbm units.Nanoseconds) {
 	return m.Chip.DDR.IdleLatency, m.Chip.MCDRAM.IdleLatency
-}
-
-// MeshMissLatencyNS returns the average on-die mesh cost of an L2 miss
-// (requestor -> tag directory -> memory controller) under the machine's
-// cluster mode. It is folded into the calibrated dual-read plateaus;
-// the accessor exposes it for the cluster-mode ablation.
-func (m *Machine) MeshMissLatencyNS() float64 { return m.meshMissNS }
-
-// WithClusterMode returns a copy of the machine whose mesh uses a
-// different cluster mode (the testbed runs quadrant; all-to-all and
-// SNC-4 are the BIOS alternatives). The dual-read plateaus shift by
-// the mesh-latency delta, which is how the cluster mode reaches the
-// latency model.
-func (m *Machine) WithClusterMode(mode noc.ClusterMode) (*Machine, error) {
-	mesh, err := noc.NewMesh(m.Chip.MeshCols, m.Chip.MeshRows, m.Chip.ActiveTiles, mode)
-	if err != nil {
-		return nil, err
-	}
-	clone := *m
-	clone.Mesh = mesh
-	clone.meshMissNS = mesh.AvgMissPathLatencyNS()
-	delta := clone.meshMissNS - m.meshMissNS
-	clone.Chip.Cal.DualReadPlateauDRAM += units.Nanoseconds(delta)
-	clone.Chip.Cal.DualReadPlateauHBM += units.Nanoseconds(delta)
-	clone.Chip.Cal.CacheModeHitLatency += units.Nanoseconds(delta)
-	clone.Chip.Cal.CacheModeMissLatency += units.Nanoseconds(delta)
-	return &clone, nil
 }

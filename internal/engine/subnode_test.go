@@ -29,7 +29,7 @@ func TestSubNodeThreadCounts(t *testing.T) {
 	// DRAM lines are flat).
 	bw16, _ := m.SeqBandwidth(DRAM, units.GB(4), 16)
 	bw64, _ := m.SeqBandwidth(DRAM, units.GB(4), 64)
-	if bw16.GBpsf() < 70 || bw64.GBpsf()-bw16.GBpsf() > 8 {
+	if float64(bw16) < 70 || float64(bw64)-float64(bw16) > 8 {
 		t.Errorf("DRAM should saturate early: 16thr=%v 64thr=%v", bw16, bw64)
 	}
 

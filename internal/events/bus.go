@@ -114,17 +114,6 @@ func (b *Bus) Publish(ev Event) {
 	}
 }
 
-// SubscriberCount reports how many subscriptions a job currently has.
-func (b *Bus) SubscriberCount(job string) int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	t := b.topics[job]
-	if t == nil {
-		return 0
-	}
-	return len(t.subs)
-}
-
 // Stats returns (published, dropped, subscribers).
 func (b *Bus) Stats() (published, dropped int64, subscribers int) {
 	b.mu.Lock()
@@ -174,10 +163,9 @@ type Subscription struct {
 	max    int
 	notify chan struct{}
 
-	mu      sync.Mutex
-	queue   []Event // pending events, oldest first; guarded by mu
-	dropped int     // events this subscriber lost; guarded by mu
-	closed  bool    // guarded by mu
+	mu     sync.Mutex
+	queue  []Event // pending events, oldest first; guarded by mu
+	closed bool    // guarded by mu
 }
 
 // push enqueues one event, applying the slow-subscriber policy when
@@ -197,7 +185,6 @@ func (s *Subscription) push(ev Event) {
 			for i := len(s.queue) - 1; i >= 0; i-- {
 				if s.queue[i].Type == TypeProgress {
 					s.queue[i] = ev
-					s.dropped++
 					s.bus.dropped.Add(1)
 					s.notifyLocked()
 					return
@@ -206,13 +193,11 @@ func (s *Subscription) push(ev Event) {
 		}
 		if !s.evictLocked(TypeProgress) && !s.evictLocked(TypePoint) {
 			if ev.Type != TypeState {
-				s.dropped++
 				s.bus.dropped.Add(1)
 				return
 			}
 			// A state event outranks whatever is oldest.
 			s.queue = s.queue[1:]
-			s.dropped++
 			s.bus.dropped.Add(1)
 		}
 	}
@@ -226,7 +211,6 @@ func (s *Subscription) evictLocked(t Type) bool {
 	for i, q := range s.queue {
 		if q.Type == t {
 			s.queue = append(s.queue[:i], s.queue[i+1:]...)
-			s.dropped++
 			s.bus.dropped.Add(1)
 			return true
 		}
@@ -258,14 +242,6 @@ func (s *Subscription) Next() (Event, bool) {
 // Ready pulses when new events may be pending; drain with Next until
 // it reports false, then block on Ready again.
 func (s *Subscription) Ready() <-chan struct{} { return s.notify }
-
-// Dropped reports how many events this subscriber lost to the
-// slow-subscriber policy (coalesced or evicted).
-func (s *Subscription) Dropped() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.dropped
-}
 
 // Close frees the subscriber slot. Pending events are discarded;
 // further pushes are no-ops.

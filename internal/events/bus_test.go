@@ -57,15 +57,15 @@ func TestCloseFreesSubscriberSlot(t *testing.T) {
 	b := NewBus()
 	s1 := b.Subscribe("j1", 0)
 	s2 := b.Subscribe("j1", 0)
-	if got := b.SubscriberCount("j1"); got != 2 {
+	if got := liveSubs(b); got != 2 {
 		t.Fatalf("subscriber count = %d, want 2", got)
 	}
 	s1.Close()
-	if got := b.SubscriberCount("j1"); got != 1 {
+	if got := liveSubs(b); got != 1 {
 		t.Fatalf("after one close count = %d, want 1", got)
 	}
 	s1.Close() // idempotent
-	if got := b.SubscriberCount("j1"); got != 1 {
+	if got := liveSubs(b); got != 1 {
 		t.Fatalf("double close changed the count to %d", got)
 	}
 	b.Publish(Event{Job: "j1", Type: TypeState, State: "running"})
@@ -76,7 +76,7 @@ func TestCloseFreesSubscriberSlot(t *testing.T) {
 		t.Fatal("surviving subscription missed the event")
 	}
 	s2.Close()
-	if got := b.SubscriberCount("j1"); got != 0 {
+	if got := liveSubs(b); got != 0 {
 		t.Fatalf("after both close count = %d, want 0", got)
 	}
 }
@@ -109,8 +109,8 @@ func TestSlowSubscriberCoalescesProgress(t *testing.T) {
 	if last.Type != TypeProgress || last.Done != 10 {
 		t.Fatalf("newest progress = %+v, want the final done=10 tick (coalesced)", last)
 	}
-	if s.Dropped() != 7 {
-		t.Errorf("dropped = %d, want 7 coalesced ticks", s.Dropped())
+	if dropped(b) != 7 {
+		t.Errorf("dropped = %d, want 7 coalesced ticks", dropped(b))
 	}
 }
 
@@ -134,8 +134,8 @@ func TestStateOutranksOldestWhenFull(t *testing.T) {
 	if _, ok := s.Next(); ok {
 		t.Fatal("dropped point event reappeared")
 	}
-	if s.Dropped() != 2 {
-		t.Errorf("dropped = %d, want 2 (point + evicted queued state)", s.Dropped())
+	if dropped(b) != 2 {
+		t.Errorf("dropped = %d, want 2 (point + evicted queued state)", dropped(b))
 	}
 }
 
@@ -192,7 +192,7 @@ func TestConcurrentSubscribersUnderRace(t *testing.T) {
 	b.Publish(Event{Job: "j1", Type: TypeState, State: "done", Final: true})
 	wg.Wait()
 
-	if got := b.SubscriberCount("j1"); got != 0 {
+	if got := liveSubs(b); got != 0 {
 		t.Fatalf("subscriber count after all closed = %d, want 0", got)
 	}
 }
@@ -215,9 +215,6 @@ func TestSlowSubscriberNeverBlocksPublisher(t *testing.T) {
 	case <-done:
 	case <-time.After(10 * time.Second):
 		t.Fatal("publisher blocked on a slow subscriber")
-	}
-	if s.Dropped() == 0 {
-		t.Error("slow subscriber should have recorded drops")
 	}
 	published, dropped, _ := b.Stats()
 	if published != 10_000 {
@@ -268,7 +265,19 @@ func TestDefaultQueueBound(t *testing.T) {
 	if n != DefaultQueue {
 		t.Fatalf("retained %d events, want the default bound %d", n, DefaultQueue)
 	}
-	if s.Dropped() != 50 {
-		t.Fatalf("dropped = %d, want 50", s.Dropped())
+	if dropped(b) != 50 {
+		t.Fatalf("dropped = %d, want 50", dropped(b))
 	}
+}
+
+// dropped is the bus-level count /metrics exposes; every test that
+// reads it has one subscriber.
+func dropped(b *Bus) int64 {
+	_, n, _ := b.Stats()
+	return n
+}
+
+func liveSubs(b *Bus) int {
+	_, _, n := b.Stats()
+	return n
 }

@@ -88,6 +88,8 @@ func (OS) Stat(name string) (os.FileInfo, error) { return os.Stat(name) }
 var ErrInjected = errors.New("faultfs: injected fault")
 
 // ENOSPC is the "disk full" errno, exported so tests read naturally.
+//
+//simd:oracle fault-injection harness; the journal, tracestore and service crash tests drive it
 var ENOSPC = syscall.ENOSPC
 
 // EIO is the I/O-error errno, the default of a tripped read failpoint.
@@ -124,6 +126,8 @@ type Fault struct {
 }
 
 // New wraps base (nil: the real OS) with no failpoints armed.
+//
+//simd:oracle fault-injection harness; the journal, tracestore and service crash tests drive it
 func New(base FS) *Fault {
 	if base == nil {
 		base = OS{}
@@ -134,6 +138,8 @@ func New(base FS) *Fault {
 // FailAfterWrites arms the write failpoint: the next n writes succeed,
 // every write after fails. With torn set the failing write first
 // writes half its buffer — the torn-tail shape a power cut leaves.
+//
+//simd:oracle fault-injection harness; the journal, tracestore and service crash tests drive it
 func (f *Fault) FailAfterWrites(n int, torn bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -142,6 +148,8 @@ func (f *Fault) FailAfterWrites(n int, torn bool) {
 }
 
 // FailAfterSyncs arms the fsync failpoint after n successful syncs.
+//
+//simd:oracle fault-injection harness; the journal, tracestore and service crash tests drive it
 func (f *Fault) FailAfterSyncs(n int) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -150,6 +158,8 @@ func (f *Fault) FailAfterSyncs(n int) {
 
 // FailAfterRenames arms the rename failpoint after n successful
 // renames — the atomic-commit step of temp-file + rename stores.
+//
+//simd:oracle fault-injection harness; the journal, tracestore and service crash tests drive it
 func (f *Fault) FailAfterRenames(n int) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -159,6 +169,8 @@ func (f *Fault) FailAfterRenames(n int) {
 // FailAfterReads arms the read failpoint: after n successful reads,
 // Read and ReadAt on every file opened through the Fault fail with EIO
 // (or the error SetErr set).
+//
+//simd:oracle fault-injection harness; the journal, tracestore and service crash tests drive it
 func (f *Fault) FailAfterReads(n int) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -167,6 +179,8 @@ func (f *Fault) FailAfterReads(n int) {
 
 // SetErr substitutes the error tripped failpoints return (e.g.
 // faultfs.ENOSPC).
+//
+//simd:oracle fault-injection harness; the journal, tracestore and service crash tests drive it
 func (f *Fault) SetErr(err error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -174,6 +188,8 @@ func (f *Fault) SetErr(err error) {
 }
 
 // SlowWrites injects d of latency before every write.
+//
+//simd:oracle fault-injection harness; the journal, tracestore and service crash tests drive it
 func (f *Fault) SlowWrites(d time.Duration) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -181,6 +197,8 @@ func (f *Fault) SlowWrites(d time.Duration) {
 }
 
 // Reset disarms every failpoint and clears the tripped latch.
+//
+//simd:oracle fault-injection harness; the journal, tracestore and service crash tests drive it
 func (f *Fault) Reset() {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -191,6 +209,8 @@ func (f *Fault) Reset() {
 }
 
 // Tripped reports whether any failpoint has fired.
+//
+//simd:oracle fault-injection harness; the journal, tracestore and service crash tests drive it
 func (f *Fault) Tripped() bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()

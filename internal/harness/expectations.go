@@ -21,16 +21,11 @@ type Check struct {
 // the EXPERIMENTS.md comparison table.
 //
 // The experiments are independent, so their tables are produced
-// through the bounded concurrent pool (RunAll); the checks themselves
-// are evaluated serially afterwards, which keeps the check order — and
-// therefore the rendered comparison table — deterministic.
-func VerifyAll(sys *core.System) ([]Check, error) {
-	return VerifyAllN(sys, 0)
-}
-
-// VerifyAllN is VerifyAll with an explicit experiment worker count
-// (<=0 uses GOMAXPROCS); cmd/figures threads its -j flag through here.
-func VerifyAllN(sys *core.System, workers int) ([]Check, error) {
+// through the bounded concurrent pool (RunAll, workers <= 0 uses
+// GOMAXPROCS); the checks themselves are evaluated serially afterwards,
+// which keeps the check order — and therefore the rendered comparison
+// table — deterministic.
+func VerifyAll(sys *core.System, workers int) ([]Check, error) {
 	tables := map[string]*Table{}
 	for _, r := range RunAll(sys, workers) {
 		if r.Err != nil {

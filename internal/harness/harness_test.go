@@ -144,7 +144,7 @@ func TestTable2MatchesPaper(t *testing.T) {
 
 func TestVerifyAllPasses(t *testing.T) {
 	s := sys(t)
-	checks, err := VerifyAll(s)
+	checks, err := VerifyAll(s, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,10 +193,9 @@ func TestRunAllMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestVerifyAllConcurrentDeterministic runs the (internally
-// concurrent) VerifyAll under elevated parallelism and requires the
-// exact check list of a prior run: same order, same rendered values,
-// all passing.
+// TestVerifyAllConcurrentDeterministic runs VerifyAll with eight
+// experiment workers and requires the exact check list of a serial
+// run: same order, same rendered values, all passing.
 func TestVerifyAllConcurrentDeterministic(t *testing.T) {
 	prev := runtime.GOMAXPROCS(0)
 	if prev < 4 {
@@ -204,11 +203,11 @@ func TestVerifyAllConcurrentDeterministic(t *testing.T) {
 		defer runtime.GOMAXPROCS(prev)
 	}
 	s := sys(t)
-	first, err := VerifyAll(s)
+	first, err := VerifyAll(s, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := VerifyAll(s)
+	again, err := VerifyAll(s, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,13 +71,6 @@ func (b *Builder) Int(tag string, v int64) *Builder {
 	return b
 }
 
-// Uint appends a decimal unsigned integer field.
-func (b *Builder) Uint(tag string, v uint64) *Builder {
-	b.tag(tag)
-	b.buf = strconv.AppendUint(b.buf, v, 10)
-	return b
-}
-
 // Float appends a float64 by bit pattern — fixed-width 16-hex —
 // injective for every distinct float64, unlike any %f/%g rendering.
 func (b *Builder) Float(tag string, v float64) *Builder {

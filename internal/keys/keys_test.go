@@ -2,6 +2,7 @@ package keys
 
 import (
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -61,4 +62,11 @@ func TestFloatBitPattern(t *testing.T) {
 	if neg == pos {
 		t.Fatalf("-0.0 and +0.0 must encode distinctly (bit pattern): %q", neg)
 	}
+}
+
+// Uint appends a decimal unsigned integer field.
+func (b *Builder) Uint(tag string, v uint64) *Builder {
+	b.tag(tag)
+	b.buf = strconv.AppendUint(b.buf, v, 10)
+	return b
 }

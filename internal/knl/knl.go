@@ -27,11 +27,10 @@ type ChipSpec struct {
 	ThreadsPerCore int     // hardware threads per core (hyper-threads)
 	ClockGHz       float64 // core clock
 
-	// Mesh geometry. The 7210 die has a 6x6 grid of positions of
-	// which some are memory/IO stops; 32 tiles carry cores.
-	MeshCols, MeshRows int
-	ActiveTiles        int
-	CoresPerTile       int
+	// Tile geometry: each active tile holds CoresPerTile cores that
+	// share one L2.
+	ActiveTiles  int
+	CoresPerTile int
 
 	L1DPerCore units.Bytes // private L1 data cache
 	L1Assoc    int
@@ -156,8 +155,6 @@ func KNL7210() ChipSpec {
 		Cores:          64,
 		ThreadsPerCore: 4,
 		ClockGHz:       1.3,
-		MeshCols:       6,
-		MeshRows:       6,
 		ActiveTiles:    32,
 		CoresPerTile:   2,
 		L1DPerCore:     32 * units.KiB,
@@ -245,9 +242,6 @@ func (c ChipSpec) Validate() error {
 	if c.ActiveTiles*c.CoresPerTile != c.Cores {
 		return fmt.Errorf("knl: tiles*coresPerTile = %d, want %d cores",
 			c.ActiveTiles*c.CoresPerTile, c.Cores)
-	}
-	if c.ActiveTiles > c.MeshCols*c.MeshRows {
-		return fmt.Errorf("knl: %d tiles exceed %dx%d mesh", c.ActiveTiles, c.MeshCols, c.MeshRows)
 	}
 	if err := c.MCDRAM.Validate(); err != nil {
 		return err

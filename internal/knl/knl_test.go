@@ -42,7 +42,7 @@ func TestKNL7210ArchitecturalFacts(t *testing.T) {
 		t.Errorf("latency gap = %.3f, want ~0.18", gap)
 	}
 	// Bandwidth ratio ~4x (§II).
-	ratio := c.MCDRAM.PeakBW.GBpsf() / c.DDR.PeakBW.GBpsf()
+	ratio := float64(c.MCDRAM.PeakBW) / float64(c.DDR.PeakBW)
 	if ratio < 3.5 || ratio > 5.5 {
 		t.Errorf("pin bandwidth ratio = %.2f, want ~4-5x", ratio)
 	}
@@ -144,11 +144,5 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	c.Cal.DGEMMEff[1] = 0
 	if err := c.Validate(); err == nil {
 		t.Error("zero DGEMM efficiency accepted")
-	}
-	c = KNL7210()
-	c.ActiveTiles = 64
-	c.CoresPerTile = 1
-	if err := c.Validate(); err == nil {
-		t.Error("tiles exceeding mesh accepted")
 	}
 }

@@ -3,16 +3,14 @@ package knl
 import (
 	"fmt"
 
-	"repro/internal/mem"
 	"repro/internal/units"
 )
 
-// This file provides the other second-generation Xeon Phi SKUs and a
-// generic hybrid-memory preset. The paper argues (§VI) that its
-// conclusions "can be generalized to other heterogeneous memory
-// systems with similar characteristics"; these presets let the test
-// suite check that the model's qualitative results are preserved when
-// the machine changes, which is that claim made executable.
+// This file provides the other second-generation Xeon Phi SKUs. The
+// paper argues (§VI) that its conclusions "can be generalized to other
+// heterogeneous memory systems with similar characteristics"; these
+// presets, served by ChipForSKU, let the test suite check that the
+// model's qualitative results are preserved when the machine changes.
 
 // variant derives a chip from the 7210 baseline.
 func variant(name string, cores, tiles int, clock float64, mcdramBW, ddrBW float64) ChipSpec {
@@ -41,46 +39,6 @@ func KNL7250() ChipSpec {
 // KNL7290 returns the 72-core 1.5 GHz flagship.
 func KNL7290() ChipSpec {
 	return variant("Intel Xeon Phi 7290 (KNL)", 72, 36, 1.5, 450, 102)
-}
-
-// GenericHybrid builds a machine with arbitrary fast/slow memory
-// characteristics, keeping KNL-like cores. The latency ratio and
-// bandwidth ratio are the two quantities the paper's analysis turns
-// on; everything else is carried over from the calibrated baseline.
-func GenericHybrid(name string, fastCap units.Bytes, fastBW, fastLatNS float64,
-	slowCap units.Bytes, slowBW, slowLatNS float64) (ChipSpec, error) {
-	if fastCap <= 0 || slowCap <= 0 || fastBW <= 0 || slowBW <= 0 || fastLatNS <= 0 || slowLatNS <= 0 {
-		return ChipSpec{}, fmt.Errorf("knl: generic hybrid needs positive parameters")
-	}
-	if fastBW < slowBW {
-		return ChipSpec{}, fmt.Errorf("knl: 'fast' memory (%v GB/s) slower than 'slow' (%v GB/s)", fastBW, slowBW)
-	}
-	c := KNL7210()
-	c.Name = name
-	c.MCDRAM = mem.DeviceSpec{
-		Kind: mem.MCDRAM, Capacity: fastCap, Channels: 8,
-		IdleLatency: units.Nanoseconds(fastLatNS),
-		PeakBW:      units.GBps(fastBW), EffSeqBW: units.GBps(fastBW * 0.95),
-	}
-	c.DDR = mem.DeviceSpec{
-		Kind: mem.DDR, Capacity: slowCap, Channels: 6,
-		IdleLatency: units.Nanoseconds(slowLatNS),
-		PeakBW:      units.GBps(slowBW), EffSeqBW: units.GBps(slowBW * 0.86),
-	}
-	// Scale the dual-read plateaus with the idle-latency change so the
-	// random-access model follows the new devices.
-	base := KNL7210()
-	c.Cal.DualReadPlateauDRAM = units.Nanoseconds(float64(base.Cal.DualReadPlateauDRAM) * slowLatNS / float64(base.DDR.IdleLatency))
-	c.Cal.DualReadPlateauHBM = units.Nanoseconds(float64(base.Cal.DualReadPlateauHBM) * fastLatNS / float64(base.MCDRAM.IdleLatency))
-	c.Cal.CacheModeHitLatency = units.Nanoseconds(float64(base.Cal.CacheModeHitLatency) * fastLatNS / float64(base.MCDRAM.IdleLatency))
-	c.Cal.CacheModeMissLatency = units.Nanoseconds(float64(base.Cal.CacheModeMissLatency) * slowLatNS / float64(base.DDR.IdleLatency))
-	return c, c.Validate()
-}
-
-// Variants returns the named SKUs (used by tests and the ablation
-// benches).
-func Variants() []ChipSpec {
-	return []ChipSpec{KNL7210(), KNL7230(), KNL7250(), KNL7290()}
 }
 
 // ChipForSKU selects a machine preset by marketing number. The empty

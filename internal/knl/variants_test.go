@@ -1,13 +1,9 @@
 package knl
 
-import (
-	"testing"
-
-	"repro/internal/units"
-)
+import "testing"
 
 func TestVariantsAreValid(t *testing.T) {
-	for _, c := range Variants() {
+	for _, c := range []ChipSpec{KNL7210(), KNL7230(), KNL7250(), KNL7290()} {
 		if err := c.Validate(); err != nil {
 			t.Errorf("%s: %v", c.Name, err)
 		}
@@ -28,36 +24,5 @@ func TestVariantFacts(t *testing.T) {
 	// Peak flops grow with cores x clock.
 	if KNL7290().PeakGFLOPS() <= KNL7210().PeakGFLOPS() {
 		t.Error("7290 peak should exceed 7210")
-	}
-}
-
-func TestGenericHybrid(t *testing.T) {
-	// An HBM2+DDR5-like machine: bigger fast memory, lower latencies.
-	c, err := GenericHybrid("hbm2-node", 64*units.GiB, 800, 120, 512*units.GiB, 200, 90)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.MCDRAM.Capacity != 64*units.GiB || c.DDR.Capacity != 512*units.GiB {
-		t.Error("capacities not applied")
-	}
-	// Plateaus scale with the latency change.
-	base := KNL7210()
-	if c.Cal.DualReadPlateauDRAM >= base.Cal.DualReadPlateauDRAM {
-		t.Error("lower slow-memory latency should lower the DRAM plateau")
-	}
-	if c.Cal.DualReadPlateauHBM >= base.Cal.DualReadPlateauHBM {
-		t.Error("lower fast-memory latency should lower the HBM plateau")
-	}
-}
-
-func TestGenericHybridValidation(t *testing.T) {
-	if _, err := GenericHybrid("x", 0, 800, 120, 512*units.GiB, 200, 90); err == nil {
-		t.Error("zero fast capacity accepted")
-	}
-	if _, err := GenericHybrid("x", units.GiB, 100, 120, units.GiB, 200, 90); err == nil {
-		t.Error("fast memory slower than slow memory accepted")
-	}
-	if _, err := GenericHybrid("x", units.GiB, 800, -1, units.GiB, 200, 90); err == nil {
-		t.Error("negative latency accepted")
 	}
 }

@@ -33,13 +33,6 @@ func isPkgFunc(info *types.Info, call *ast.CallExpr, pkgPath, name string) bool 
 	return obj.Pkg().Path() == pkgPath && obj.Name() == name
 }
 
-// callsPackage reports whether call invokes anything (function,
-// method, or var) belonging to pkgPath.
-func callsPackage(info *types.Info, call *ast.CallExpr, pkgPath string) bool {
-	obj := calleeObject(info, call)
-	return obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == pkgPath
-}
-
 // annotation tags recognized in function doc comments and line
 // comments. They deliberately use the //simd: prefix so gofmt leaves
 // them attached and grep finds every use.
@@ -82,16 +75,6 @@ func lineAnnotated(fset *token.FileSet, file *ast.File, pos token.Pos, tag strin
 		}
 	}
 	return false
-}
-
-// enclosingFile returns the *ast.File of the pass that contains pos.
-func enclosingFile(p *Pass, pos token.Pos) *ast.File {
-	for _, f := range p.Files {
-		if f.FileStart <= pos && pos <= f.FileEnd {
-			return f
-		}
-	}
-	return nil
 }
 
 // isInterface reports whether t's underlying type is an interface.

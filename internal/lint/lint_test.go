@@ -1,8 +1,14 @@
 package lint_test
 
 import (
+	"fmt"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -122,5 +128,81 @@ func amortized() []byte {
 	}
 	if diags[0].Message == "" || diags[0].Pos.Filename != "esc.go" {
 		t.Fatalf("unexpected diagnostic: %v", diags[0])
+	}
+}
+
+// TestDeadCode runs the guard over a fake module and the second
+// module that reaches it through a replace directive. Findings are
+// pinned by `// want "regexp"` comments in any .go file of either.
+func TestDeadCode(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs go list; skipped in -short")
+	}
+	const dir = "testdata/deadcode"
+	wants := make(map[string][]*regexp.Regexp) // "file:line" -> patterns
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
+			return err
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(dir, path)
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				pat, ok := strings.CutPrefix(c.Text, "// want ")
+				if !ok {
+					continue
+				}
+				pat, err := strconv.Unquote(pat)
+				if err != nil {
+					return fmt.Errorf("%s: %v", fset.Position(c.Pos()), err)
+				}
+				key := fmt.Sprintf("%s:%d", filepath.ToSlash(rel), fset.Position(c.Pos()).Line)
+				wants[key] = append(wants[key], regexp.MustCompile(pat))
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	diags, err := lint.DeadCode(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+next:
+	for _, d := range diags {
+		key := fmt.Sprintf("%s:%d", d.Pos.Filename, d.Pos.Line)
+		for i, re := range wants[key] {
+			if re.MatchString(d.Message) {
+				wants[key] = append(wants[key][:i], wants[key][i+1:]...)
+				continue next
+			}
+		}
+		t.Errorf("unexpected diagnostic: %s", d)
+	}
+	for key, res := range wants {
+		for _, re := range res {
+			t.Errorf("%s: expected diagnostic matching %q, got none", key, re)
+		}
+	}
+}
+
+// TestModuleHasNoDeadCode runs the dead-code guard over the repository:
+// every package-level declaration under internal/ must have a non-test
+// user in this module or in simbench, or carry //simd:oracle <why>.
+func TestModuleHasNoDeadCode(t *testing.T) {
+	if testing.Short() {
+		t.Skip("lists and type-checks the whole module; skipped in -short")
+	}
+	diags, err := lint.DeadCode("../..")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range diags {
+		t.Error(d)
 	}
 }

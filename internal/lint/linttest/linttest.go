@@ -33,6 +33,8 @@ type expectation struct {
 // diagnostic must be wanted on its line, every want must fire. A
 // fixture with no want comments pins the analyzer to zero findings —
 // the false-positive regression form.
+//
+//simd:oracle fixture harness; the analyzer tests drive it
 func Run(t *testing.T, a *lint.Analyzer, dir, importPath string) {
 	t.Helper()
 	pkg, err := lint.LoadDir(dir, importPath)

@@ -28,6 +28,8 @@ type ChannelSpec struct {
 }
 
 // DDR4ChannelSpec models one of KNL's six 2133 MHz DDR4 channels.
+//
+//simd:oracle ROADMAP item 5: reference for bandwidth-aware replay, or deleted with it
 func DDR4ChannelSpec() ChannelSpec {
 	return ChannelSpec{
 		Banks:       16,
@@ -39,6 +41,8 @@ func DDR4ChannelSpec() ChannelSpec {
 }
 
 // MCDRAMChannelSpec models one of the eight MCDRAM EDC channels.
+//
+//simd:oracle ROADMAP item 5: reference for bandwidth-aware replay, or deleted with it
 func MCDRAMChannelSpec() ChannelSpec {
 	return ChannelSpec{
 		Banks:       16,
@@ -151,6 +155,8 @@ func UniformLoad(spec ChannelSpec, offeredGBs float64, count int) ([]Request, er
 
 // LatencyLoadCurve sweeps offered load and returns (utilization,
 // avg latency) pairs; tests compare its shape against LoadedLatency.
+//
+//simd:oracle ROADMAP item 5: reference for bandwidth-aware replay, or deleted with it
 func LatencyLoadCurve(spec ChannelSpec, peakGBs float64, points int) ([][2]float64, error) {
 	if points <= 1 || peakGBs <= 0 {
 		return nil, fmt.Errorf("mem: need >1 points and positive peak")

@@ -130,13 +130,3 @@ func (d DeviceSpec) LoadedLatency(util float64) units.Nanoseconds {
 	}
 	return d.IdleLatency * units.Nanoseconds(f)
 }
-
-// ConcurrencyForBandwidth returns the outstanding-line count needed to
-// sustain bw at idle latency (the inverse of Little's Law). Used by
-// tests and the advisor to reason about threading requirements.
-func (d DeviceSpec) ConcurrencyForBandwidth(bw units.BytesPerNS) float64 {
-	return float64(bw) * float64(d.IdleLatency) / float64(units.CacheLine)
-}
-
-// FitsIn reports whether a working set fits in the device.
-func (d DeviceSpec) FitsIn(ws units.Bytes) bool { return ws <= d.Capacity }

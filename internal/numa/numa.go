@@ -188,9 +188,6 @@ type Policy struct {
 	Nodes []NodeID
 }
 
-// DefaultPolicy allocates from node 0.
-func DefaultPolicy() Policy { return Policy{Kind: Default, Nodes: []NodeID{0}} }
-
 // Bind returns a --membind policy.
 func Bind(nodes ...NodeID) Policy { return Policy{Kind: Membind, Nodes: nodes} }
 

@@ -168,3 +168,6 @@ func TestPlacementSequences(t *testing.T) {
 		t.Errorf("interleave rotation wrong: %v %v %v", s0, s1, s2)
 	}
 }
+
+// DefaultPolicy allocates from node 0.
+func DefaultPolicy() Policy { return Policy{Kind: Default, Nodes: []NodeID{0}} }

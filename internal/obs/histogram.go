@@ -62,9 +62,6 @@ func NewHistogram(bounds []float64) *Histogram {
 	return &Histogram{bounds: bounds, counts: make([]uint64, len(bounds)+1)}
 }
 
-// Observe records one value (seconds, for latency histograms).
-func (h *Histogram) Observe(v float64) { h.ObserveExemplar(v, "") }
-
 // ObserveExemplar records one value and, when traceID is non-empty,
 // remembers it as the bucket's latest exemplar.
 func (h *Histogram) ObserveExemplar(v float64, traceID string) {
@@ -167,18 +164,6 @@ func (v *HistogramVec) ObserveExemplar(val float64, traceID string, labelValues 
 	}
 	v.mu.Unlock()
 	h.ObserveExemplar(val, traceID)
-}
-
-// Count returns the observation count for one label set (0 when the
-// set has never been observed) — a cheap test and assertion hook.
-func (v *HistogramVec) Count(labelValues ...string) uint64 {
-	v.mu.Lock()
-	h, ok := v.kids[strings.Join(labelValues, labelSep)]
-	v.mu.Unlock()
-	if !ok {
-		return 0
-	}
-	return h.Snapshot().Count
 }
 
 // appendExemplar renders a bucket row's exemplar annotation, if any.

@@ -257,3 +257,18 @@ func TestLoggerFlagParsing(t *testing.T) {
 	}
 	NopLogger().Info("nothing happens")
 }
+
+// Observe records one value (seconds, for latency histograms).
+func (h *Histogram) Observe(v float64) { h.ObserveExemplar(v, "") }
+
+// Count returns the observation count for one label set (0 when the
+// set has never been observed) — a cheap test and assertion hook.
+func (v *HistogramVec) Count(labelValues ...string) uint64 {
+	v.mu.Lock()
+	h, ok := v.kids[strings.Join(labelValues, labelSep)]
+	v.mu.Unlock()
+	if !ok {
+		return 0
+	}
+	return h.Snapshot().Count
+}

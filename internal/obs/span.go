@@ -150,9 +150,6 @@ func NewTrace(id string) (*Trace, *Span) {
 	return tr, &tr.root
 }
 
-// ID returns the trace's identifier (the request ID).
-func (t *Trace) ID() string { return t.id }
-
 // NewSpan starts a span with an explicit parent and start time — the
 // queue's job stages use it, ending each with EndAt, including stages
 // measured retrospectively (queue wait is only known at pickup).

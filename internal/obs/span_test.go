@@ -263,3 +263,6 @@ func TestTracingMiddlewarePinsServerError(t *testing.T) {
 		t.Errorf("trace name = %q, want unmatched for a route-less request", data.Name)
 	}
 }
+
+// ID returns the trace's identifier (the request ID).
+func (t *Trace) ID() string { return t.id }

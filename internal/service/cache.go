@@ -196,22 +196,9 @@ func (c *Cache[V]) evictLocked() {
 	}
 }
 
-// fifoLen returns the eviction-queue length (test hook: it must track
-// len(entries) exactly, even under repeated failures).
-func (c *Cache[V]) fifoLen() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.fifo)
-}
-
 // Len returns the number of cached entries.
 func (c *Cache[V]) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.entries)
-}
-
-// Stats returns cumulative hit and miss counts.
-func (c *Cache[V]) Stats() (hits, misses int64) {
-	return c.hits.Load(), c.misses.Load()
 }

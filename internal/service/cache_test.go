@@ -344,3 +344,16 @@ func TestCacheEviction(t *testing.T) {
 		t.Fatalf("newest entry evicted: v=%d cached=%v", v, cached)
 	}
 }
+
+// fifoLen returns the eviction-queue length (test hook: it must track
+// len(entries) exactly, even under repeated failures).
+func (c *Cache[V]) fifoLen() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.fifo)
+}
+
+// Stats returns cumulative hit and miss counts.
+func (c *Cache[V]) Stats() (hits, misses int64) {
+	return c.hits.Load(), c.misses.Load()
+}

@@ -213,11 +213,6 @@ func (c *Client) once(ctx context.Context, method, path string, body []byte, out
 	return json.NewDecoder(resp.Body).Decode(out)
 }
 
-// Healthz checks the health endpoint.
-func (c *Client) Healthz(ctx context.Context) error {
-	return c.do(ctx, http.MethodGet, "/healthz", nil, nil)
-}
-
 // Workloads lists the registered workloads.
 func (c *Client) Workloads(ctx context.Context) ([]WorkloadInfo, error) {
 	var out []WorkloadInfo
@@ -418,13 +413,6 @@ func (c *Client) WatchJob(ctx context.Context, id string, onEvent func(events.Ev
 		return err
 	}
 	return fmt.Errorf("service: watch %s: feed ended before the final event", id)
-}
-
-// DebugTraces lists the execution traces the server has retained.
-func (c *Client) DebugTraces(ctx context.Context) ([]obs.TraceSummary, error) {
-	var out []obs.TraceSummary
-	err := c.do(ctx, http.MethodGet, "/debug/traces", nil, &out)
-	return out, err
 }
 
 // DebugTrace fetches the span tree of one execution trace by trace ID

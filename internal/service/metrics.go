@@ -57,6 +57,8 @@ func (s *Server) registerTraceStore(st *tracestore.Store) {
 		func() float64 { n, _ := st.Totals(); return float64(n) })
 	s.reg.GaugeFunc("simd_trace_store_bytes", "Encoded bytes in the trace store.",
 		func() float64 { _, b := st.Totals(); return float64(b) })
+	s.reg.GaugeFunc("simd_traces_quarantined", "Damaged trace files moved aside when the store opened.",
+		func() float64 { return float64(st.Quarantined()) })
 }
 
 // registerDurable registers the crash-safety families, which exist

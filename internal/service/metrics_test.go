@@ -173,6 +173,7 @@ var metricsInventory = []string{
 	"simd_results_quarantined gauge {}",
 	"simd_results_stored gauge {}",
 	"simd_trace_store_bytes gauge {}",
+	"simd_traces_quarantined gauge {}",
 	"simd_traces_stored gauge {}",
 	"simd_uptime_seconds gauge {}",
 }
@@ -214,6 +215,7 @@ var metricsHelp = map[string]string{
 	"simd_results_quarantined":         "Corrupt result files moved aside when read.",
 	"simd_results_stored":              "Durable results resident on disk.",
 	"simd_trace_store_bytes":           "Encoded bytes in the trace store.",
+	"simd_traces_quarantined":          "Damaged trace files moved aside when the store opened.",
 	"simd_traces_stored":               "Traces resident in the durable store.",
 	"simd_uptime_seconds":              "Time since the service started.",
 }

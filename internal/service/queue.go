@@ -24,12 +24,12 @@ const (
 	JobFailed  JobState = "failed"
 )
 
-// ErrQueueFull is returned by Submit when the bounded queue cannot
+// ErrQueueFull is returned by SubmitJob when the bounded queue cannot
 // accept more work; HTTP maps it to 429 with a Retry-After computed
 // from EstimateWait so clients back off by the right amount.
 var ErrQueueFull = errors.New("service: job queue full")
 
-// ErrShutdown is returned by Submit after Close.
+// ErrShutdown is returned by SubmitJob after Close.
 var ErrShutdown = errors.New("service: queue shut down")
 
 // JobFunc is the work a job performs. progress reports (done, total)
@@ -304,16 +304,11 @@ func (q *Queue) lookup(id string) *job {
 	return q.jobs[id]
 }
 
-// Submit enqueues work and returns its job snapshot. It fails fast
+// SubmitJob enqueues work with per-job options (cancellation base,
+// deadline, forced ID) and returns its job snapshot. It fails fast
 // with ErrQueueFull instead of blocking the HTTP handler. The job is
 // only registered once the (non-blocking) enqueue succeeds, so
 // rejected submissions leave no trace behind.
-func (q *Queue) Submit(kind string, fn JobFunc) (JobInfo, error) {
-	return q.SubmitJob(kind, JobOptions{}, fn)
-}
-
-// SubmitJob is Submit with per-job options (cancellation base,
-// deadline, forced ID).
 func (q *Queue) SubmitJob(kind string, opt JobOptions, fn JobFunc) (JobInfo, error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -567,11 +562,6 @@ func (q *Queue) Unfinished() []JobInfo {
 		}
 	}
 	return out
-}
-
-// Counts returns (queued, running, completed, failed).
-func (q *Queue) Counts() (queued int, running, completed, failed int64) {
-	return len(q.pending), q.running.Load(), q.completed.Load(), q.failed.Load()
 }
 
 // Close stops accepting submissions, waits for queued and running

@@ -326,3 +326,13 @@ func TestQueueResultPrunedWithRecord(t *testing.T) {
 		t.Fatal("first job record survived pruning")
 	}
 }
+
+// Submit is SubmitJob with default options.
+func (q *Queue) Submit(kind string, fn JobFunc) (JobInfo, error) {
+	return q.SubmitJob(kind, JobOptions{}, fn)
+}
+
+// Counts returns (queued, running, completed, failed).
+func (q *Queue) Counts() (queued int, running, completed, failed int64) {
+	return len(q.pending), q.running.Load(), q.completed.Load(), q.failed.Load()
+}

@@ -9,6 +9,8 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -532,6 +534,38 @@ func TestReplayMetricsRows(t *testing.T) {
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics missing %q", want)
+		}
+	}
+}
+
+// TestTraceQuarantineMetric: a trace file damaged while the server was
+// down is moved aside when the next server opens the store, and the
+// scrape counts it.
+func TestTraceQuarantineMetric(t *testing.T) {
+	dir := t.TempDir()
+	ctx := context.Background()
+	_, c := newReplayServer(t, Options{TraceDir: dir})
+	up, err := c.UploadTrace(ctx, bytes.NewReader(ndjsonBody(replayAccesses(3000))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, up.ID+".trc")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, raw[:8], 0o644); err != nil { // a torn header
+		t.Fatal(err)
+	}
+
+	_, c2 := newReplayServer(t, Options{TraceDir: dir})
+	if _, err := c2.Traces(ctx); err != nil {
+		t.Fatal(err)
+	}
+	body := scrapeMetrics2(t, c2)
+	for _, want := range []string{"simd_traces_quarantined 1\n", "simd_traces_stored 0\n"} {
+		if !strings.Contains(body, want) {
+			t.Errorf("scrape lacks %q:\n%s", strings.TrimSpace(want), grepLines(body, "simd_traces"))
 		}
 	}
 }

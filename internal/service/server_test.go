@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"io"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -345,4 +346,9 @@ func TestGracefulClose(t *testing.T) {
 	if !ok || (info.State != JobDone && info.State != JobFailed) {
 		t.Fatalf("job after Close: %+v", info)
 	}
+}
+
+// Healthz checks the health endpoint.
+func (c *Client) Healthz(ctx context.Context) error {
+	return c.do(ctx, http.MethodGet, "/healthz", nil, nil)
 }

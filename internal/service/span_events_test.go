@@ -212,9 +212,9 @@ func TestEventFeedTwoSubscribersExactlyOnce(t *testing.T) {
 
 	// Both feeds subscribed on the bus, then let the campaign run.
 	deadline := time.Now().Add(5 * time.Second)
-	for srv.events.SubscriberCount(jobID) < 2 {
+	for subscribers(srv) < 2 {
 		if time.Now().After(deadline) {
-			t.Fatalf("watchers never subscribed: %d", srv.events.SubscriberCount(jobID))
+			t.Fatalf("watchers never subscribed: %d", subscribers(srv))
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -323,9 +323,9 @@ func TestJobStreamFollowsBus(t *testing.T) {
 		done <- c.StreamJob(ctx, id, func(info JobInfo) { snaps = append(snaps, info) })
 	}()
 	deadline := time.Now().Add(5 * time.Second)
-	for srv.events.SubscriberCount(id) != 1 {
+	for subscribers(srv) != 1 {
 		if time.Now().After(deadline) {
-			t.Fatalf("stream watcher never subscribed: %d subscribers", srv.events.SubscriberCount(id))
+			t.Fatalf("stream watcher never subscribed: %d subscribers", subscribers(srv))
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -336,7 +336,7 @@ func TestJobStreamFollowsBus(t *testing.T) {
 	if n := len(snaps); n < 2 || snaps[0].State != JobQueued || snaps[n-1].State != JobDone || snaps[n-1].Done != 2 {
 		t.Fatalf("snapshots %+v, want queued ... done 2/2", snaps)
 	}
-	if n := srv.events.SubscriberCount(id); n != 0 {
+	if n := subscribers(srv); n != 0 {
 		t.Fatalf("%d subscriptions left after the stream closed", n)
 	}
 }
@@ -371,4 +371,18 @@ func TestJobStreamTerminalSnapshot(t *testing.T) {
 	if info.ID != resp.Job.ID || info.State != JobDone {
 		t.Fatalf("snapshot %+v, want the finished job", info)
 	}
+}
+
+// subscribers counts live bus subscriptions; each test that reads it
+// watches a single job.
+func subscribers(srv *Server) int {
+	_, _, n := srv.events.Stats()
+	return n
+}
+
+// DebugTraces lists the execution traces the server has retained.
+func (c *Client) DebugTraces(ctx context.Context) ([]obs.TraceSummary, error) {
+	var out []obs.TraceSummary
+	err := c.do(ctx, http.MethodGet, "/debug/traces", nil, &out)
+	return out, err
 }

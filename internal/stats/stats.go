@@ -1,30 +1,13 @@
 // Package stats provides the small statistical helpers the benchmark
-// harness needs: arithmetic/harmonic/geometric means, standard
-// deviation, min/max, and relative-error utilities. Graph500 reports
-// the harmonic mean of TEPS across BFS roots, so that one matters for
-// fidelity to the reference benchmark.
+// harness needs: arithmetic and harmonic means and min/max. Graph500
+// reports the harmonic mean of TEPS across BFS roots, so that one
+// matters for fidelity to the reference benchmark.
 package stats
 
-import (
-	"errors"
-	"math"
-	"sort"
-)
+import "errors"
 
 // ErrEmpty is returned when a statistic of an empty sample is requested.
 var ErrEmpty = errors.New("stats: empty sample")
-
-// Mean returns the arithmetic mean.
-func Mean(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs)), nil
-}
 
 // HarmonicMean returns the harmonic mean. All values must be positive;
 // Graph500 defines its headline TEPS metric this way.
@@ -42,35 +25,6 @@ func HarmonicMean(xs []float64) (float64, error) {
 	return float64(len(xs)) / s, nil
 }
 
-// GeometricMean returns the geometric mean of positive values.
-func GeometricMean(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	s := 0.0
-	for _, x := range xs {
-		if x <= 0 {
-			return 0, errors.New("stats: geometric mean requires positive values")
-		}
-		s += math.Log(x)
-	}
-	return math.Exp(s / float64(len(xs))), nil
-}
-
-// StdDev returns the sample standard deviation (n-1 denominator).
-func StdDev(xs []float64) (float64, error) {
-	if len(xs) < 2 {
-		return 0, errors.New("stats: stddev needs at least two samples")
-	}
-	m, _ := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(xs)-1)), nil
-}
-
 // MinMax returns the smallest and largest values.
 func MinMax(xs []float64) (lo, hi float64, err error) {
 	if len(xs) == 0 {
@@ -86,60 +40,4 @@ func MinMax(xs []float64) (lo, hi float64, err error) {
 		}
 	}
 	return lo, hi, nil
-}
-
-// Percentile returns the p-th percentile (0..100) using linear
-// interpolation between closest ranks. The input is not modified.
-func Percentile(xs []float64, p float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	if p < 0 || p > 100 {
-		return 0, errors.New("stats: percentile out of range")
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if len(sorted) == 1 {
-		return sorted[0], nil
-	}
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return sorted[lo], nil
-	}
-	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
-}
-
-// RelErr returns |got-want|/|want|. A zero want with nonzero got
-// returns +Inf.
-func RelErr(got, want float64) float64 {
-	if want == 0 {
-		if got == 0 {
-			return 0
-		}
-		return math.Inf(1)
-	}
-	return math.Abs(got-want) / math.Abs(want)
-}
-
-// WithinFactor reports whether got is within [want/f, want*f] for f>=1.
-// It is the primary comparison used by the shape tests: reproductions
-// should match paper ratios within a small factor, not exactly.
-func WithinFactor(got, want, f float64) bool {
-	if f < 1 {
-		f = 1 / f
-	}
-	if want == 0 {
-		return got == 0
-	}
-	if (got > 0) != (want > 0) {
-		return false
-	}
-	r := got / want
-	if r < 0 {
-		return false
-	}
-	return r >= 1/f && r <= f
 }

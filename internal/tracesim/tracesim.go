@@ -496,6 +496,8 @@ func NewLanes(cfgs []Config) (*Simulator, error) {
 
 // Access performs one reference through the hierarchy and returns its
 // latency in nanoseconds (lane 0's).
+//
+//simd:oracle per-access reference that the equivalence tests pin block replay (Run) against
 func (s *Simulator) Access(a Access) float64 {
 	fill := s.lanes[0].fillPS
 	ps := s.accessLine(a.Addr>>s.lineShift, a.Kind)

@@ -130,9 +130,6 @@ func (s *Store) Quarantined() int64 {
 	return s.quarantined
 }
 
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
 // readMeta loads one trace file's header. The ID is taken from the
 // file name and verified against it by the caller.
 func (s *Store) readMeta(path string) (Meta, error) {

@@ -179,14 +179,14 @@ func TestIngestFormatsDedupe(t *testing.T) {
 			t.Fatalf("%s: %d accesses, want %d", up.name, meta.Accesses, len(accs))
 		}
 	}
-	files, err := filepath.Glob(filepath.Join(st.Dir(), "*.trc"))
+	files, err := filepath.Glob(filepath.Join(st.dir, "*.trc"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(files) != 1 {
 		t.Fatalf("store holds %d files after deduped uploads, want 1: %v", len(files), files)
 	}
-	if stray, _ := filepath.Glob(filepath.Join(st.Dir(), ".ingest-*")); len(stray) != 0 {
+	if stray, _ := filepath.Glob(filepath.Join(st.dir, ".ingest-*")); len(stray) != 0 {
 		t.Fatalf("temp files left behind: %v", stray)
 	}
 }
@@ -348,7 +348,7 @@ func TestDelete(t *testing.T) {
 	if err := st.Delete(meta.ID); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("second delete: %v, want ErrNotFound", err)
 	}
-	if files, _ := filepath.Glob(filepath.Join(st.Dir(), "*.trc")); len(files) != 0 {
+	if files, _ := filepath.Glob(filepath.Join(st.dir, "*.trc")); len(files) != 0 {
 		t.Fatalf("file survives delete: %v", files)
 	}
 	// Re-ingesting after delete is a fresh write, not a dedupe.
@@ -410,7 +410,7 @@ func TestIngestErrors(t *testing.T) {
 			t.Errorf("%s: err %v, want substring %q", c.name, err, c.want)
 		}
 	}
-	if stray, _ := filepath.Glob(filepath.Join(st.Dir(), ".ingest-*")); len(stray) != 0 {
+	if stray, _ := filepath.Glob(filepath.Join(st.dir, ".ingest-*")); len(stray) != 0 {
 		t.Fatalf("failed ingests left temp files: %v", stray)
 	}
 }
@@ -473,7 +473,7 @@ func TestIngestDecodedByteLimit(t *testing.T) {
 	if _, _, err := st.Ingest(bytes.NewReader(big), 64<<10); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("oversized plain stream ingested: %v", err)
 	}
-	if stray, _ := filepath.Glob(filepath.Join(st.Dir(), ".ingest-*")); len(stray) != 0 {
+	if stray, _ := filepath.Glob(filepath.Join(st.dir, ".ingest-*")); len(stray) != 0 {
 		t.Fatalf("limited ingests left temp files: %v", stray)
 	}
 }

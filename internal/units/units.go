@@ -43,9 +43,6 @@ func (b Bytes) GiBf() float64 { return float64(b) / float64(GiB) }
 // MiBf returns the size expressed in (fractional) MiB.
 func (b Bytes) MiBf() float64 { return float64(b) / float64(MiB) }
 
-// Lines returns the number of cache lines covering b, rounding up.
-func (b Bytes) Lines() int64 { return int64((b + CacheLine - 1) / CacheLine) }
-
 // Pages returns the number of base pages covering b, rounding up.
 func (b Bytes) Pages() int64 { return int64((b + Page - 1) / Page) }
 
@@ -124,9 +121,6 @@ type BytesPerNS float64
 
 // GBps constructs a bandwidth from a GB/s value.
 func GBps(v float64) BytesPerNS { return BytesPerNS(v) }
-
-// GBpsf reports the bandwidth as a GB/s value.
-func (bw BytesPerNS) GBpsf() float64 { return float64(bw) }
 
 // String renders the bandwidth, e.g. "330.0 GB/s".
 func (bw BytesPerNS) String() string { return fmt.Sprintf("%.1f GB/s", float64(bw)) }

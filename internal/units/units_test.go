@@ -133,8 +133,8 @@ func TestParseFormatRoundTripProperty(t *testing.T) {
 
 func TestBandwidthAndDuration(t *testing.T) {
 	bw := GBps(330)
-	if bw.GBpsf() != 330 {
-		t.Fatalf("GBpsf = %v", bw.GBpsf())
+	if float64(bw) != 330 {
+		t.Fatalf("GBps(330) = %v", float64(bw))
 	}
 	if bw.String() != "330.0 GB/s" {
 		t.Fatalf("bw.String() = %q", bw.String())
@@ -156,3 +156,6 @@ func TestBandwidthAndDuration(t *testing.T) {
 		t.Fatalf("ms formatting: %q", Nanoseconds(3.2e6).String())
 	}
 }
+
+// Lines returns the number of cache lines covering b, rounding up.
+func (b Bytes) Lines() int64 { return int64((b + CacheLine - 1) / CacheLine) }

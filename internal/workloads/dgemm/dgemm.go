@@ -21,6 +21,8 @@ const blockDim = 64
 
 // Multiply computes C = A*B for n x n row-major matrices using a
 // blocked algorithm parallelized over block rows.
+//
+//simd:oracle functional workload kernel listed in doc.go; its package tests and the root benchmarks run it
 func Multiply(a, b, c []float64, n, threads int) error {
 	if n <= 0 {
 		return fmt.Errorf("dgemm: dimension %d must be positive", n)
@@ -130,9 +132,6 @@ func min(a, b int) int {
 func MatrixDim(size units.Bytes) int {
 	return int(math.Sqrt(float64(size) / 24.0))
 }
-
-// ProblemSize is the inverse of MatrixDim.
-func ProblemSize(n int) units.Bytes { return units.Bytes(int64(n) * int64(n) * 24) }
 
 // Model is the DGEMM performance model.
 //

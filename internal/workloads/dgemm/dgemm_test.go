@@ -86,7 +86,7 @@ func TestMultiplyThreadInvariance(t *testing.T) {
 func TestMatrixDimRoundTripProperty(t *testing.T) {
 	f := func(raw uint16) bool {
 		n := int(raw%4096) + 64
-		size := ProblemSize(n)
+		size := units.Bytes(int64(n) * int64(n) * 24) // three n x n float64 matrices
 		got := MatrixDim(size)
 		return got == n || got == n-1 // sqrt truncation slack
 	}

@@ -33,6 +33,8 @@ type BenchmarkResult struct {
 
 // RunBenchmark executes the full benchmark flow functionally. Roots
 // with zero degree are skipped, as the spec requires.
+//
+//simd:oracle functional workload kernel listed in doc.go; its package tests and the root benchmarks run it
 func RunBenchmark(spec BenchmarkSpec) (BenchmarkResult, error) {
 	if spec.Edgefactor <= 0 {
 		spec.Edgefactor = 16

@@ -193,8 +193,8 @@ func TestScaleForMatchesPaperSizes(t *testing.T) {
 	if s, _ := ScaleFor(units.GB(35)); s != 27 {
 		t.Errorf("35 GB => scale %d, want 27", s)
 	}
-	if GraphBytes(22).GiBf() < 1.0 || GraphBytes(22).GiBf() > 1.2 {
-		t.Errorf("GraphBytes(22) = %v", GraphBytes(22))
+	if b := units.Bytes((int64(1) << 22) * bytesPerVertex); b.GiBf() < 1.0 || b.GiBf() > 1.2 {
+		t.Errorf("scale 22 footprint = %v", b)
 	}
 }
 

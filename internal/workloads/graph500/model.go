@@ -47,11 +47,6 @@ func ScaleFor(size units.Bytes) (scale int, vertices int64) {
 	return scale, int64(1) << scale
 }
 
-// GraphBytes returns the modelled CSR footprint of a scale.
-func GraphBytes(scale int) units.Bytes {
-	return units.Bytes((int64(1) << scale) * bytesPerVertex)
-}
-
 // Model regenerates Fig. 4d (TEPS vs. graph size) and Fig. 6c (TEPS
 // vs. threads).
 type Model struct{}

@@ -43,6 +43,8 @@ func StartingSeed(n int64) uint64 {
 // Each thread owns a disjoint stream; updates race benignly in real
 // GUPS (up to 1% errors allowed) — here each thread locks a stripe to
 // keep the functional layer deterministic enough for verification.
+//
+//simd:oracle functional workload kernel listed in doc.go; its package tests and the root benchmarks run it
 func Run(logSize int, updates int64, threads int) ([]uint64, error) {
 	if logSize < 4 || logSize > 34 {
 		return nil, fmt.Errorf("gups: logSize %d out of [4,34]", logSize)
@@ -83,37 +85,6 @@ func Run(logSize int, updates int64, threads int) ([]uint64, error) {
 	}
 	wg.Wait()
 	return table, nil
-}
-
-// Verify re-applies the same update streams (XOR is an involution per
-// value) and counts cells that fail to return to their initial value.
-// The reference benchmark allows up to 1% errors; a single-threaded
-// re-application must yield zero here because updates were locked.
-func Verify(table []uint64, updates int64, threads int) (int64, error) {
-	size := int64(len(table))
-	if size == 0 || size&(size-1) != 0 {
-		return 0, fmt.Errorf("gups: table size %d not a power of two", size)
-	}
-	mask := uint64(size - 1)
-	per := updates / int64(threads)
-	for t := 0; t < threads; t++ {
-		n := per
-		if t == threads-1 {
-			n = updates - per*int64(threads-1)
-		}
-		x := StartingSeed(int64(t)*97 + 1)
-		for i := int64(0); i < n; i++ {
-			x = NextRandom(x)
-			table[x&mask] ^= x
-		}
-	}
-	var errs int64
-	for i, v := range table {
-		if v != uint64(i) {
-			errs++
-		}
-	}
-	return errs, nil
 }
 
 // Model regenerates Fig. 4c (GUPS vs. table size).

@@ -1,6 +1,7 @@
 package gups
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -135,4 +136,35 @@ func TestModelInfo(t *testing.T) {
 	if len(Model{}.PaperSizes()) != 6 {
 		t.Error("Fig. 4c has 6 sizes")
 	}
+}
+
+// Verify re-applies the same update streams (XOR is an involution per
+// value) and counts cells that fail to return to their initial value.
+// The reference benchmark allows up to 1% errors; a single-threaded
+// re-application must yield zero here because updates were locked.
+func Verify(table []uint64, updates int64, threads int) (int64, error) {
+	size := int64(len(table))
+	if size == 0 || size&(size-1) != 0 {
+		return 0, fmt.Errorf("gups: table size %d not a power of two", size)
+	}
+	mask := uint64(size - 1)
+	per := updates / int64(threads)
+	for t := 0; t < threads; t++ {
+		n := per
+		if t == threads-1 {
+			n = updates - per*int64(threads-1)
+		}
+		x := StartingSeed(int64(t)*97 + 1)
+		for i := int64(0); i < n; i++ {
+			x = NextRandom(x)
+			table[x&mask] ^= x
+		}
+	}
+	var errs int64
+	for i, v := range table {
+		if v != uint64(i) {
+			errs++
+		}
+	}
+	return errs, nil
 }

@@ -19,6 +19,8 @@ import (
 // compare-and-swap), which is exactly the non-atomic read-modify-write
 // structure of the C reference and loses updates under contention the
 // same way, without being undefined behaviour in Go.
+//
+//simd:oracle functional workload kernel listed in doc.go; its package tests and the root benchmarks run it
 func RunRacy(logSize int, updates int64, threads int) ([]uint64, error) {
 	if logSize < 4 || logSize > 34 {
 		return nil, fmt.Errorf("gups: logSize %d out of [4,34]", logSize)
@@ -56,15 +58,4 @@ func RunRacy(logSize int, updates int64, threads int) ([]uint64, error) {
 	}
 	wg.Wait()
 	return table, nil
-}
-
-// ErrorRate re-applies the update streams serially and reports the
-// fraction of table entries that did not return to their initial
-// value — the quantity the HPCC verification bounds at 1%.
-func ErrorRate(table []uint64, updates int64, threads int) (float64, error) {
-	errs, err := Verify(table, updates, threads)
-	if err != nil {
-		return 0, err
-	}
-	return float64(errs) / float64(len(table)), nil
 }

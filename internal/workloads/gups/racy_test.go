@@ -49,3 +49,14 @@ func TestRunRacyValidation(t *testing.T) {
 		t.Error("zero threads accepted")
 	}
 }
+
+// ErrorRate re-applies the update streams serially and reports the
+// fraction of table entries that did not return to their initial
+// value — the quantity the HPCC verification bounds at 1%.
+func ErrorRate(table []uint64, updates int64, threads int) (float64, error) {
+	errs, err := Verify(table, updates, threads)
+	if err != nil {
+		return 0, err
+	}
+	return float64(errs) / float64(len(table)), nil
+}

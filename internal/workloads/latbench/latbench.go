@@ -21,6 +21,8 @@ import (
 // BuildChase builds a pointer-chase permutation over n slots using
 // Sattolo's algorithm, which guarantees a single cycle visiting every
 // slot (so a walk of n steps touches the whole buffer).
+//
+//simd:oracle functional workload kernel listed in doc.go; its package tests and the root benchmarks run it
 func BuildChase(n int, seed int64) ([]int32, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("latbench: chase needs at least 2 slots, got %d", n)
@@ -40,6 +42,8 @@ func BuildChase(n int, seed int64) ([]int32, error) {
 
 // Walk performs `steps` dependent loads starting at index 0 and
 // returns the final index (forcing the chain to be computed).
+//
+//simd:oracle functional workload kernel listed in doc.go; its package tests and the root benchmarks run it
 func Walk(chase []int32, steps int) int32 {
 	idx := int32(0)
 	for s := 0; s < steps; s++ {
@@ -50,6 +54,8 @@ func Walk(chase []int32, steps int) int32 {
 
 // WalkDual performs two interleaved chases (the "dual random read")
 // and returns both final indices.
+//
+//simd:oracle functional workload kernel listed in doc.go; its package tests and the root benchmarks run it
 func WalkDual(chase []int32, steps int) (int32, int32) {
 	n := int32(len(chase))
 	a, b := int32(0), n/2

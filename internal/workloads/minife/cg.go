@@ -35,6 +35,8 @@ func axpy(alpha float64, x, y []float64) {
 // CG solves A x = b to relative residual tol with at most maxIter
 // iterations, overwriting x (x may start at zero). This mirrors
 // MiniFE's unpreconditioned CG.
+//
+//simd:oracle functional workload kernel listed in doc.go; its package tests and the root benchmarks run it
 func CG(a *CSR, b, x []float64, tol float64, maxIter int) (CGResult, error) {
 	n := a.N
 	if len(b) != n || len(x) != n {

@@ -28,37 +28,6 @@ func (m *CSR) NNZ() int64 {
 	return m.RowPtr[m.N]
 }
 
-// Validate checks CSR structural invariants: monotone row pointers,
-// in-range sorted column indices.
-func (m *CSR) Validate() error {
-	if m.N < 0 || len(m.RowPtr) != m.N+1 {
-		return fmt.Errorf("minife: rowptr length %d for %d rows", len(m.RowPtr), m.N)
-	}
-	if m.RowPtr[0] != 0 {
-		return fmt.Errorf("minife: rowptr[0] = %d", m.RowPtr[0])
-	}
-	for i := 0; i < m.N; i++ {
-		if m.RowPtr[i+1] < m.RowPtr[i] {
-			return fmt.Errorf("minife: rowptr not monotone at row %d", i)
-		}
-		prev := int32(-1)
-		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
-			c := m.ColIdx[k]
-			if c < 0 || int(c) >= m.N {
-				return fmt.Errorf("minife: column %d out of range at row %d", c, i)
-			}
-			if c <= prev {
-				return fmt.Errorf("minife: columns not strictly increasing at row %d", i)
-			}
-			prev = c
-		}
-	}
-	if int64(len(m.ColIdx)) != m.NNZ() || int64(len(m.Values)) != m.NNZ() {
-		return fmt.Errorf("minife: nnz arrays %d/%d vs rowptr %d", len(m.ColIdx), len(m.Values), m.NNZ())
-	}
-	return nil
-}
-
 // SpMV computes y = A*x.
 func (m *CSR) SpMV(x, y []float64) error {
 	if len(x) != m.N || len(y) != m.N {
@@ -79,6 +48,8 @@ func (m *CSR) SpMV(x, y []float64) error {
 // neighbourhood. Off-diagonal entries are -1 and the diagonal equals
 // the neighbour count, making the operator symmetric positive
 // definite (diagonally dominant Laplacian-like), as MiniFE's is.
+//
+//simd:oracle functional workload kernel listed in doc.go; its package tests and the root benchmarks run it
 func Assemble27Point(nx, ny, nz int) (*CSR, error) {
 	if nx <= 0 || ny <= 0 || nz <= 0 {
 		return nil, fmt.Errorf("minife: bad mesh %dx%dx%d", nx, ny, nz)

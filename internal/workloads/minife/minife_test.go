@@ -2,6 +2,7 @@ package minife
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -258,10 +259,6 @@ func TestRowsAndMatrixBytes(t *testing.T) {
 	if Rows(units.Bytes(bytesPerRowTest())) != 1 {
 		t.Error("Rows arithmetic")
 	}
-	n := 64
-	if got := MatrixBytes(n); got != units.Bytes(int64(n*n*n)*332) {
-		t.Errorf("MatrixBytes = %v", got)
-	}
 }
 
 func bytesPerRowTest() int64 { return matrixBytesPerRow }
@@ -275,4 +272,35 @@ func TestModelInfo(t *testing.T) {
 	if len(Model{}.PaperSizes()) != 7 {
 		t.Error("Fig. 4b has 7 sizes")
 	}
+}
+
+// Validate checks CSR structural invariants: monotone row pointers,
+// in-range sorted column indices.
+func (m *CSR) Validate() error {
+	if m.N < 0 || len(m.RowPtr) != m.N+1 {
+		return fmt.Errorf("minife: rowptr length %d for %d rows", len(m.RowPtr), m.N)
+	}
+	if m.RowPtr[0] != 0 {
+		return fmt.Errorf("minife: rowptr[0] = %d", m.RowPtr[0])
+	}
+	for i := 0; i < m.N; i++ {
+		if m.RowPtr[i+1] < m.RowPtr[i] {
+			return fmt.Errorf("minife: rowptr not monotone at row %d", i)
+		}
+		prev := int32(-1)
+		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
+			c := m.ColIdx[k]
+			if c < 0 || int(c) >= m.N {
+				return fmt.Errorf("minife: column %d out of range at row %d", c, i)
+			}
+			if c <= prev {
+				return fmt.Errorf("minife: columns not strictly increasing at row %d", i)
+			}
+			prev = c
+		}
+	}
+	if int64(len(m.ColIdx)) != m.NNZ() || int64(len(m.Values)) != m.NNZ() {
+		return fmt.Errorf("minife: nnz arrays %d/%d vs rowptr %d", len(m.ColIdx), len(m.Values), m.NNZ())
+	}
+	return nil
 }

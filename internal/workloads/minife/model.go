@@ -36,11 +36,6 @@ const (
 // Rows returns the row count for a matrix of `size` bytes.
 func Rows(size units.Bytes) int64 { return int64(size) / bytesPerRow }
 
-// MatrixBytes returns the matrix size for a cubic mesh of edge n.
-func MatrixBytes(n int) units.Bytes {
-	return units.Bytes(int64(n) * int64(n) * int64(n) * bytesPerRow)
-}
-
 // Model regenerates Fig. 4b (CG MFLOPS vs. matrix size) and Fig. 6b
 // (vs. threads).
 type Model struct{}

@@ -88,6 +88,8 @@ func parDot(a, b []float64, threads int) float64 {
 // functional runs. Numerically it performs the same iteration as CG;
 // the parallel dot reduction may round differently, so results agree
 // to solver tolerance rather than bitwise.
+//
+//simd:oracle functional workload kernel listed in doc.go; its package tests and the root benchmarks run it
 func ParCG(a *CSR, b, x []float64, tol float64, maxIter, threads int) (CGResult, error) {
 	n := a.N
 	if len(b) != n || len(x) != n {

@@ -49,20 +49,10 @@ func (k Kernel) BytesPerElement() int64 {
 	}
 }
 
-// FlopsPerElement returns the arithmetic per element.
-func (k Kernel) FlopsPerElement() int64 {
-	switch k {
-	case Copy:
-		return 0
-	case Scale, Add:
-		return 1
-	default:
-		return 2
-	}
-}
-
 // Run executes one kernel over the arrays with the given thread count
 // and returns the STREAM-counted bytes moved.
+//
+//simd:oracle functional workload kernel listed in doc.go; its package tests and the root benchmarks run it
 func Run(k Kernel, a, b, c []float64, scalar float64, threads int) (int64, error) {
 	n := len(a)
 	if len(b) != n || len(c) != n {
@@ -154,6 +144,3 @@ func runChunk(k Kernel, a, b, c []float64, scalar float64) {
 		}
 	}
 }
-
-// Kernels returns all four kernels in STREAM order.
-func Kernels() []Kernel { return []Kernel{Copy, Scale, Add, TriadKernel} }

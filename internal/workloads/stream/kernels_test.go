@@ -110,3 +110,18 @@ func TestRunKernelErrors(t *testing.T) {
 		t.Error("zero threads accepted")
 	}
 }
+
+// FlopsPerElement returns the arithmetic per element.
+func (k Kernel) FlopsPerElement() int64 {
+	switch k {
+	case Copy:
+		return 0
+	case Scale, Add:
+		return 1
+	default:
+		return 2
+	}
+}
+
+// Kernels returns all four kernels in STREAM order.
+func Kernels() []Kernel { return []Kernel{Copy, Scale, Add, TriadKernel} }

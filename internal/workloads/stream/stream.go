@@ -18,6 +18,8 @@ import (
 // goroutine (thread) count and returns the application bytes moved
 // (STREAM counts 3 arrays x 8 B x N; KNL streaming stores elide the
 // write-allocate read, so this is also the bus traffic).
+//
+//simd:oracle functional workload kernel listed in doc.go; its package tests and the root benchmarks run it
 func Triad(a, b, c []float64, scalar float64, threads int) (int64, error) {
 	n := len(a)
 	if len(b) != n || len(c) != n {

@@ -31,9 +31,6 @@ const (
 // `size` bytes.
 func GridPoints(size units.Bytes) int64 { return int64(size) / bytesPerGridPoint }
 
-// ProblemBytes is the inverse of GridPoints.
-func ProblemBytes(points int64) units.Bytes { return units.Bytes(points * bytesPerGridPoint) }
-
 // Model regenerates Fig. 4e (lookups/s vs. size) and Fig. 6d
 // (lookups/s vs. threads) — the panel where HBM overtakes DRAM once
 // hardware threads hide its latency.

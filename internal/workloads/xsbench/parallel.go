@@ -10,6 +10,8 @@ import (
 // `threads` goroutines — the reference benchmark's OpenMP event loop —
 // and returns the accumulated verification value and total search
 // probes (binary-search depth counter).
+//
+//simd:oracle functional workload kernel listed in doc.go; its package tests and the root benchmarks run it
 func (g *Grid) RunParallel(lookups, threads int, seed int64) (float64, int64, error) {
 	if lookups <= 0 || threads <= 0 {
 		return 0, 0, fmt.Errorf("xsbench: lookups %d and threads %d must be positive", lookups, threads)

@@ -34,6 +34,8 @@ type Grid struct {
 
 // Build constructs a unionized grid with pointsPerIso private points
 // per nuclide, deterministically from a seed.
+//
+//simd:oracle functional workload kernel listed in doc.go; its package tests and the root benchmarks run it
 func Build(isotopes, pointsPerIso int, seed int64) (*Grid, error) {
 	if isotopes < 1 || pointsPerIso < 2 {
 		return nil, fmt.Errorf("xsbench: bad shape %d isotopes x %d points", isotopes, pointsPerIso)
@@ -75,9 +77,6 @@ func Build(isotopes, pointsPerIso int, seed int64) (*Grid, error) {
 	}
 	return g, nil
 }
-
-// Points returns the unionized grid size.
-func (g *Grid) Points() int { return len(g.Energies) }
 
 // searchUnionized binary-searches the unionized grid for energy e and
 // returns the bounding index and the number of probes performed (the
@@ -133,24 +132,4 @@ func (g *Grid) Lookup(e float64) ([XSKinds]float64, int, error) {
 		}
 	}
 	return macro, probes, nil
-}
-
-// VerificationHash reduces a sequence of lookups to a stable checksum,
-// mirroring the reference benchmark's verification mode.
-func (g *Grid) VerificationHash(lookups int, seed int64) (float64, error) {
-	if lookups <= 0 {
-		return 0, fmt.Errorf("xsbench: lookup count %d must be positive", lookups)
-	}
-	rng := rand.New(rand.NewSource(seed))
-	sum := 0.0
-	for l := 0; l < lookups; l++ {
-		macro, _, err := g.Lookup(rng.Float64())
-		if err != nil {
-			return 0, err
-		}
-		for _, v := range macro {
-			sum += v
-		}
-	}
-	return sum / float64(lookups), nil
 }

@@ -1,7 +1,9 @@
 package xsbench
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -210,7 +212,7 @@ func TestGridPointsRoundTrip(t *testing.T) {
 	if GridPoints(units.GB(5.6)) < 3_500_000 || GridPoints(units.GB(5.6)) > 4_500_000 {
 		t.Errorf("5.6 GB => %d points, want ~4M (reference 'large')", GridPoints(units.GB(5.6)))
 	}
-	if ProblemBytes(GridPoints(units.GB(5.6))) > units.GB(5.6) {
+	if units.Bytes(GridPoints(units.GB(5.6))*bytesPerGridPoint) > units.GB(5.6) {
 		t.Error("round trip grew")
 	}
 }
@@ -225,3 +227,26 @@ func TestModelInfo(t *testing.T) {
 		t.Error("Fig. 4e has 5 sizes")
 	}
 }
+
+// VerificationHash reduces a sequence of lookups to a stable checksum,
+// mirroring the reference benchmark's verification mode.
+func (g *Grid) VerificationHash(lookups int, seed int64) (float64, error) {
+	if lookups <= 0 {
+		return 0, fmt.Errorf("xsbench: lookup count %d must be positive", lookups)
+	}
+	rng := rand.New(rand.NewSource(seed))
+	sum := 0.0
+	for l := 0; l < lookups; l++ {
+		macro, _, err := g.Lookup(rng.Float64())
+		if err != nil {
+			return 0, err
+		}
+		for _, v := range macro {
+			sum += v
+		}
+	}
+	return sum / float64(lookups), nil
+}
+
+// Points returns the unionized grid size.
+func (g *Grid) Points() int { return len(g.Energies) }

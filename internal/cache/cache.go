@@ -29,7 +29,8 @@
 // branch-free bit operations, and the replacement state of a 16-way
 // 1024-set L2 is 8 KB of host memory instead of 128 KB of per-way
 // ticks. Dirty state is one bitmask per set for the same reason.
-// Wider geometries fall back to a per-way tick scan.
+// Every simulated chip is 8-way (L1) and 16-way (L2), so wider
+// geometries are rejected rather than given a slower second path.
 package cache
 
 import (
@@ -65,9 +66,9 @@ func (s Stats) HitRatio() float64 {
 	return float64(s.Hits) / float64(t)
 }
 
-// packedMaxWays is the widest associativity whose LRU order fits the
-// packed nibble-stack representation (16 four-bit way indices).
-const packedMaxWays = 16
+// maxWays is the widest associativity whose LRU order fits the packed
+// nibble-stack representation (16 four-bit way indices).
+const maxWays = 16
 
 // nibLo has the low bit of every nibble set; multiplying by it
 // broadcasts a way index into all 16 nibble lanes.
@@ -79,8 +80,7 @@ const nibLo = 0x1111111111111111
 // State is kept struct-of-arrays: tags (stored as tag+1 with 0 marking
 // an invalid way) in one slice so the hit scan is a contiguous
 // eight-byte compare loop. Replacement state is the packed per-set
-// LRU stack and dirty mask for ways <= 16, or parallel per-way
-// tick/dirty slices beyond that.
+// LRU stack and dirty mask.
 type SetAssoc struct {
 	name     string
 	lineSize units.Bytes
@@ -94,21 +94,15 @@ type SetAssoc struct {
 	tags []uint64 // sets*ways; stored tag+1, 0 = invalid
 	vcnt []int32  // per set: number of valid ways
 
-	// Packed replacement state (ways <= packedMaxWays). stack holds
-	// the set's way indices in recency order, MRU in the low nibble;
-	// dmask holds one dirty bit per way. Valid ways always occupy the
-	// low way indices [0, vcnt) — installs fill way vcnt first — so
-	// the stack's high nibbles stay zero until the set is full.
-	packed    bool
+	// Packed replacement state. stack holds the set's way indices in
+	// recency order, MRU in the low nibble; dmask holds one dirty bit
+	// per way. Valid ways always occupy the low way indices [0, vcnt)
+	// — installs fill way vcnt first — so the stack's high nibbles
+	// stay zero until the set is full.
 	stack     []uint64
 	dmask     []uint16
 	lruShift  uint   // 4*(ways-1): shift that exposes the LRU nibble
 	stackMask uint64 // low 4*ways bits
-
-	// Generic replacement state (ways > packedMaxWays).
-	lru   []uint64 // sets*ways; last-touch tick
-	dirty []bool   // sets*ways
-	tick  uint64
 
 	// MRU memo: the set/way of the line touched by the immediately
 	// preceding hit/install, or mruSet < 0. Lets consecutive
@@ -122,8 +116,12 @@ type SetAssoc struct {
 
 // NewSetAssoc builds a cache of the given capacity, associativity and
 // line size. Capacity must be an exact multiple of ways*lineSize, the
-// line size a power of two, and the resulting set count a power of two.
+// line size a power of two, the resulting set count a power of two,
+// and the associativity at most 16.
 func NewSetAssoc(name string, capacity units.Bytes, ways int, lineSize units.Bytes) (*SetAssoc, error) {
+	if ways > maxWays {
+		return nil, fmt.Errorf("cache: %d ways exceeds the %d-way maximum", ways, maxWays)
+	}
 	if capacity <= 0 || ways <= 0 || lineSize <= 0 || capacity%lineSize != 0 {
 		return nil, fmt.Errorf("cache: bad geometry cap=%v ways=%d line=%v", capacity, ways, lineSize)
 	}
@@ -138,7 +136,7 @@ func NewSetAssoc(name string, capacity units.Bytes, ways int, lineSize units.Byt
 	if sets&(sets-1) != 0 {
 		return nil, fmt.Errorf("cache: set count %d must be a power of two", sets)
 	}
-	c := &SetAssoc{
+	return &SetAssoc{
 		name:      name,
 		lineSize:  lineSize,
 		sets:      sets,
@@ -148,19 +146,12 @@ func NewSetAssoc(name string, capacity units.Bytes, ways int, lineSize units.Byt
 		setShift:  uint(bits.TrailingZeros64(uint64(sets))),
 		tags:      make([]uint64, int(lines)),
 		vcnt:      make([]int32, sets),
+		stack:     make([]uint64, sets),
+		dmask:     make([]uint16, sets),
+		lruShift:  uint(4 * (ways - 1)),
+		stackMask: ^uint64(0) >> (64 - 4*uint(ways)),
 		mruSet:    -1,
-	}
-	if ways <= packedMaxWays {
-		c.packed = true
-		c.stack = make([]uint64, sets)
-		c.dmask = make([]uint16, sets)
-		c.lruShift = uint(4 * (ways - 1))
-		c.stackMask = ^uint64(0) >> (64 - 4*uint(ways))
-	} else {
-		c.lru = make([]uint64, int(lines))
-		c.dirty = make([]bool, int(lines))
-	}
-	return c, nil
+	}, nil
 }
 
 // Stats returns a copy of the event counters.
@@ -248,7 +239,7 @@ func (c *SetAssoc) findWay(base int, stag uint64) int {
 // scanning. Prefetch installs and repeat touches leave the interesting
 // way at MRU, so sequential replay resolves most hits in one compare
 // instead of a scan across the whole set. Tags are unique within a
-// set, so the probe and the scan can never disagree. Packed sets only.
+// set, so the probe and the scan can never disagree.
 //
 //simd:hotpath — runs once per simulated access.
 func (c *SetAssoc) findWayMRU(set, base int, stag uint64) int {
@@ -288,27 +279,6 @@ func (c *SetAssoc) victimInstall(set int) int {
 	return w
 }
 
-// victimWay picks the replacement way on the generic (tick) path: an
-// invalid way while the set is not yet full (every invalid way is
-// observationally equivalent, so the choice among them is free), else
-// the least-recently-used way (earliest index on ties).
-func (c *SetAssoc) victimWay(set int, base int) int {
-	if int(c.vcnt[set]) < c.ways {
-		c.vcnt[set]++
-		return c.findWay(base, 0)
-	}
-	lru := c.lru[base : base+c.ways]
-	victim := 0
-	min := lru[0]
-	for i := 1; i < len(lru); i++ {
-		if lru[i] < min {
-			min = lru[i]
-			victim = i
-		}
-	}
-	return victim
-}
-
 // AccessLine performs one access by line address (byte address divided
 // by the line size). It reports whether it hit and, when a dirty
 // victim had to be written back, the victim's line address with
@@ -316,56 +286,11 @@ func (c *SetAssoc) victimWay(set int, base int) int {
 // conversion, shift/mask indexing, MRU short-circuit, one tag scan
 // per operation.
 func (c *SetAssoc) AccessLine(lineAddr uint64, kind AccessKind) (hit bool, wbLine uint64, wb bool) {
-	if c.packed {
-		if c.mruSet >= 0 && lineAddr == c.mruLine {
-			// Coalesced repeat: the line is already the MRU of its set,
-			// so the stack needs no update.
-			if kind == Write {
-				c.dmask[c.mruSet] |= 1 << uint(c.mruWay)
-			}
-			c.stats.Hits++
-			return true, 0, false
-		}
-		set := int(lineAddr & c.setMask)
-		stag := (lineAddr >> c.setShift) + 1
-		base := set * c.ways
-		if way := c.findWayMRU(set, base, stag); way >= 0 {
-			c.stackTouch(set, way)
-			if kind == Write {
-				c.dmask[set] |= 1 << uint(way)
-			}
-			c.stats.Hits++
-			c.mruSet, c.mruWay, c.mruLine = set, way, lineAddr
-			return true, 0, false
-		}
-		c.stats.Misses++
-		way := c.victimInstall(set)
-		idx := base + way
-		bit := uint16(1) << uint(way)
-		if c.tags[idx] != 0 {
-			c.stats.Evictions++
-			if c.dmask[set]&bit != 0 {
-				c.stats.DirtyWritebacks++
-				wbLine = (c.tags[idx]-1)<<c.setShift | uint64(set)
-				wb = true
-			}
-		}
-		c.tags[idx] = stag
-		if kind == Write {
-			c.dmask[set] |= bit
-		} else {
-			c.dmask[set] &^= bit
-		}
-		c.mruSet, c.mruWay, c.mruLine = set, way, lineAddr
-		return false, wbLine, wb
-	}
-
-	c.tick++
 	if c.mruSet >= 0 && lineAddr == c.mruLine {
-		idx := c.mruSet*c.ways + c.mruWay
-		c.lru[idx] = c.tick
+		// Coalesced repeat: the line is already the MRU of its set, so
+		// the stack needs no update.
 		if kind == Write {
-			c.dirty[idx] = true
+			c.dmask[c.mruSet] |= 1 << uint(c.mruWay)
 		}
 		c.stats.Hits++
 		return true, 0, false
@@ -373,30 +298,33 @@ func (c *SetAssoc) AccessLine(lineAddr uint64, kind AccessKind) (hit bool, wbLin
 	set := int(lineAddr & c.setMask)
 	stag := (lineAddr >> c.setShift) + 1
 	base := set * c.ways
-	if way := c.findWay(base, stag); way >= 0 {
-		idx := base + way
-		c.lru[idx] = c.tick
+	if way := c.findWayMRU(set, base, stag); way >= 0 {
+		c.stackTouch(set, way)
 		if kind == Write {
-			c.dirty[idx] = true
+			c.dmask[set] |= 1 << uint(way)
 		}
 		c.stats.Hits++
 		c.mruSet, c.mruWay, c.mruLine = set, way, lineAddr
 		return true, 0, false
 	}
 	c.stats.Misses++
-	way := c.victimWay(set, base)
+	way := c.victimInstall(set)
 	idx := base + way
+	bit := uint16(1) << uint(way)
 	if c.tags[idx] != 0 {
 		c.stats.Evictions++
-		if c.dirty[idx] {
+		if c.dmask[set]&bit != 0 {
 			c.stats.DirtyWritebacks++
 			wbLine = (c.tags[idx]-1)<<c.setShift | uint64(set)
 			wb = true
 		}
 	}
 	c.tags[idx] = stag
-	c.dirty[idx] = kind == Write
-	c.lru[idx] = c.tick
+	if kind == Write {
+		c.dmask[set] |= bit
+	} else {
+		c.dmask[set] &^= bit
+	}
 	c.mruSet, c.mruWay, c.mruLine = set, way, lineAddr
 	return false, wbLine, wb
 }
@@ -405,22 +333,12 @@ func (c *SetAssoc) AccessLine(lineAddr uint64, kind AccessKind) (hit bool, wbLin
 // AccessLine or InstallLineIfAbsent on this cache, exactly as a repeated hit
 // on that line would (recency, dirty, hit count). Callers must
 // guarantee no other operation intervened; the trace simulator uses it
-// to coalesce consecutive references to one line. On the packed path
-// the line is by definition already its set's MRU, so only dirty
-// state and the hit counter move.
+// to coalesce consecutive references to one line. The line is by
+// definition already its set's MRU, so only dirty state and the hit
+// counter move.
 func (c *SetAssoc) TouchMRU(kind AccessKind) {
-	if c.packed {
-		if kind == Write {
-			c.dmask[c.mruSet] |= 1 << uint(c.mruWay)
-		}
-		c.stats.Hits++
-		return
-	}
-	c.tick++
-	idx := c.mruSet*c.ways + c.mruWay
-	c.lru[idx] = c.tick
 	if kind == Write {
-		c.dirty[idx] = true
+		c.dmask[c.mruSet] |= 1 << uint(c.mruWay)
 	}
 	c.stats.Hits++
 }
@@ -438,43 +356,22 @@ func (c *SetAssoc) InstallLineIfAbsent(lineAddr uint64) (installed bool, wbLine 
 	set := int(lineAddr & c.setMask)
 	stag := (lineAddr >> c.setShift) + 1
 	base := set * c.ways
-	if c.packed {
-		if c.findWayMRU(set, base, stag) >= 0 {
-			return false, 0, false
-		}
-		way := c.victimInstall(set)
-		idx := base + way
-		bit := uint16(1) << uint(way)
-		if c.tags[idx] != 0 {
-			c.stats.Evictions++
-			if c.dmask[set]&bit != 0 {
-				c.stats.DirtyWritebacks++
-				wbLine = (c.tags[idx]-1)<<c.setShift | uint64(set)
-				wb = true
-			}
-		}
-		c.tags[idx] = stag
-		c.dmask[set] &^= bit
-		c.mruSet, c.mruWay, c.mruLine = set, way, lineAddr
-		return true, wbLine, wb
-	}
-	if c.findWay(base, stag) >= 0 {
+	if c.findWayMRU(set, base, stag) >= 0 {
 		return false, 0, false
 	}
-	c.tick++
-	way := c.victimWay(set, base)
+	way := c.victimInstall(set)
 	idx := base + way
+	bit := uint16(1) << uint(way)
 	if c.tags[idx] != 0 {
 		c.stats.Evictions++
-		if c.dirty[idx] {
+		if c.dmask[set]&bit != 0 {
 			c.stats.DirtyWritebacks++
 			wbLine = (c.tags[idx]-1)<<c.setShift | uint64(set)
 			wb = true
 		}
 	}
 	c.tags[idx] = stag
-	c.dirty[idx] = false
-	c.lru[idx] = c.tick
+	c.dmask[set] &^= bit
 	c.mruSet, c.mruWay, c.mruLine = set, way, lineAddr
 	return true, wbLine, wb
 }

@@ -39,6 +39,19 @@ func TestNewSetAssocValidation(t *testing.T) {
 	}
 }
 
+// TestNewSetAssocRejectsWideGeometry: the packed LRU stack holds 16
+// ways, and no simulated chip needs more, so wider caches are refused.
+func TestNewSetAssocRejectsWideGeometry(t *testing.T) {
+	for _, ways := range []int{17, 20, 64} {
+		if _, err := NewSetAssoc("x", units.Bytes(8*ways*64), ways, 64); err == nil {
+			t.Errorf("%d ways accepted", ways)
+		}
+	}
+	if _, err := NewSetAssoc("x", 8*16*64, 16, 64); err != nil {
+		t.Errorf("16 ways rejected: %v", err)
+	}
+}
+
 func TestCacheHitMiss(t *testing.T) {
 	c := mustCache(t, 4*64*2, 2) // 4 sets x 2 ways
 	if hit, _, _ := c.Access(0, Read); hit {
@@ -228,9 +241,9 @@ func (n *naiveLRU) access(addr uint64, kind AccessKind) (hit bool, wbAddr uint64
 // stream through SetAssoc and the reference model and requires
 // identical per-access outcomes and aggregate counters.
 func TestSetAssocMatchesNaiveModel(t *testing.T) {
-	// 1..16 exercise the packed nibble-stack LRU; 20 and 64 the
-	// generic tick path.
-	for _, ways := range []int{1, 2, 4, 8, 16, 3, 20, 64} {
+	// Every legal associativity runs on the packed nibble-stack LRU:
+	// the unrolled 4/8/16-way scans and the generic scan (1, 2, 3).
+	for _, ways := range []int{1, 2, 4, 8, 16, 3} {
 		sets := 8
 		c, err := NewSetAssoc("ref", units.Bytes(sets*ways*64), ways, 64)
 		if err != nil {
@@ -291,24 +304,13 @@ func (c *SetAssoc) Contains(addr uint64) bool {
 // written back.
 func (c *SetAssoc) Flush() int64 {
 	var wb int64
-	if c.packed {
-		for s := range c.stack {
-			wb += int64(bits.OnesCount16(c.dmask[s]))
-			c.stack[s] = 0
-			c.dmask[s] = 0
-		}
-		for i := range c.tags {
-			c.tags[i] = 0
-		}
-	} else {
-		for i := range c.tags {
-			if c.tags[i] != 0 && c.dirty[i] {
-				wb++
-			}
-			c.tags[i] = 0
-			c.dirty[i] = false
-			c.lru[i] = 0
-		}
+	for s := range c.stack {
+		wb += int64(bits.OnesCount16(c.dmask[s]))
+		c.stack[s] = 0
+		c.dmask[s] = 0
+	}
+	for i := range c.tags {
+		c.tags[i] = 0
 	}
 	for i := range c.vcnt {
 		c.vcnt[i] = 0

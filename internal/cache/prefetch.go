@@ -38,7 +38,6 @@ type StreamPrefetcher struct {
 	mru, lru int32    // most and least recently touched streams
 	n        int      // streams allocated so far (valid entries are [0, n))
 	buf      []uint64 // reused result buffer (ObserveLines)
-	issued   int64
 }
 
 // NewStreamPrefetcher builds a prefetcher with the given stream table
@@ -118,7 +117,6 @@ func (p *StreamPrefetcher) ObserveLines(lineAddr uint64) []uint64 {
 			out = append(out, l)
 		}
 		p.frontier[i] = end
-		p.issued += int64(len(out))
 		return out
 	}
 	// Allocate a new tracking entry in the lru slot: a free one while

@@ -461,6 +461,12 @@ func (q *Queue) runJob(ctx context.Context, j *job) {
 
 	progress := func(done, total int) {
 		j.mu.Lock()
+		if total == j.info.Total && done <= j.info.Done {
+			// Parallel workers can report out of order; a count that
+			// lost the race to a later one must not move progress back.
+			j.mu.Unlock()
+			return
+		}
 		j.info.Done, j.info.Total = done, total
 		j.mu.Unlock()
 		q.onEvent(events.Event{Job: id, Type: events.TypeProgress, Done: done, Total: total})

@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -29,7 +30,10 @@ import (
 // A replay is byte-identical to an in-process tracesim.Simulator run
 // of the same stored trace. A replay campaign opens and decodes each
 // stored trace once per SKU, with one memory lane per configuration
-// (see streamCompute).
+// (see streamCompute). The first replay of a trace variant (SKU,
+// passes, prefetch) records its miss stream beside the trace, and
+// every later replay of the variant drains its lanes from that stream
+// instead of decoding and re-simulating the trace (see computeReplay).
 
 // errStorage marks server-side trace-storage faults (a corrupted
 // block, a vanished file); the HTTP layer maps it to 500, unlike
@@ -97,6 +101,9 @@ type ReplayRequest struct {
 	Passes int `json:"passes,omitempty"`
 	// Prefetch enables the stream prefetcher (default true).
 	Prefetch *bool `json:"prefetch,omitempty"`
+	// Shards is accepted from older clients and ignored: sharded
+	// replay is gone.
+	Shards json.RawMessage `json:"shards,omitempty"`
 }
 
 // replayQuery is the canonical resolved form of a ReplayRequest: the
@@ -133,6 +140,16 @@ func (r ReplayRequest) Resolve() (replayQuery, error) {
 		q.prefetch = *r.Prefetch
 	}
 	return q, nil
+}
+
+// missVariant names the miss stream q's replay records and drains:
+// everything above the memory system that the stream depends on.
+func (q replayQuery) missVariant() string {
+	return keys.New("misses").
+		Str("sku", q.sku).
+		Int("p", int64(q.passes)).
+		Bool("pf", q.prefetch).
+		Sum()[:16]
 }
 
 // Key is the content address of the replay result.
@@ -180,6 +197,18 @@ func replayStats(r tracesim.Result) ReplayStats {
 	}
 }
 
+// replayMetric is the headline metric of every replay.
+const replayMetric = "ns/access"
+
+// replayResult is what the replay cache holds for one replay: the
+// computed part of a ReplayResponse. Its JSON field names are
+// ReplayResponse's, so result files holding a whole response still
+// decode into it.
+type replayResult struct {
+	Value float64     `json:"value"`
+	Stats ReplayStats `json:"stats"`
+}
+
 // ReplayResponse is one replay of a stored trace.
 type ReplayResponse struct {
 	Trace  TraceInfo `json:"trace"`
@@ -199,13 +228,16 @@ type ReplayResponse struct {
 	ElapsedMS float64     `json:"elapsed_ms"`
 }
 
-// computeReplay opens the stored trace the queries share and replays
-// it once, with one memory lane per query: response i equals a replay
-// of qs[i] alone. The queries differ only in their configs; a direct
-// /v1/replay is a group of one. Cancellation is checked before the
-// replay starts; a begun replay runs to completion so a cancelled
-// result is never cached half-done.
-func (s *Server) computeReplay(ctx context.Context, qs []replayQuery) (resps []ReplayResponse, err error) {
+// computeReplay replays the stored trace the queries share once, with
+// one memory lane per query: result i equals a replay of qs[i] alone.
+// The queries differ only in their configs; a direct /v1/replay is a
+// group of one. When the variant's miss stream is on disk and intact
+// the lanes drain from it (span attribute upper=stored); otherwise the
+// trace is decoded and simulated, and its miss stream recorded
+// (upper=replayed). Cancellation is checked before the replay starts;
+// a begun replay runs to completion so a cancelled result is never
+// cached half-done.
+func (s *Server) computeReplay(ctx context.Context, qs []replayQuery) (out []replayResult, err error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -220,60 +252,113 @@ func (s *Server) computeReplay(ctx context.Context, qs []replayQuery) (resps []R
 	if err != nil {
 		return nil, err
 	}
+	configs := make([]engine.MemoryConfig, len(qs))
+	for i, m := range qs {
+		configs[i] = m.config
+	}
+	cfgs, err := s.exec.laneConfigs(q.sku, configs, q.prefetch)
+	if err != nil {
+		return nil, err
+	}
+	results, ok := drainStored(st, q, cfgs)
+	if ok {
+		span.SetAttr("upper", "stored")
+	} else {
+		span.SetAttr("upper", "replayed")
+		if results, err = s.replayStored(st, q, cfgs); err != nil {
+			return nil, err
+		}
+	}
+	out = make([]replayResult, len(qs))
+	for i, r := range results {
+		out[i] = replayResult{Value: r.AvgLatencyNS(), Stats: replayStats(r)}
+	}
+	return out, nil
+}
+
+// drainStored drains one lane per config from the recorded miss stream
+// of q's variant. ok=false means there is no usable stream: none was
+// recorded, or it was recorded on another hierarchy or pass count, or
+// it fails a check while draining (the caller then replays the trace,
+// which records the stream again). A stream that fails a check never
+// yields a result.
+func drainStored(st *tracestore.Store, q replayQuery, cfgs []tracesim.Config) ([]tracesim.Result, bool) {
+	r, err := st.OpenMisses(q.trace, q.missVariant())
+	if err != nil {
+		return nil, false
+	}
+	defer r.Close()
+	h := r.Header()
+	if h.Hierarchy != cfgs[0].Hierarchy() || h.Passes != q.passes {
+		return nil, false
+	}
+	res, err := tracesim.DrainLanes(cfgs, h.Upper, h.Warm, r)
+	if err != nil || r.Err() != nil {
+		return nil, false
+	}
+	return res, true
+}
+
+// replayStored decodes the stored trace and replays it through one
+// memory lane per config, recording the miss stream of q's variant on
+// the way. Decoded varint-delta blocks are walked in place
+// (tracestore.BlockReader) with no staging copy. A stream that cannot
+// be recorded (a full disk) costs later replays their shortcut, never
+// this replay its result.
+func (s *Server) replayStored(st *tracestore.Store, q replayQuery, cfgs []tracesim.Config) ([]tracesim.Result, error) {
 	prov, err := st.Open(q.trace)
 	if err != nil {
 		return nil, err
 	}
 	defer prov.Close()
-
-	configs := make([]engine.MemoryConfig, len(qs))
-	for i, m := range qs {
-		configs[i] = m.config
-	}
-	// Decoded varint-delta blocks are walked in place
-	// (tracestore.BlockReader) with no staging copy.
-	results, err := s.exec.replayLanes(prov.Blocks(), q.sku, configs, q.passes, q.prefetch)
+	sim, err := tracesim.NewLanes(cfgs)
 	if err != nil {
 		return nil, err
 	}
-	if perr := prov.Err(); perr != nil {
+	rec, recErr := st.CreateMisses(q.trace, q.missVariant())
+	if recErr == nil {
+		sim.Record(rec)
+	}
+	_, err = sim.Run(prov.Blocks(), q.passes)
+	if perr := prov.Err(); err == nil && perr != nil {
 		// The stream ended early: the result would silently describe a
 		// truncated trace, so fail loudly instead.
-		return nil, fmt.Errorf("%w: %v", errStorage, perr)
+		err = fmt.Errorf("%w: %v", errStorage, perr)
 	}
-	info := traceInfo(prov.Meta())
-	resps = make([]ReplayResponse, len(qs))
-	for i, m := range qs {
-		resps[i] = ReplayResponse{
-			Trace:    info,
-			Config:   m.config.String(),
-			SKU:      m.sku,
-			Passes:   m.passes,
-			Prefetch: m.prefetch,
-			Key:      m.Key(),
-			Metric:   "ns/access",
-			Value:    results[i].AvgLatencyNS(),
-			Stats:    replayStats(results[i]),
+	if err != nil {
+		if rec != nil {
+			rec.Abort()
 		}
+		return nil, err
 	}
-	return resps, nil
+	if recErr == nil {
+		recErr = rec.Commit(tracestore.MissHeader{Hierarchy: cfgs[0].Hierarchy(), Passes: q.passes, Upper: sim.Upper()})
+	}
+	if recErr != nil {
+		s.logger.Warn("miss stream not recorded", "trace", q.trace, "err", recErr)
+	}
+	res := make([]tracesim.Result, len(cfgs))
+	for i := range res {
+		res[i] = sim.LaneResult(i)
+	}
+	return res, nil
 }
 
 // replayOutcome is the campaign outcome of replay point p.
-func replayOutcome(p campaign.Point, resp ReplayResponse, cached bool) campaign.Outcome {
+func replayOutcome(p campaign.Point, res replayResult, cached bool) campaign.Outcome {
 	return campaign.Outcome{
 		Point:  p,
-		Metric: resp.Metric,
-		Value:  resp.Value,
+		Metric: replayMetric,
+		Value:  res.Value,
 		Cached: cached,
 		Trace: &campaign.TraceStats{
-			Accesses:     resp.Stats.Accesses,
-			L1HitRate:    hitRatio(resp.Stats.L1Hits, resp.Stats.L1Misses),
-			L2HitRate:    hitRatio(resp.Stats.L2Hits, resp.Stats.L2Misses),
-			MCHitRate:    hitRatio(resp.Stats.MCHits, resp.Stats.MCMisses),
-			MemReads:     resp.Stats.MemReads,
-			MemWrites:    resp.Stats.MemWrites,
-			AvgLatencyNS: resp.Value,
+			Accesses:     res.Stats.Accesses,
+			L1HitRate:    hitRatio(res.Stats.L1Hits, res.Stats.L1Misses),
+			L2HitRate:    hitRatio(res.Stats.L2Hits, res.Stats.L2Misses),
+			MCHitRate:    hitRatio(res.Stats.MCHits, res.Stats.MCMisses),
+			MemReads:     res.Stats.MemReads,
+			MemWrites:    res.Stats.MemWrites,
+			AvgLatencyNS: res.Value,
 		},
 	}
 }
@@ -411,17 +496,19 @@ func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	if _, ok := st.Get(q.trace); !ok {
+	meta, ok := st.Get(q.trace)
+	if !ok {
 		writeError(w, http.StatusNotFound, fmt.Errorf("%w %q", tracestore.ErrNotFound, q.trace))
 		return
 	}
 	start := time.Now()
-	resp, cached, err := s.replays.GetOrCompute(q.Key(), func() (ReplayResponse, error) {
-		resps, err := s.computeReplay(r.Context(), []replayQuery{q})
+	key := q.Key()
+	res, cached, err := s.replays.GetOrCompute(key, func() (replayResult, error) {
+		rs, err := s.computeReplay(r.Context(), []replayQuery{q})
 		if err != nil {
-			return ReplayResponse{}, err
+			return replayResult{}, err
 		}
-		return resps[0], nil
+		return rs[0], nil
 	})
 	if err != nil {
 		status := http.StatusBadRequest
@@ -437,9 +524,19 @@ func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 	if cached {
 		s.lookupSeconds.Observe(time.Since(start).Seconds(), "replay")
 	}
-	resp.Cached = cached
-	resp.ElapsedMS = float64(time.Since(start).Microseconds()) / 1000
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, ReplayResponse{
+		Trace:     traceInfo(meta),
+		Config:    q.config.String(),
+		SKU:       q.sku,
+		Passes:    q.passes,
+		Prefetch:  q.prefetch,
+		Key:       key,
+		Metric:    replayMetric,
+		Value:     res.Value,
+		Stats:     res.Stats,
+		Cached:    cached,
+		ElapsedMS: float64(time.Since(start).Microseconds()) / 1000,
+	})
 }
 
 // RenderTraces renders the trace listing the way simctl prints it.

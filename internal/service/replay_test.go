@@ -278,7 +278,7 @@ func TestReplayCampaignSharesStreams(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want[r.Config] = replayOutcome(campaign.Point{}, r, false)
+		want[r.Config] = replayOutcome(campaign.Point{}, replayResult{Value: r.Value, Stats: r.Stats}, false)
 	}
 
 	const rid = "share-replay-1"

@@ -61,8 +61,9 @@ type Options struct {
 	// up; requests may override it per-job with the X-Simd-Timeout
 	// header. <= 0 means no default deadline.
 	JobTimeout time.Duration
-	// DataFS overrides the filesystem under DataDir (fault-injection
-	// tests substitute a faultfs.Fault). Nil means the real OS.
+	// DataFS overrides the filesystem under DataDir and TraceDir
+	// (fault-injection tests substitute a faultfs.Fault). Nil means
+	// the real OS.
 	DataFS faultfs.FS
 	// Logger receives the structured access log and server events.
 	// Nil means no logging (library embedders and tests pay nothing).
@@ -96,7 +97,7 @@ type Server struct {
 	experiments *Cache[ExperimentResult]
 	advices     *Cache[AdviseResponse]
 	clusters    *Cache[ClusterResponse]
-	replays     *Cache[ReplayResponse]
+	replays     *Cache[replayResult]
 	mux         *http.ServeMux
 	logger      *slog.Logger
 	slowReq     time.Duration
@@ -113,6 +114,7 @@ type Server struct {
 	jobTimeout time.Duration
 
 	traceDir string
+	traceFS  faultfs.FS
 	storeMu  sync.Mutex
 	store    *tracestore.Store // lazily opened; guarded by storeMu
 	storeErr error             // guarded by storeMu
@@ -143,7 +145,7 @@ func NewServer(opt Options) *Server {
 		experiments: NewCache[ExperimentResult]("experiment", reg, opt.CacheSize),
 		advices:     NewCache[AdviseResponse]("advice", reg, opt.CacheSize),
 		clusters:    NewCache[ClusterResponse]("cluster", reg, opt.CacheSize),
-		replays:     NewCache[ReplayResponse]("replay", reg, opt.CacheSize),
+		replays:     NewCache[replayResult]("replay", reg, opt.CacheSize),
 		mux:         http.NewServeMux(),
 		logger:      opt.Logger,
 		slowReq:     opt.SlowRequest,
@@ -153,6 +155,7 @@ func NewServer(opt Options) *Server {
 		maxTrace:    opt.MaxTraceBytes,
 		jobTimeout:  opt.JobTimeout,
 		traceDir:    opt.TraceDir,
+		traceFS:     opt.DataFS,
 	}
 	if s.logger == nil {
 		s.logger = obs.NopLogger()
@@ -176,6 +179,9 @@ func NewServer(opt Options) *Server {
 	}
 	if s.traceDir == "" {
 		s.traceDir = filepath.Join(os.TempDir(), "simd-traces")
+	}
+	if s.traceFS == nil {
+		s.traceFS = faultfs.OS{}
 	}
 	// Job state transitions and progress ticks fan out to the live
 	// event bus so any number of watchers follow a job without polling
@@ -220,7 +226,7 @@ func (s *Server) traceStore() (*tracestore.Store, error) {
 	s.storeMu.Lock()
 	defer s.storeMu.Unlock()
 	if s.store == nil {
-		s.store, s.storeErr = tracestore.Open(s.traceDir)
+		s.store, s.storeErr = tracestore.OpenFS(s.traceFS, s.traceDir)
 		if s.store != nil {
 			// The store's gauges exist only once it does: a scrape must
 			// not create the directory as a side effect.
@@ -232,11 +238,15 @@ func (s *Server) traceStore() (*tracestore.Store, error) {
 
 // decodeBody decodes a JSON request body bounded by the service's
 // body cap. It writes the HTTP error itself — 413 when the cap is
-// exceeded, 400 for malformed JSON — and reports whether decoding
-// succeeded.
+// exceeded, 400 for malformed JSON or a field the request type does
+// not declare (the message names it, so a misspelt "pases" fails
+// instead of silently running the default) — and reports whether
+// decoding succeeded.
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, what string, v any) bool {
 	r.Body = http.MaxBytesReader(w, r.Body, s.maxBody)
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
 			writeError(w, http.StatusRequestEntityTooLarge,

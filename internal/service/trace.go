@@ -109,12 +109,11 @@ func (e *Executor) replayHierarchy(sku string, mc engine.MemoryConfig) (tracesim
 	return cfg, nil
 }
 
-// replayLanes replays src `passes` times through the scaled hierarchy
-// of sku (see replayHierarchy), with the prefetcher on or off and one
-// memory lane per config. Result i is exactly what a replay under
-// configs[i] alone reports. Every replay in the service runs here:
-// synthetic trace groups and stored traces alike.
-func (e *Executor) replayLanes(src tracesim.BlockSource, sku string, configs []engine.MemoryConfig, passes int, prefetch bool) ([]tracesim.Result, error) {
+// laneConfigs maps each config onto the scaled hierarchy of sku (see
+// replayHierarchy), with the prefetcher on or off: one memory lane
+// each. Every replay in the service runs on these lanes: synthetic
+// trace groups and stored traces alike.
+func (e *Executor) laneConfigs(sku string, configs []engine.MemoryConfig, prefetch bool) ([]tracesim.Config, error) {
 	cfgs := make([]tracesim.Config, len(configs))
 	for i, mc := range configs {
 		cfg, err := e.replayHierarchy(sku, mc)
@@ -123,6 +122,17 @@ func (e *Executor) replayLanes(src tracesim.BlockSource, sku string, configs []e
 		}
 		cfg.Prefetcher = prefetch
 		cfgs[i] = cfg
+	}
+	return cfgs, nil
+}
+
+// replayLanes replays src `passes` times on laneConfigs(sku, configs,
+// prefetch). Result i is exactly what a replay under configs[i] alone
+// reports.
+func (e *Executor) replayLanes(src tracesim.BlockSource, sku string, configs []engine.MemoryConfig, passes int, prefetch bool) ([]tracesim.Result, error) {
+	cfgs, err := e.laneConfigs(sku, configs, prefetch)
+	if err != nil {
+		return nil, err
 	}
 	sim, err := tracesim.NewLanes(cfgs)
 	if err != nil {
@@ -302,16 +312,16 @@ func (s *Server) streamCompute(stream []campaign.Point) func(context.Context, in
 	for i, p := range stream {
 		qs[i] = replayQuery{trace: p.TraceID, config: p.Config, sku: p.SKU, passes: 1, prefetch: true}
 	}
-	m := &groupMemo[ReplayResponse]{lanes: len(qs), run: func(ctx context.Context) ([]ReplayResponse, error) {
+	m := &groupMemo[replayResult]{lanes: len(qs), run: func(ctx context.Context) ([]replayResult, error) {
 		return s.computeReplay(ctx, qs)
 	}}
 	return func(ctx context.Context, i int, span *obs.Span) (campaign.Outcome, error) {
-		resp, cached, err := s.replays.GetOrCompute(qs[i].Key(), func() (ReplayResponse, error) {
+		res, cached, err := s.replays.GetOrCompute(qs[i].Key(), func() (replayResult, error) {
 			return m.get(ctx, i, span)
 		})
 		if err != nil {
 			return campaign.Outcome{}, fmt.Errorf("service: %s: %w", stream[i], err)
 		}
-		return replayOutcome(stream[i], resp, cached), nil
+		return replayOutcome(stream[i], res, cached), nil
 	}
 }

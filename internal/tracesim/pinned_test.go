@@ -85,10 +85,12 @@ var pinnedResults = []struct {
 	{"uniform-random", "hybrid0.50", 2, Result{Accesses: 120000, L1: cache.Stats{Hits: 225, Misses: 119775, Evictions: 119775, DirtyWritebacks: 0}, L2: cache.Stats{Hits: 6519, Misses: 113256, Evictions: 113280, DirtyWritebacks: 0}, MemCache: cache.Stats{Hits: 72284, Misses: 40996, Evictions: 40996, DirtyWritebacks: 0}, MemReads: 40996, MemWrites: 0, Prefetches: 24, TotalTimePS: 18078715000, TotalTimeNS: 1.8078715e+07}},
 }
 
-// TestPinnedResults replays every row of pinnedResults three ways: a
+// TestPinnedResults replays every row of pinnedResults four ways: a
 // single-lane Run over one stream-sized block (the miss log fills and
-// drains mid-block), one four-lane Run over odd block lengths, and the
-// per-reference Access oracle. All must equal the recorded Result.
+// drains mid-block), one four-lane Run over odd block lengths, the
+// per-reference Access oracle, and DrainLanes over the miss log a
+// recorded dram replay of the stream left. All must equal the recorded
+// Result.
 func TestPinnedResults(t *testing.T) {
 	streams := pinStreams(t)
 	names, cfgs := pinConfigs()
@@ -97,6 +99,7 @@ func TestPinnedResults(t *testing.T) {
 		lane[n] = i
 	}
 	multi := map[string]*Simulator{}
+	recs := map[string]*recordedMisses{}
 	for _, row := range pinnedResults {
 		label := fmt.Sprintf("%s/%s/passes=%d", row.stream, row.config, row.passes)
 		acc, cfg := streams[row.stream], cfgs[lane[row.config]]
@@ -122,5 +125,70 @@ func TestPinnedResults(t *testing.T) {
 		if got := multi[key].LaneResult(lane[row.config]); got != row.want {
 			t.Errorf("%s: lanes Run: %+v != %+v", label, got, row.want)
 		}
+		if recs[key] == nil {
+			recs[key] = recordMisses(t, cfgs[0], acc, row.passes)
+		}
+		rec := recs[key]
+		got, err := DrainLanes([]Config{cfg}, rec.up, rec.warm, &logSource{log: rec.log, cut: 333})
+		if err != nil || got[0] != row.want {
+			t.Errorf("%s: drained from a recorded dram replay: %+v != %+v (%v)", label, got, row.want, err)
+		}
+	}
+}
+
+// recordedMisses is one replay's recorded miss log: what DrainLanes
+// replays the lanes from.
+type recordedMisses struct {
+	log  []uint64
+	warm int64
+	up   Upper
+}
+
+func (r *recordedMisses) Misses(log []uint64) { r.log = append(r.log, log...) }
+func (r *recordedMisses) Warm()               { r.warm = int64(len(r.log)) }
+
+// recordMisses replays acc under cfg with a recorder attached.
+func recordMisses(t *testing.T, cfg Config, acc []Access, passes int) *recordedMisses {
+	t.Helper()
+	sim, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := &recordedMisses{}
+	sim.Record(rec)
+	if _, err := sim.Run(&sliceSource{acc: acc}, passes); err != nil {
+		t.Fatal(err)
+	}
+	rec.up = sim.Upper()
+	return rec
+}
+
+// logSource serves a recorded miss log in blocks of cut entries.
+type logSource struct {
+	log []uint64
+	cut int
+}
+
+func (s *logSource) NextMisses() ([]uint64, bool) {
+	if len(s.log) == 0 {
+		return nil, false
+	}
+	n := min(len(s.log), s.cut)
+	b := s.log[:n]
+	s.log = s.log[n:]
+	return b, true
+}
+
+// TestDrainLanesRejects: lanes that disagree above the memory system,
+// or a log that ends inside its own warm-up, yield no result.
+func TestDrainLanesRejects(t *testing.T) {
+	cfg := DefaultConfig(0)
+	other := cfg
+	other.L2Ways = 8
+	if _, err := DrainLanes([]Config{cfg, other}, Upper{}, 0, &logSource{cut: 1}); err == nil {
+		t.Error("lanes of two hierarchies accepted")
+	}
+	if _, err := DrainLanes([]Config{cfg}, Upper{}, 3, &logSource{log: []uint64{4, 8}, cut: 1}); err == nil {
+		t.Error("a log shorter than its warm-up accepted")
 	}
 }

@@ -55,6 +55,15 @@
 // therefore applies exactly the operation sequence it would see if it
 // were called inline. A flat lane's drain is a handful of counter adds
 // over per-opcode counts; a cache lane applies the entries one by one.
+//
+// Since the log is all a lane ever sees, it can be kept. Record taps
+// it with a MissRecorder, which also gets a Warm mark where Run's
+// measured pass begins, and Upper reports the counters above the
+// lanes. DrainLanes later rebuilds any lane from the recorded log and
+// that Upper, equal to the LaneResult of a full replay, without the
+// stream and without the L1/L2 pass. The service records stored
+// traces this way (tracestore miss streams); synthetic trace groups
+// never record.
 package tracesim
 
 import (
@@ -242,6 +251,28 @@ type Config struct {
 	L1Lat, L2Lat, MemCacheLat, MemLat float64
 }
 
+// Hierarchy is the part of a Config above the memory system: the
+// L1/L2 geometry, the prefetcher switch and the L1/L2 hit latencies.
+// Configs with equal Hierarchies run the identical upper pass over a
+// stream, so they can share one Simulator as memory lanes or one
+// recorded miss stream (see DrainLanes).
+type Hierarchy struct {
+	L1Size, L2Size units.Bytes
+	L1Ways, L2Ways int
+	Prefetcher     bool
+	L1Lat, L2Lat   float64
+}
+
+// Hierarchy returns the config's part above the memory system.
+func (c Config) Hierarchy() Hierarchy {
+	return Hierarchy{
+		L1Size: c.L1Size, L2Size: c.L2Size,
+		L1Ways: c.L1Ways, L2Ways: c.L2Ways,
+		Prefetcher: c.Prefetcher,
+		L1Lat:      c.L1Lat, L2Lat: c.L2Lat,
+	}
+}
+
 // DefaultConfig returns a scaled-down KNL-like hierarchy suitable for
 // trace experiments (full-size MCDRAM would need gigabyte traces).
 func DefaultConfig(memCache units.Bytes) Config {
@@ -394,6 +425,59 @@ type lane struct {
 	fillPS uint64
 }
 
+// newLanes builds one lane per config, after checking that every
+// config shares lane 0's Hierarchy.
+func newLanes(cfgs []Config) ([]lane, error) {
+	if len(cfgs) == 0 {
+		return nil, fmt.Errorf("tracesim: need at least one lane")
+	}
+	lanes := make([]lane, len(cfgs))
+	for i, c := range cfgs {
+		if c.Hierarchy() != cfgs[0].Hierarchy() {
+			return nil, fmt.Errorf("tracesim: lane %d differs from lane 0 above the memory system", i)
+		}
+		mem, err := newMemSys(c)
+		if err != nil {
+			return nil, err
+		}
+		lanes[i].memSys = mem
+	}
+	return lanes, nil
+}
+
+// reset clears the lane's counters and fill time but keeps its
+// memory-side cache contents.
+func (l *lane) reset() {
+	l.resetStats()
+	l.fillPS = 0
+}
+
+// addFlat charges a flat lane (no memory-side cache) for a miss log
+// summarised as per-opcode counts: every operation has a fixed cost.
+func (l *lane) addFlat(n *[4]int64) {
+	l.memReads += n[missDemand] + n[missPrefetch] + n[missPrefetchDirty]
+	l.memWrites += n[missPrefetchDirty] + n[missWriteback]
+	l.fillPS += uint64(n[missDemand]) * l.memPS
+}
+
+// result composes the lane's Result over the shared upper counters.
+func (l *lane) result(up Upper) Result {
+	r := Result{
+		Accesses:    up.Accesses,
+		L1:          up.L1,
+		L2:          up.L2,
+		MemReads:    l.memReads,
+		MemWrites:   l.memWrites,
+		Prefetches:  up.Prefetches,
+		TotalTimePS: up.HitPS + l.fillPS,
+	}
+	if l.mc != nil {
+		r.MemCache = l.mc.Stats()
+	}
+	r.TotalTimeNS = float64(r.TotalTimePS) * 1e-3
+	return r
+}
+
 // drain applies a miss log to the lane's memory-side cache, op by op
 // in stream order.
 //
@@ -427,9 +511,12 @@ type Simulator struct {
 	l2        *cache.SetAssoc
 	lanes     []lane // memory systems below the L2; lane 0 is Result's
 	pf        *cache.StreamPrefetcher
-	// res holds the counters the lanes share; its TotalTimePS is the
-	// L1/L2 hit time only, each lane adding its own fill time.
-	res Result
+	// up holds the counters the lanes share (its L1 and L2 stats live
+	// in the caches until Upper reads them); HitPS is the L1/L2 hit
+	// time only, each lane adding its own fill time.
+	up Upper
+	// rec, when set, receives every drained miss log (Record).
+	rec MissRecorder
 
 	// Same-line coalescing: the line touched by the previous access
 	// is guaranteed resident in L1, so a repeat reference is an L1
@@ -454,22 +541,11 @@ func New(cfg Config) (*Simulator, error) {
 // prefetcher, L1/L2 latencies), which lane 0 defines; they may differ
 // in MemCache, MemCacheLat and MemLat.
 func NewLanes(cfgs []Config) (*Simulator, error) {
-	if len(cfgs) == 0 {
-		return nil, fmt.Errorf("tracesim: need at least one lane")
+	lanes, err := newLanes(cfgs)
+	if err != nil {
+		return nil, err
 	}
 	cfg := cfgs[0]
-	lanes := make([]lane, len(cfgs))
-	for i, c := range cfgs {
-		if c.L1Size != cfg.L1Size || c.L1Ways != cfg.L1Ways || c.L2Size != cfg.L2Size || c.L2Ways != cfg.L2Ways ||
-			c.Prefetcher != cfg.Prefetcher || c.L1Lat != cfg.L1Lat || c.L2Lat != cfg.L2Lat {
-			return nil, fmt.Errorf("tracesim: lane %d differs from lane 0 above the memory system", i)
-		}
-		mem, err := newMemSys(c)
-		if err != nil {
-			return nil, err
-		}
-		lanes[i].memSys = mem
-	}
 	l1, err := cache.NewSetAssoc("L1D", cfg.L1Size, cfg.L1Ways, units.CacheLine)
 	if err != nil {
 		return nil, err
@@ -519,19 +595,19 @@ func (s *Simulator) logMiss(line, op uint64) {
 //
 //simd:hotpath — runs once per simulated access.
 func (s *Simulator) accessLine(line uint64, kind cache.AccessKind) uint64 {
-	s.res.Accesses++
+	s.up.Accesses++
 
 	if s.haveLast && line == s.lastLine {
 		// Coalesced: the previous access left this line in L1 as the
 		// MRU way; touch it without a set scan.
 		s.l1.TouchMRU(kind)
-		s.res.TotalTimePS += s.l1PS
+		s.up.HitPS += s.l1PS
 		return s.l1PS
 	}
 	s.lastLine, s.haveLast = line, true
 
 	if hit, _, _ := s.l1.AccessLine(line, kind); hit {
-		s.res.TotalTimePS += s.l1PS
+		s.up.HitPS += s.l1PS
 		return s.l1PS
 	}
 	// Miss in L1 (the line is now installed there, write-allocate):
@@ -541,7 +617,7 @@ func (s *Simulator) accessLine(line uint64, kind cache.AccessKind) uint64 {
 			// Fused residency check + install: one tag scan per
 			// candidate instead of a ContainsLine/InstallLine pair.
 			if installed, _, wb := s.l2.InstallLineIfAbsent(pl); installed {
-				s.res.Prefetches++
+				s.up.Prefetches++
 				if wb {
 					s.logMiss(pl, missPrefetchDirty)
 				} else {
@@ -557,7 +633,7 @@ func (s *Simulator) accessLine(line uint64, kind cache.AccessKind) uint64 {
 		s.logMiss(wbLine, missWriteback)
 	}
 	if hit {
-		s.res.TotalTimePS += s.l2PS
+		s.up.HitPS += s.l2PS
 		return s.l2PS
 	}
 	// L2 miss: every lane fetches from its memory (possibly via its
@@ -574,19 +650,18 @@ func (s *Simulator) accessLine(line uint64, kind cache.AccessKind) uint64 {
 func (s *Simulator) drain() {
 	log := s.missLog[:s.nlog]
 	s.nlog = 0
-	var n [4]int64
-	for _, e := range log {
-		n[e&3]++
+	if s.rec != nil {
+		s.rec.Misses(log)
 	}
+	var n [4]int64
+	countOps(&n, log)
 	for i := range s.lanes {
 		l := &s.lanes[i]
 		if l.mc != nil {
 			l.drain(log)
 			continue
 		}
-		l.memReads += n[missDemand] + n[missPrefetch] + n[missPrefetchDirty]
-		l.memWrites += n[missPrefetchDirty] + n[missWriteback]
-		l.fillPS += uint64(n[missDemand]) * l.memPS
+		l.addFlat(&n)
 	}
 }
 
@@ -618,6 +693,9 @@ func (s *Simulator) Run(src BlockSource, passes int) (Result, error) {
 	for p := 0; p < passes; p++ {
 		if p == passes-1 {
 			s.ResetStats()
+			if s.rec != nil {
+				s.rec.Warm()
+			}
 		}
 		src.Reset()
 		for {
@@ -638,28 +716,24 @@ func (s *Simulator) Result() Result { return s.LaneResult(0) }
 // what a single-lane simulator built from that lane's config reports
 // for the same stream.
 func (s *Simulator) LaneResult(i int) Result {
-	l := &s.lanes[i]
-	r := s.res
-	r.L1 = s.l1.Stats()
-	r.L2 = s.l2.Stats()
-	r.MemReads = l.memReads
-	r.MemWrites = l.memWrites
-	if l.mc != nil {
-		r.MemCache = l.mc.Stats()
-	}
-	r.TotalTimePS += l.fillPS
-	r.TotalTimeNS = float64(r.TotalTimePS) * 1e-3
-	return r
+	return s.lanes[i].result(s.Upper())
+}
+
+// Upper returns the accumulated counters of the shared hierarchy
+// above the memory lanes.
+func (s *Simulator) Upper() Upper {
+	u := s.up
+	u.L1, u.L2 = s.l1.Stats(), s.l2.Stats()
+	return u
 }
 
 // ResetStats clears counters but keeps cache contents (for steady-
 // state measurement).
 func (s *Simulator) ResetStats() {
-	s.res = Result{}
+	s.up = Upper{}
 	s.l1.ResetStats()
 	s.l2.ResetStats()
 	for i := range s.lanes {
-		s.lanes[i].resetStats()
-		s.lanes[i].fillPS = 0
+		s.lanes[i].reset()
 	}
 }

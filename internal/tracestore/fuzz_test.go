@@ -283,6 +283,7 @@ func TestWriteFuzzCorpus(t *testing.T) {
 	write("FuzzIngestNDJSON", nd)
 	write("FuzzIngestCSV", cs)
 	write("FuzzDecodeBlock", decodeBlockSeeds())
+	write("FuzzMissStream", missStreamSeeds())
 }
 
 // TestFuzzSeedsDeterministic runs every seed through the fuzz bodies
@@ -315,5 +316,8 @@ func TestFuzzSeedsDeterministic(t *testing.T) {
 		dec := NewDecoder(bytes.NewReader(s))
 		decodeAll(dec)
 		_ = dec.Err()
+	}
+	for _, s := range missStreamSeeds() {
+		checkMissRoundTrip(t, s)
 	}
 }

@@ -24,9 +24,6 @@ type Provider struct {
 	err  error
 }
 
-// Meta returns the stored trace's metadata.
-func (p *Provider) Meta() Meta { return p.meta }
-
 // Reset rewinds to the first access for another pass.
 func (p *Provider) Reset() {
 	if _, err := p.f.Seek(headerSize, io.SeekStart); err != nil {

@@ -85,9 +85,10 @@ func OpenFS(fsys faultfs.FS, dir string) (*Store, error) {
 		if e.IsDir() {
 			continue
 		}
-		if strings.HasPrefix(name, ".ingest-") {
-			// A crash mid-ingest left this temp file; it was never
-			// indexed, so removing it loses nothing.
+		if strings.HasPrefix(name, ".ingest-") || strings.HasPrefix(name, missTempPrefix) {
+			// A crash mid-ingest or mid-recording left this temp file;
+			// it was never indexed or filed, so removing it loses
+			// nothing.
 			fsys.Remove(filepath.Join(dir, name))
 			continue
 		}
@@ -280,12 +281,16 @@ func (s *Store) Totals() (count int, bytes int64) {
 	return len(s.metas), bytes
 }
 
-// Delete removes a trace from the index and from disk.
+// Delete removes a trace and its recorded miss streams from the index
+// and from disk.
 func (s *Store) Delete(id string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.metas[id]; !ok {
 		return fmt.Errorf("%w %q", ErrNotFound, id)
+	}
+	if err := s.removeMisses(id); err != nil {
+		return err
 	}
 	if err := s.fs.Remove(s.path(id)); err != nil && !os.IsNotExist(err) {
 		return fmt.Errorf("tracestore: %w", err)

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/cache"
 	"repro/internal/campaign"
 	"repro/internal/engine"
 	"repro/internal/keys"
@@ -197,6 +198,13 @@ func replayStats(r tracesim.Result) ReplayStats {
 	}
 }
 
+// hitRatios returns the L1, L2 and memory-side cache hit ratios.
+func (s ReplayStats) hitRatios() (l1, l2, mc float64) {
+	return cache.Stats{Hits: s.L1Hits, Misses: s.L1Misses}.HitRatio(),
+		cache.Stats{Hits: s.L2Hits, Misses: s.L2Misses}.HitRatio(),
+		cache.Stats{Hits: s.MCHits, Misses: s.MCMisses}.HitRatio()
+}
+
 // replayMetric is the headline metric of every replay.
 const replayMetric = "ns/access"
 
@@ -207,6 +215,10 @@ const replayMetric = "ns/access"
 type replayResult struct {
 	Value float64     `json:"value"`
 	Stats ReplayStats `json:"stats"`
+}
+
+func newReplayResult(r tracesim.Result) replayResult {
+	return replayResult{Value: r.AvgLatencyNS(), Stats: replayStats(r)}
 }
 
 // ReplayResponse is one replay of a stored trace.
@@ -271,7 +283,7 @@ func (s *Server) computeReplay(ctx context.Context, qs []replayQuery) (out []rep
 	}
 	out = make([]replayResult, len(qs))
 	for i, r := range results {
-		out[i] = replayResult{Value: r.AvgLatencyNS(), Stats: replayStats(r)}
+		out[i] = newReplayResult(r)
 	}
 	return out, nil
 }
@@ -311,15 +323,12 @@ func (s *Server) replayStored(st *tracestore.Store, q replayQuery, cfgs []traces
 		return nil, err
 	}
 	defer prov.Close()
-	sim, err := tracesim.NewLanes(cfgs)
-	if err != nil {
-		return nil, err
-	}
+	var recorder tracesim.MissRecorder
 	rec, recErr := st.CreateMisses(q.trace, q.missVariant())
 	if recErr == nil {
-		sim.Record(rec)
+		recorder = rec
 	}
-	_, err = sim.Run(prov.Blocks(), q.passes)
+	res, upper, err := runLanes(cfgs, prov.Blocks(), q.passes, recorder)
 	if perr := prov.Err(); err == nil && perr != nil {
 		// The stream ended early: the result would silently describe a
 		// truncated trace, so fail loudly instead.
@@ -332,20 +341,18 @@ func (s *Server) replayStored(st *tracestore.Store, q replayQuery, cfgs []traces
 		return nil, err
 	}
 	if recErr == nil {
-		recErr = rec.Commit(tracestore.MissHeader{Hierarchy: cfgs[0].Hierarchy(), Passes: q.passes, Upper: sim.Upper()})
+		recErr = rec.Commit(tracestore.MissHeader{Hierarchy: cfgs[0].Hierarchy(), Passes: q.passes, Upper: upper})
 	}
 	if recErr != nil {
 		s.logger.Warn("miss stream not recorded", "trace", q.trace, "err", recErr)
 	}
-	res := make([]tracesim.Result, len(cfgs))
-	for i := range res {
-		res[i] = sim.LaneResult(i)
-	}
 	return res, nil
 }
 
-// replayOutcome is the campaign outcome of replay point p.
+// replayOutcome is the campaign outcome of point p replayed to res:
+// a stored-trace replay point, or a synthetic trace-fidelity point.
 func replayOutcome(p campaign.Point, res replayResult, cached bool) campaign.Outcome {
+	l1, l2, mc := res.Stats.hitRatios()
 	return campaign.Outcome{
 		Point:  p,
 		Metric: replayMetric,
@@ -353,21 +360,14 @@ func replayOutcome(p campaign.Point, res replayResult, cached bool) campaign.Out
 		Cached: cached,
 		Trace: &campaign.TraceStats{
 			Accesses:     res.Stats.Accesses,
-			L1HitRate:    hitRatio(res.Stats.L1Hits, res.Stats.L1Misses),
-			L2HitRate:    hitRatio(res.Stats.L2Hits, res.Stats.L2Misses),
-			MCHitRate:    hitRatio(res.Stats.MCHits, res.Stats.MCMisses),
+			L1HitRate:    l1,
+			L2HitRate:    l2,
+			MCHitRate:    mc,
 			MemReads:     res.Stats.MemReads,
 			MemWrites:    res.Stats.MemWrites,
 			AvgLatencyNS: res.Value,
 		},
 	}
-}
-
-func hitRatio(hits, misses int64) float64 {
-	if hits+misses == 0 {
-		return 0
-	}
-	return float64(hits) / float64(hits+misses)
 }
 
 // --- HTTP handlers ---------------------------------------------------
@@ -561,10 +561,11 @@ func RenderReplay(r ReplayResponse) string {
 		campaign.ShortTraceID(r.Trace.ID), r.Config, r.SKU, r.Passes, r.Prefetch, from)
 	fmt.Fprintf(&b, "accesses:      %d (%d reads, %d writes, footprint %s)\n",
 		r.Trace.Accesses, r.Trace.Reads, r.Trace.Writes, r.Trace.Footprint)
-	fmt.Fprintf(&b, "L1  hit ratio: %.3f (%d/%d)\n", hitRatio(r.Stats.L1Hits, r.Stats.L1Misses), r.Stats.L1Hits, r.Stats.L1Hits+r.Stats.L1Misses)
-	fmt.Fprintf(&b, "L2  hit ratio: %.3f (%d/%d)\n", hitRatio(r.Stats.L2Hits, r.Stats.L2Misses), r.Stats.L2Hits, r.Stats.L2Hits+r.Stats.L2Misses)
+	l1, l2, mc := r.Stats.hitRatios()
+	fmt.Fprintf(&b, "L1  hit ratio: %.3f (%d/%d)\n", l1, r.Stats.L1Hits, r.Stats.L1Hits+r.Stats.L1Misses)
+	fmt.Fprintf(&b, "L2  hit ratio: %.3f (%d/%d)\n", l2, r.Stats.L2Hits, r.Stats.L2Hits+r.Stats.L2Misses)
 	if r.Stats.MCHits+r.Stats.MCMisses > 0 {
-		fmt.Fprintf(&b, "MSC hit ratio: %.3f (%d/%d)\n", hitRatio(r.Stats.MCHits, r.Stats.MCMisses), r.Stats.MCHits, r.Stats.MCHits+r.Stats.MCMisses)
+		fmt.Fprintf(&b, "MSC hit ratio: %.3f (%d/%d)\n", mc, r.Stats.MCHits, r.Stats.MCHits+r.Stats.MCMisses)
 	}
 	fmt.Fprintf(&b, "memory reads:  %d lines\n", r.Stats.MemReads)
 	fmt.Fprintf(&b, "memory writes: %d lines\n", r.Stats.MemWrites)

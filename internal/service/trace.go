@@ -126,26 +126,24 @@ func (e *Executor) laneConfigs(sku string, configs []engine.MemoryConfig, prefet
 	return cfgs, nil
 }
 
-// replayLanes replays src `passes` times on laneConfigs(sku, configs,
-// prefetch). Result i is exactly what a replay under configs[i] alone
-// reports.
-func (e *Executor) replayLanes(src tracesim.BlockSource, sku string, configs []engine.MemoryConfig, passes int, prefetch bool) ([]tracesim.Result, error) {
-	cfgs, err := e.laneConfigs(sku, configs, prefetch)
-	if err != nil {
-		return nil, err
-	}
+// runLanes replays src `passes` times on one memory lane per config
+// and returns each lane's result, exactly what a replay under that
+// config alone reports, plus the counters of the shared hierarchy above
+// the lanes. A non-nil rec records the replay's miss log.
+func runLanes(cfgs []tracesim.Config, src tracesim.BlockSource, passes int, rec tracesim.MissRecorder) ([]tracesim.Result, tracesim.Upper, error) {
 	sim, err := tracesim.NewLanes(cfgs)
 	if err != nil {
-		return nil, err
+		return nil, tracesim.Upper{}, err
 	}
+	sim.Record(rec)
 	if _, err := sim.Run(src, passes); err != nil {
-		return nil, err
+		return nil, tracesim.Upper{}, err
 	}
 	res := make([]tracesim.Result, len(cfgs))
 	for i := range res {
 		res[i] = sim.LaneResult(i)
 	}
-	return res, nil
+	return res, sim.Upper(), nil
 }
 
 // runTracePoint executes one FidelityTrace point as a group of one.
@@ -205,28 +203,18 @@ func (e *Executor) RunTraceGroup(ctx context.Context, points []campaign.Point) (
 	if err != nil {
 		return nil, err
 	}
-	results, err := e.replayLanes(src, p.SKU, configs, tracePasses, true)
+	cfgs, err := e.laneConfigs(p.SKU, configs, true)
+	if err != nil {
+		return nil, err
+	}
+	results, _, err := runLanes(cfgs, src, tracePasses, nil)
 	if err != nil {
 		return nil, err
 	}
 
 	outs := make([]campaign.Outcome, len(points))
 	for i, q := range points {
-		res := results[i]
-		outs[i] = campaign.Outcome{
-			Point:  q,
-			Metric: "ns/access",
-			Value:  res.AvgLatencyNS(),
-			Trace: &campaign.TraceStats{
-				Accesses:     res.Accesses,
-				L1HitRate:    res.L1.HitRatio(),
-				L2HitRate:    res.L2.HitRatio(),
-				MCHitRate:    res.MemCache.HitRatio(),
-				MemReads:     res.MemReads,
-				MemWrites:    res.MemWrites,
-				AvgLatencyNS: res.AvgLatencyNS(),
-			},
-		}
+		outs[i] = replayOutcome(q, newReplayResult(results[i]), false)
 	}
 	return outs, nil
 }

@@ -2,9 +2,11 @@ package tracestore
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"testing"
 
+	"repro/internal/faultfs"
 	"repro/internal/tracesim"
 )
 
@@ -242,5 +244,81 @@ func TestBlockReaderResetMidStream(t *testing.T) {
 	}
 	if total != len(accs) {
 		t.Fatalf("after reset: %d accesses, want %d", total, len(accs))
+	}
+}
+
+// healOnReset fails the first pass of a replay and lets every later
+// one read cleanly: each Reset heals the fault, and the first also
+// arms it to fail the pass's first read.
+type healOnReset struct {
+	*BlockReader
+	fault  *faultfs.Fault
+	passes int
+}
+
+func (h *healOnReset) Reset() {
+	h.fault.Reset()
+	if h.passes++; h.passes == 1 {
+		h.fault.FailAfterReads(0)
+	}
+	h.BlockReader.Reset()
+}
+
+// TestProviderErrorSurvivesReset: a read error in a warm-up pass fails
+// the replay even when the measured pass reads cleanly, or a cold
+// single pass would be reported as a warmed-up one.
+func TestProviderErrorSurvivesReset(t *testing.T) {
+	accs := testAccesses(2*blockAccesses + 99)
+	fault := faultfs.New(nil)
+	st, err := OpenFS(fault, t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, _, err := st.Ingest(bytes.NewReader(renderCSV(accs)), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := st.Open(m.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	sim, err := tracesim.New(tracesim.DefaultConfig(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := &healOnReset{BlockReader: p.Blocks(), fault: fault}
+	if _, err := sim.Run(src, 2); err != nil {
+		t.Fatal(err)
+	}
+	if src.passes != 2 || !errors.Is(p.Err(), faultfs.EIO) {
+		t.Fatalf("after %d passes, the first failing: Err() = %v, want the first pass's EIO", src.passes, p.Err())
+	}
+}
+
+// TestProviderResetAllocatesNothing: rewinding a provider reuses its
+// decoder, so a further pass over a drained trace allocates nothing.
+func TestProviderResetAllocatesNothing(t *testing.T) {
+	st, id := storeWith(t, testAccesses(2*blockAccesses+99))
+	p, err := st.Open(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	br := p.Blocks()
+	pass := func() {
+		br.Reset()
+		for {
+			if _, ok := br.NextBlock(); !ok {
+				return
+			}
+		}
+	}
+	pass()
+	if allocs := testing.AllocsPerRun(5, pass); allocs != 0 {
+		t.Fatalf("Reset plus a full pass allocated %.1f times, want 0", allocs)
+	}
+	if err := br.Err(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -10,6 +10,9 @@
 // — and land in a compact binary file: a versioned fixed-size header
 // carrying the stream summary, followed by CRC-checked blocks of
 // varint-delta-encoded addresses and run-length-encoded access kinds.
+// The header seal and the block frame (sealHeader, appendFrame and
+// readFrame) are shared with the miss streams of missstream.go, the
+// recorded L1/L2 passes of stored-trace replays.
 //
 // Every trace is addressed by the SHA-256 of its canonical access
 // stream (8-byte little-endian address + 1 kind byte per access), so
@@ -25,14 +28,15 @@ package tracestore
 
 import (
 	"bufio"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"hash"
 	"hash/crc32"
 	"io"
-
-	"crypto/sha256"
-	"encoding/hex"
+	"runtime"
+	"sync"
 
 	"repro/internal/tracesim"
 	"repro/internal/units"
@@ -50,9 +54,11 @@ const (
 	// to amortise the per-block CRC and length prefix, small enough
 	// that decode buffers stay cache-resident.
 	blockAccesses = 8192
-	// maxBlockAccesses bounds what the decoder will allocate for one
-	// block, so a corrupted length field cannot demand gigabytes.
+	// maxBlockAccesses and maxBlockPayload bound what the decoder will
+	// allocate for one block, so a corrupted count or length field
+	// cannot demand gigabytes.
 	maxBlockAccesses = 1 << 20
+	maxBlockPayload  = 32 << 20
 	// maxTrackedLines bounds the distinct-line (footprint) set the
 	// encoder keeps in memory: 2M lines = a 128 MiB footprint counted
 	// exactly, ~100 MB of transient map at worst. Past it the counter
@@ -81,12 +87,11 @@ func (s Summary) Footprint() units.Bytes {
 	return units.Bytes(s.Lines) * units.CacheLine
 }
 
-// encodeHeader lays the summary out in the fixed header form. The
-// last four bytes are a CRC over the first 60, so a truncated or
-// scribbled header is detected before any block is trusted.
+// encodeHeader lays the summary out in the fixed header form, sealed
+// (sealHeader) so a truncated or scribbled header is detected before
+// any block is trusted.
 func encodeHeader(sum Summary) [headerSize]byte {
 	var h [headerSize]byte
-	copy(h[0:8], magic)
 	binary.LittleEndian.PutUint16(h[8:10], formatVersion)
 	binary.LittleEndian.PutUint64(h[12:20], uint64(sum.Accesses))
 	binary.LittleEndian.PutUint64(h[20:28], uint64(sum.Reads))
@@ -94,23 +99,17 @@ func encodeHeader(sum Summary) [headerSize]byte {
 	binary.LittleEndian.PutUint64(h[36:44], sum.MinAddr)
 	binary.LittleEndian.PutUint64(h[44:52], sum.MaxAddr)
 	binary.LittleEndian.PutUint64(h[52:60], uint64(sum.Lines))
-	binary.LittleEndian.PutUint32(h[60:64], crc32.ChecksumIEEE(h[0:60]))
+	sealHeader(h[:], magic)
 	return h
 }
 
 // decodeHeader validates and parses a header.
 func decodeHeader(h []byte) (Summary, error) {
-	if len(h) < headerSize {
-		return Summary{}, fmt.Errorf("tracestore: short header (%d bytes)", len(h))
-	}
-	if string(h[0:8]) != magic {
-		return Summary{}, fmt.Errorf("tracestore: bad magic %q", h[0:8])
+	if err := openHeader(h, headerSize, magic); err != nil {
+		return Summary{}, fmt.Errorf("tracestore: %w", err)
 	}
 	if v := binary.LittleEndian.Uint16(h[8:10]); v != formatVersion {
 		return Summary{}, fmt.Errorf("tracestore: unsupported format version %d (want %d)", v, formatVersion)
-	}
-	if got, want := crc32.ChecksumIEEE(h[0:60]), binary.LittleEndian.Uint32(h[60:64]); got != want {
-		return Summary{}, fmt.Errorf("tracestore: header checksum mismatch (%#x != %#x)", got, want)
 	}
 	return Summary{
 		Accesses: int64(binary.LittleEndian.Uint64(h[12:20])),
@@ -120,6 +119,82 @@ func decodeHeader(h []byte) (Summary, error) {
 		MaxAddr:  binary.LittleEndian.Uint64(h[44:52]),
 		Lines:    int64(binary.LittleEndian.Uint64(h[52:60])),
 	}, nil
+}
+
+// Trace files and miss streams (missstream.go) share their framing.
+// Each opens with a sealed fixed-size header: an 8-byte magic first,
+// the CRC32 of every preceding byte in the last four, and the format's
+// own version and fields in between. The header is followed by blocks,
+// each one frame:
+//
+//	uvarint(len(payload)) | payload | u32 CRC32(payload)
+
+// sealHeader stamps magic and the CRC into h, whose fields are laid out.
+func sealHeader(h []byte, magic string) {
+	copy(h, magic)
+	n := len(h) - 4
+	binary.LittleEndian.PutUint32(h[n:], crc32.ChecksumIEEE(h[:n]))
+}
+
+// openHeader checks that h begins with a sealed header of size bytes
+// under magic.
+func openHeader(h []byte, size int, magic string) error {
+	if len(h) < size {
+		return fmt.Errorf("short header (%d bytes)", len(h))
+	}
+	if string(h[:8]) != magic {
+		return fmt.Errorf("bad magic %q", h[:8])
+	}
+	n := size - 4
+	if got, want := crc32.ChecksumIEEE(h[:n]), binary.LittleEndian.Uint32(h[n:size]); got != want {
+		return fmt.Errorf("header checksum mismatch (%#x != %#x)", got, want)
+	}
+	return nil
+}
+
+// appendFrame appends the frame of payload to dst.
+func appendFrame(dst, payload []byte) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(payload)))
+	dst = append(dst, payload...)
+	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
+}
+
+// readFrame reads the next frame from br and returns its checked
+// payload, reusing buf's storage. A payload length of 0 or above max
+// is rejected before anything is allocated, so a corrupted length
+// cannot demand gigabytes. A stream that ends cleanly before the
+// frame returns io.EOF.
+func readFrame(br *bufio.Reader, buf []byte, max uint64) ([]byte, error) {
+	n, err := binary.ReadUvarint(br)
+	if err == io.EOF {
+		return buf, io.EOF
+	}
+	if err != nil {
+		return buf, fmt.Errorf("block length: %w", err)
+	}
+	if n == 0 || n > max {
+		return buf, fmt.Errorf("implausible block payload length %d", n)
+	}
+	// Payload and CRC are read in one call into one buffer: a separate
+	// checksum array would escape through io.ReadFull on every block.
+	if uint64(cap(buf)) < n+4 {
+		buf = make([]byte, n+4)
+	}
+	buf = buf[:n+4]
+	if _, err := io.ReadFull(br, buf); err != nil {
+		return buf, fmt.Errorf("truncated block: %w", err)
+	}
+	if got, want := crc32.ChecksumIEEE(buf[:n]), binary.LittleEndian.Uint32(buf[n:]); got != want {
+		return buf, fmt.Errorf("block checksum mismatch (%#x != %#x)", got, want)
+	}
+	return buf[:n], nil
+}
+
+// fileOut is where a trace file or a miss stream is written: the
+// block stream in order, then the sealed header at offset 0.
+type fileOut interface {
+	io.Writer
+	io.WriterAt
 }
 
 // lineSet is an insert-only open-addressed hash set of cache-line
@@ -219,16 +294,16 @@ func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
 // blockBuf holds one block's accesses and everything derived from
 // them. encode is pure given (accs, base), so blocks can be encoded
-// serially or on worker goroutines with byte-identical results; the
-// buffers are reused across blocks.
+// on any worker goroutine with byte-identical results; the buffers are
+// reused across blocks.
 type blockBuf struct {
 	accs    []tracesim.Access
 	base    uint64 // delta base: last address of the preceding block
-	wire    []byte // uvarint(len) + payload + CRC32, ready to write
+	wire    []byte // the payload's frame, ready to write
 	payload []byte
 	shaBuf  []byte // canonical 9-byte records (content-address input)
 	lineBuf []uint64
-	done    chan struct{} // parallel encoder: signals encode completion
+	done    chan struct{} // signals encode completion to the writer
 }
 
 func newBlockBuf() *blockBuf {
@@ -239,8 +314,9 @@ func newBlockBuf() *blockBuf {
 	}
 }
 
-// encode renders accs into wire (varint count, zigzag-varint address
-// deltas off base, kind runs, CRC32 trailer), shaBuf and lineBuf.
+// encode renders accs into wire (the frame of: varint count,
+// zigzag-varint address deltas off base, kind runs), shaBuf and
+// lineBuf.
 //
 //simd:hotpath — runs once per 4096-access block; every buffer is a reused field.
 func (b *blockBuf) encode() {
@@ -271,11 +347,7 @@ func (b *blockBuf) encode() {
 		i = j
 	}
 	b.payload = p
-	w := binary.AppendUvarint(b.wire[:0], uint64(len(p)))
-	w = append(w, p...)
-	var crcBuf [4]byte
-	binary.LittleEndian.PutUint32(crcBuf[:], crc32.ChecksumIEEE(p))
-	b.wire = append(w, crcBuf[:]...)
+	b.wire = appendFrame(b.wire[:0], p)
 }
 
 // last returns the block's final address (delta base for the next
@@ -286,33 +358,102 @@ func (b *blockBuf) last() uint64 { return b.accs[len(b.accs)-1].Addr }
 // Summary and the content address as it goes. It writes only the
 // block stream; callers own the header (they know the final Summary
 // only after Finish).
+//
+// Encoding is pipelined: the Append caller scans accesses into blocks,
+// full blocks are encoded by worker goroutines, and a single writer
+// goroutine consumes the encoded blocks in dispatch order. Everything
+// order-sensitive stays serial in the writer — the file bytes, the
+// SHA-256 over the canonical records, and the saturating footprint-set
+// inserts — so the output file, content address, and Summary do not
+// depend on the worker count (the golden fixtures pin them at several).
+// Block encoding itself (varint deltas, kind runs, frame, canonical
+// records) is order-free given the carried delta base, which the
+// dispatcher threads through at dispatch time.
+//
+// An Encoder holds goroutines until Finish or Abort.
 type Encoder struct {
-	w   *bufio.Writer
+	bw  *bufio.Writer
 	sum Summary
 
 	sha   hash.Hash
-	prev  uint64 // last encoded address, carried across blocks
-	cur   *blockBuf
 	lines *lineSet
-	err   error
+	prev  uint64 // last dispatched address: next block's delta base
+
+	cur   *blockBuf
+	jobs  chan *blockBuf // to encode workers, unordered
+	order chan *blockBuf // dispatch order, consumed by the writer
+	free  chan *blockBuf // recycled buffers (backpressure)
+	wg    sync.WaitGroup
+	wdone chan struct{}
+	werr  error // writer-side error; read only after wdone
+	ended bool
 }
 
-// NewEncoder builds an encoder over w.
+// NewEncoder builds an encoder over w with one encode worker per
+// usable CPU (runtime.GOMAXPROCS).
 func NewEncoder(w io.Writer) *Encoder {
-	return &Encoder{
-		w:     bufio.NewWriterSize(w, 256<<10),
+	return newEncoder(w, runtime.GOMAXPROCS(0))
+}
+
+// newEncoder builds an encoder with the given worker count.
+func newEncoder(w io.Writer, workers int) *Encoder {
+	if workers < 1 {
+		workers = 1
+	}
+	inflight := workers + 2
+	e := &Encoder{
+		bw:    bufio.NewWriterSize(w, 256<<10),
 		sha:   sha256.New(),
-		cur:   newBlockBuf(),
 		lines: newLineSet(),
 		sum:   Summary{MinAddr: ^uint64(0)},
+		jobs:  make(chan *blockBuf, inflight),
+		order: make(chan *blockBuf, inflight),
+		// inflight+1 buffers circulate (the pool plus the encoder's
+		// current block); free must hold all of them or the writer
+		// deadlocks returning the last one at shutdown.
+		free:  make(chan *blockBuf, inflight+1),
+		wdone: make(chan struct{}),
+	}
+	e.cur = newBlockBuf()
+	for i := 0; i < inflight; i++ {
+		e.free <- newBlockBuf()
+	}
+	for i := 0; i < workers; i++ {
+		e.wg.Add(1)
+		go func() {
+			defer e.wg.Done()
+			for b := range e.jobs {
+				b.encode()
+				b.done <- struct{}{}
+			}
+		}()
+	}
+	go e.writer()
+	return e
+}
+
+// writer consumes encoded blocks in dispatch order. It is the only
+// goroutine touching the file, the hash, and the footprint set, so
+// their serial semantics survive the parallel encode.
+func (e *Encoder) writer() {
+	defer close(e.wdone)
+	for b := range e.order {
+		<-b.done
+		if e.werr == nil {
+			if _, err := e.bw.Write(b.wire); err != nil {
+				e.werr = err
+			} else {
+				e.sha.Write(b.shaBuf)
+				e.lines.AddBatch(b.lineBuf, maxTrackedLines)
+			}
+		}
+		b.accs = b.accs[:0]
+		e.free <- b
 	}
 }
 
 // Append adds one access to the stream.
 func (e *Encoder) Append(a tracesim.Access) {
-	if e.err != nil {
-		return
-	}
 	e.sum.Accesses++
 	if a.Kind == writeKind {
 		e.sum.Writes++
@@ -327,40 +468,57 @@ func (e *Encoder) Append(a tracesim.Access) {
 	}
 	e.cur.accs = append(e.cur.accs, a)
 	if len(e.cur.accs) == blockAccesses {
-		e.flushBlock()
+		e.dispatch()
+		e.cur = <-e.free
 	}
 }
 
-// flushBlock encodes and writes the pending block, then folds its
-// canonical records into the content address and its lines into the
-// footprint set.
-func (e *Encoder) flushBlock() {
-	if e.err != nil || len(e.cur.accs) == 0 {
+// dispatch hands the current block to the workers. The delta base
+// chain is maintained here, in stream order, so encodes can complete
+// out of order.
+func (e *Encoder) dispatch() {
+	b := e.cur
+	if len(b.accs) == 0 {
 		return
 	}
-	b := e.cur
 	b.base = e.prev
-	b.encode()
 	e.prev = b.last()
-	e.sha.Write(b.shaBuf)
-	e.lines.AddBatch(b.lineBuf, maxTrackedLines)
-	b.accs = b.accs[:0]
-	if _, err := e.w.Write(b.wire); err != nil {
-		e.err = err
-	}
+	e.order <- b
+	e.jobs <- b
+	e.cur = nil
 }
 
-// Finish flushes the stream and returns the Summary plus the trace's
-// content address (hex SHA-256 of the canonical access stream). An
-// empty stream is an error: a trace with no accesses cannot be
-// replayed.
-func (e *Encoder) Finish() (Summary, string, error) {
-	e.flushBlock()
-	if e.err == nil {
-		e.err = e.w.Flush()
+// shutdown flushes the tail block (when finishing) and quiesces the
+// pipeline. Idempotent.
+func (e *Encoder) shutdown(finish bool) {
+	if e.ended {
+		return
 	}
-	if e.err != nil {
-		return Summary{}, "", e.err
+	e.ended = true
+	if finish {
+		e.dispatch()
+	}
+	close(e.jobs)
+	e.wg.Wait()
+	close(e.order)
+	<-e.wdone
+}
+
+// Abort tears the pipeline down after a failed ingest. Idempotent.
+func (e *Encoder) Abort() { e.shutdown(false) }
+
+// Finish drains the pipeline and returns the Summary plus the
+// trace's content address (hex SHA-256 of the canonical access
+// stream). An empty stream is an error: a trace with no accesses
+// cannot be replayed.
+func (e *Encoder) Finish() (Summary, string, error) {
+	e.shutdown(true)
+	err := e.werr
+	if err == nil {
+		err = e.bw.Flush()
+	}
+	if err != nil {
+		return Summary{}, "", err
 	}
 	if e.sum.Accesses == 0 {
 		return Summary{}, "", fmt.Errorf("tracestore: empty trace (no accesses)")
@@ -386,44 +544,30 @@ func NewDecoder(r io.Reader) *Decoder {
 	return &Decoder{br: bufio.NewReaderSize(r, 256<<10)}
 }
 
+// reset repositions the decoder at the first block of r, keeping its
+// read and block buffers.
+func (d *Decoder) reset(r io.Reader) {
+	d.br.Reset(r)
+	d.prev, d.done, d.err = 0, false, nil
+}
+
 // readBlock loads and validates the next block into d.buf. It returns
 // false at clean end of stream or on error (see Err).
 func (d *Decoder) readBlock() bool {
 	if d.done || d.err != nil {
 		return false
 	}
-	plen, err := binary.ReadUvarint(d.br)
+	p, err := readFrame(d.br, d.payload, maxBlockPayload)
+	d.payload = p
 	if err == io.EOF {
 		d.done = true
 		return false
 	}
 	if err != nil {
-		d.err = fmt.Errorf("tracestore: block length: %w", err)
-		return false
-	}
-	if plen == 0 || plen > 32<<20 {
-		d.err = fmt.Errorf("tracestore: implausible block payload length %d", plen)
-		return false
-	}
-	if cap(d.payload) < int(plen) {
-		d.payload = make([]byte, plen)
-	}
-	d.payload = d.payload[:plen]
-	if _, err := io.ReadFull(d.br, d.payload); err != nil {
-		d.err = fmt.Errorf("tracestore: truncated block payload: %w", err)
-		return false
-	}
-	var crcBuf [4]byte
-	if _, err := io.ReadFull(d.br, crcBuf[:]); err != nil {
-		d.err = fmt.Errorf("tracestore: truncated block checksum: %w", err)
-		return false
-	}
-	if got, want := crc32.ChecksumIEEE(d.payload), binary.LittleEndian.Uint32(crcBuf[:]); got != want {
-		d.err = fmt.Errorf("tracestore: block checksum mismatch (%#x != %#x)", got, want)
+		d.err = fmt.Errorf("tracestore: %w", err)
 		return false
 	}
 
-	p := d.payload
 	n, k := binary.Uvarint(p)
 	if k <= 0 || n == 0 || n > maxBlockAccesses {
 		d.err = fmt.Errorf("tracestore: bad block access count %d", n)

@@ -6,6 +6,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"repro/internal/cache"
@@ -38,24 +39,11 @@ func goldenStreams() map[string][]tracesim.Access {
 		"single": single,
 		"mixed":  mixed,
 		"runs":   runs,
+		// Three accesses: one short tail block and nothing else.
+		"tiny": testAccesses(3),
+		// Exactly one full block: the tail flush finds nothing to write.
+		"block-boundary": testAccesses(blockAccesses),
 	}
-}
-
-// encodeFile renders a full .trc image (header + block stream) the
-// way Store.Ingest lays it out, using the serial encoder.
-func encodeFile(t *testing.T, accs []tracesim.Access) ([]byte, Summary, string) {
-	t.Helper()
-	var body bytes.Buffer
-	enc := NewEncoder(&body)
-	for _, a := range accs {
-		enc.Append(a)
-	}
-	sum, id, err := enc.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	hdr := encodeHeader(sum)
-	return append(hdr[:], body.Bytes()...), sum, id
 }
 
 type goldenMeta struct {
@@ -68,6 +56,52 @@ type goldenMeta struct {
 	MaxAddr  uint64 `json:"max_addr"`
 }
 
+// encodeFile renders a full .trc image (header + block stream) the
+// way writeTrace lays it out, on the given number of encode workers,
+// with the metadata the fixture's .json records.
+func encodeFile(t *testing.T, accs []tracesim.Access, workers int) ([]byte, goldenMeta) {
+	t.Helper()
+	var body bytes.Buffer
+	enc := newEncoder(&body, workers)
+	for _, a := range accs {
+		enc.Append(a)
+	}
+	sum, id, err := enc.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdr := encodeHeader(sum)
+	return append(hdr[:], body.Bytes()...), goldenMeta{
+		ID:       id,
+		Accesses: sum.Accesses,
+		Reads:    sum.Reads,
+		Writes:   sum.Writes,
+		Lines:    sum.Lines,
+		MinAddr:  sum.MinAddr,
+		MaxAddr:  sum.MaxAddr,
+	}
+}
+
+// loadGolden reads the committed fixture name: the .trc image and its
+// metadata.
+func loadGolden(t *testing.T, name string) ([]byte, goldenMeta) {
+	t.Helper()
+	dir := filepath.Join("testdata", "golden")
+	file, err := os.ReadFile(filepath.Join(dir, name+".trc"))
+	if err != nil {
+		t.Fatalf("missing golden fixture (run with -update): %v", err)
+	}
+	mj, err := os.ReadFile(filepath.Join(dir, name+".json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var meta goldenMeta
+	if err := json.Unmarshal(mj, &meta); err != nil {
+		t.Fatal(err)
+	}
+	return file, meta
+}
+
 // TestGoldenFixtures pins the binary format: encoding the fixed
 // streams must reproduce the committed files byte-for-byte, decoding
 // the committed files must reproduce the streams, and the content
@@ -77,18 +111,7 @@ func TestGoldenFixtures(t *testing.T) {
 	dir := filepath.Join("testdata", "golden")
 	for name, accs := range goldenStreams() {
 		t.Run(name, func(t *testing.T) {
-			file, sum, id := encodeFile(t, accs)
-			meta := goldenMeta{
-				ID:       id,
-				Accesses: sum.Accesses,
-				Reads:    sum.Reads,
-				Writes:   sum.Writes,
-				Lines:    sum.Lines,
-				MinAddr:  sum.MinAddr,
-				MaxAddr:  sum.MaxAddr,
-			}
-			trcPath := filepath.Join(dir, name+".trc")
-			jsonPath := filepath.Join(dir, name+".json")
+			file, meta := encodeFile(t, accs, runtime.GOMAXPROCS(0))
 			if *updateGolden {
 				if err := os.MkdirAll(dir, 0o755); err != nil {
 					t.Fatal(err)
@@ -97,28 +120,17 @@ func TestGoldenFixtures(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := os.WriteFile(trcPath, file, 0o644); err != nil {
+				if err := os.WriteFile(filepath.Join(dir, name+".trc"), file, 0o644); err != nil {
 					t.Fatal(err)
 				}
-				if err := os.WriteFile(jsonPath, append(mj, '\n'), 0o644); err != nil {
+				if err := os.WriteFile(filepath.Join(dir, name+".json"), append(mj, '\n'), 0o644); err != nil {
 					t.Fatal(err)
 				}
 			}
 
-			want, err := os.ReadFile(trcPath)
-			if err != nil {
-				t.Fatalf("missing golden fixture (run with -update): %v", err)
-			}
+			want, wantMeta := loadGolden(t, name)
 			if !bytes.Equal(file, want) {
-				t.Fatalf("encoder output diverged from golden fixture %s (%d vs %d bytes)", trcPath, len(file), len(want))
-			}
-			mj, err := os.ReadFile(jsonPath)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var wantMeta goldenMeta
-			if err := json.Unmarshal(mj, &wantMeta); err != nil {
-				t.Fatal(err)
+				t.Fatalf("encoder output diverged from golden fixture %s (%d vs %d bytes)", name, len(file), len(want))
 			}
 			if meta != wantMeta {
 				t.Fatalf("summary/content address drifted:\n got %+v\nwant %+v", meta, wantMeta)
@@ -178,46 +190,21 @@ func TestSyntheticStreamContentIDs(t *testing.T) {
 	}
 }
 
-// TestParallelEncoderMatchesSerial is the parallel-encode pin: for
-// every worker count and stream shape, the pipelined encoder must
-// produce the same bytes, Summary, and content address as the serial
-// one. It runs the parallel encoder explicitly so the path is
-// exercised even when the host (or CI) has GOMAXPROCS=1 and
-// Store.Ingest would pick the serial encoder.
+// TestParallelEncoderMatchesSerial pins the pipelined Encoder to the
+// serial encoder it replaced: that encoder recorded the golden
+// fixtures, so every golden stream, encoded on any number of workers,
+// must reproduce the committed bytes, content address and Summary.
 func TestParallelEncoderMatchesSerial(t *testing.T) {
-	streams := goldenStreams()
-	streams["empty-block-boundary"] = testAccesses(blockAccesses)
-	streams["tiny"] = testAccesses(3)
-	for name, accs := range streams {
+	for name, accs := range goldenStreams() {
+		want, wantMeta := loadGolden(t, name)
 		for _, workers := range []int{1, 2, 4, 7} {
 			t.Run(name, func(t *testing.T) {
-				var want bytes.Buffer
-				se := NewEncoder(&want)
-				for _, a := range accs {
-					se.Append(a)
+				got, meta := encodeFile(t, accs, workers)
+				if !bytes.Equal(got, want) {
+					t.Fatalf("workers=%d: encoder bytes differ from the fixture (%d vs %d)", workers, len(got), len(want))
 				}
-				wantSum, wantID, err := se.Finish()
-				if err != nil {
-					t.Fatal(err)
-				}
-
-				var got bytes.Buffer
-				pe := newParallelEncoder(&got, workers)
-				for _, a := range accs {
-					pe.Append(a)
-				}
-				gotSum, gotID, err := pe.Finish()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(got.Bytes(), want.Bytes()) {
-					t.Fatalf("workers=%d: parallel encoder bytes differ (%d vs %d)", workers, got.Len(), want.Len())
-				}
-				if gotID != wantID {
-					t.Fatalf("workers=%d: content address %s, want %s", workers, gotID, wantID)
-				}
-				if gotSum != wantSum {
-					t.Fatalf("workers=%d: summary %+v, want %+v", workers, gotSum, wantSum)
+				if meta != wantMeta {
+					t.Fatalf("workers=%d: summary/content address %+v, want %+v", workers, meta, wantMeta)
 				}
 			})
 		}
@@ -228,20 +215,19 @@ func TestParallelEncoderMatchesSerial(t *testing.T) {
 // without hanging or panicking, including a double shutdown.
 func TestParallelEncoderAbort(t *testing.T) {
 	var buf bytes.Buffer
-	pe := newParallelEncoder(&buf, 4)
+	e := newEncoder(&buf, 4)
 	for _, a := range testAccesses(3 * blockAccesses) {
-		pe.Append(a)
+		e.Append(a)
 	}
-	pe.Abort()
-	pe.Abort() // idempotent
+	e.Abort()
+	e.Abort() // idempotent
 }
 
-// TestParallelEncoderEmpty mirrors the serial encoder's empty-trace
-// error.
+// TestParallelEncoderEmpty: a stream with no accesses is an error.
 func TestParallelEncoderEmpty(t *testing.T) {
 	var buf bytes.Buffer
-	pe := newParallelEncoder(&buf, 2)
-	if _, _, err := pe.Finish(); err == nil {
+	e := newEncoder(&buf, 2)
+	if _, _, err := e.Finish(); err == nil {
 		t.Fatal("expected empty-trace error")
 	}
 }

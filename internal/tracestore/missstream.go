@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 	"os"
@@ -27,11 +26,13 @@ import (
 // lanes from the file (tracesim.DrainLanes) instead of re-simulating
 // the upper hierarchy.
 //
-// File layout: a fixed missHeaderSize header, then CRC-checked blocks.
+// File layout: a fixed missHeaderSize header, then blocks, sealed and
+// framed as trace files are (sealHeader, appendFrame, readFrame in
+// format.go).
 //
 //	header  "TRCMISS1" | u32 version | u32 reserved | 21 x u64 fields
 //	        (Hierarchy, Passes, Warm, Entries, Upper) | u32 CRC32
-//	block   uvarint(len(payload)) | payload | u32 CRC32(payload)
+//	block   frame of payload
 //	payload uvarint(count) | count x uvarint(zigzag(entry - previous))
 //
 // The delta base restarts at 0 in every block. A stream file is a
@@ -50,9 +51,11 @@ const (
 	missHeaderSize   = 16 + 8*missHeaderFields + 4
 	// missBlockEntries is the writer's block granularity.
 	missBlockEntries = 8192
-	// maxMissBlockEntries bounds what the reader allocates for one
-	// block, so a corrupted count cannot demand gigabytes.
+	// maxMissBlockEntries and maxMissBlockPayload bound what the reader
+	// allocates for one block, so a corrupted count or length cannot
+	// demand gigabytes.
 	maxMissBlockEntries = 1 << 20
+	maxMissBlockPayload = binary.MaxVarintLen64 * (maxMissBlockEntries + 1)
 	// missDirName is the subdirectory holding the streams. OpenFS
 	// never lists it: streams are found by name.
 	missDirName = "miss"
@@ -92,31 +95,24 @@ func (h MissHeader) fields() [missHeaderFields]uint64 {
 	}
 }
 
-// encodeMissHeader lays h out in the fixed header form.
+// encodeMissHeader lays h out in the fixed, sealed header form.
 func encodeMissHeader(h MissHeader) [missHeaderSize]byte {
 	var b [missHeaderSize]byte
-	copy(b[0:8], missMagic)
 	binary.LittleEndian.PutUint32(b[8:12], missVersion)
 	for i, f := range h.fields() {
 		binary.LittleEndian.PutUint64(b[16+8*i:], f)
 	}
-	binary.LittleEndian.PutUint32(b[missHeaderSize-4:], crc32.ChecksumIEEE(b[:missHeaderSize-4]))
+	sealHeader(b[:], missMagic)
 	return b
 }
 
 // decodeMissHeader validates and parses a header.
 func decodeMissHeader(b []byte) (MissHeader, error) {
-	if len(b) < missHeaderSize {
-		return MissHeader{}, fmt.Errorf("tracestore: short miss-stream header (%d bytes)", len(b))
-	}
-	if string(b[0:8]) != missMagic {
-		return MissHeader{}, fmt.Errorf("tracestore: bad miss-stream magic %q", b[0:8])
+	if err := openHeader(b, missHeaderSize, missMagic); err != nil {
+		return MissHeader{}, fmt.Errorf("tracestore: miss stream: %w", err)
 	}
 	if v := binary.LittleEndian.Uint32(b[8:12]); v != missVersion {
 		return MissHeader{}, fmt.Errorf("tracestore: unsupported miss-stream version %d (want %d)", v, missVersion)
-	}
-	if got, want := crc32.ChecksumIEEE(b[:missHeaderSize-4]), binary.LittleEndian.Uint32(b[missHeaderSize-4:]); got != want {
-		return MissHeader{}, fmt.Errorf("tracestore: miss-stream header checksum mismatch (%#x != %#x)", got, want)
 	}
 	var f [missHeaderFields]uint64
 	for i := range f {
@@ -151,26 +147,20 @@ func decodeMissHeader(b []byte) (MissHeader, error) {
 
 func finiteLatency(ns float64) bool { return ns >= 0 && !math.IsInf(ns, 0) }
 
-// missOut is where a MissWriter writes: the block stream in order,
-// then the header at offset 0.
-type missOut interface {
-	io.Writer
-	io.WriterAt
-}
-
 // MissWriter records a replay's miss log as a stream file. It
 // implements tracesim.MissRecorder; Commit files the stream once the
 // replay has finished. A write failure is sticky and surfaces from
 // Commit, which never fails the replay it records.
 type MissWriter struct {
-	out missOut
+	out fileOut
 	bw  *bufio.Writer
 
 	// The pending block: its entry count, last entry and encoded
-	// deltas.
-	count  int
-	prev   uint64
-	deltas []byte
+	// deltas; payload and frame are its flush buffers.
+	count          int
+	prev           uint64
+	deltas         []byte
+	payload, frame []byte
 
 	entries, warm int64
 	err           error
@@ -181,7 +171,7 @@ type MissWriter struct {
 	id, path string
 }
 
-func newMissWriter(out missOut) *MissWriter {
+func newMissWriter(out fileOut) *MissWriter {
 	w := &MissWriter{out: out, bw: bufio.NewWriterSize(out, 64<<10), deltas: make([]byte, 0, 2*missBlockEntries)}
 	var zero [missHeaderSize]byte
 	_, w.err = w.bw.Write(zero[:])
@@ -217,17 +207,9 @@ func (w *MissWriter) flushBlock() {
 	if w.count == 0 || w.err != nil {
 		return
 	}
-	var cnt, plen [binary.MaxVarintLen64]byte
-	c := binary.PutUvarint(cnt[:], uint64(w.count))
-	p := binary.PutUvarint(plen[:], uint64(c+len(w.deltas)))
-	var sum [4]byte
-	binary.LittleEndian.PutUint32(sum[:], crc32.Update(crc32.ChecksumIEEE(cnt[:c]), crc32.IEEETable, w.deltas))
-	for _, b := range [][]byte{plen[:p], cnt[:c], w.deltas, sum[:]} {
-		if _, err := w.bw.Write(b); err != nil {
-			w.err = err
-			return
-		}
-	}
+	w.payload = append(binary.AppendUvarint(w.payload[:0], uint64(w.count)), w.deltas...)
+	w.frame = appendFrame(w.frame[:0], w.payload)
+	_, w.err = w.bw.Write(w.frame)
 	w.count, w.prev, w.deltas = 0, 0, w.deltas[:0]
 }
 
@@ -340,7 +322,8 @@ func (r *MissReader) NextMisses() ([]uint64, bool) {
 // false at the end of the stream or on error (see Err). A stream that
 // ends short of its header's entry count is an error.
 func (r *MissReader) readBlock() bool {
-	plen, err := binary.ReadUvarint(r.br)
+	p, err := readFrame(r.br, r.payload, maxMissBlockPayload)
+	r.payload = p
 	if err == io.EOF {
 		r.done = true
 		if r.n != r.h.Entries {
@@ -349,31 +332,9 @@ func (r *MissReader) readBlock() bool {
 		return false
 	}
 	if err != nil {
-		r.err = fmt.Errorf("tracestore: miss block length: %w", err)
+		r.err = fmt.Errorf("tracestore: miss stream: %w", err)
 		return false
 	}
-	if plen == 0 || plen > binary.MaxVarintLen64*(maxMissBlockEntries+1) {
-		r.err = fmt.Errorf("tracestore: implausible miss block length %d", plen)
-		return false
-	}
-	if cap(r.payload) < int(plen) {
-		r.payload = make([]byte, plen) //simd:alloc-ok amortized: grows to the largest block once, then reused
-	}
-	r.payload = r.payload[:plen]
-	var sum [4]byte
-	if _, err := io.ReadFull(r.br, r.payload); err != nil {
-		r.err = fmt.Errorf("tracestore: truncated miss block: %w", err)
-		return false
-	}
-	if _, err := io.ReadFull(r.br, sum[:]); err != nil {
-		r.err = fmt.Errorf("tracestore: truncated miss block checksum: %w", err)
-		return false
-	}
-	if got, want := crc32.ChecksumIEEE(r.payload), binary.LittleEndian.Uint32(sum[:]); got != want {
-		r.err = fmt.Errorf("tracestore: miss block checksum mismatch (%#x != %#x)", got, want)
-		return false
-	}
-	p := r.payload
 	n, k := binary.Uvarint(p)
 	if k <= 0 || n == 0 || n > maxMissBlockEntries || int64(n) > r.h.Entries-r.n {
 		r.err = fmt.Errorf("tracestore: bad miss block entry count %d", n)

@@ -24,19 +24,22 @@ type Provider struct {
 	err  error
 }
 
-// Reset rewinds to the first access for another pass.
+// Reset rewinds to the first access for another pass, reusing the
+// decoder and its buffers. An error from an earlier pass stays: the
+// replay it ended is incomplete however cleanly later passes read.
 func (p *Provider) Reset() {
 	if _, err := p.f.Seek(headerSize, io.SeekStart); err != nil {
-		p.err = fmt.Errorf("tracestore: rewind %s: %w", p.meta.ID, err)
+		if p.err == nil {
+			p.err = fmt.Errorf("tracestore: rewind %s: %w", p.meta.ID, err)
+		}
 		return
 	}
-	p.dec = NewDecoder(p.f)
-	p.err = nil
+	p.dec.reset(p.f)
 }
 
-// Err reports the first decode error hit during replay, if any. A
-// stream that ended because of an error is incomplete; replays must
-// treat it as failed.
+// Err reports the first decode error hit during replay, if any, over
+// every pass since Open. A stream that ended because of an error is
+// incomplete; replays must treat it as failed.
 func (p *Provider) Err() error { return p.err }
 
 // Close releases the underlying file.
@@ -89,26 +92,15 @@ func Export(path string, src tracesim.BlockSource) (Summary, string, error) {
 		return Summary{}, "", fmt.Errorf("tracestore: %w", err)
 	}
 	defer f.Close()
-	if _, err := f.Write(make([]byte, headerSize)); err != nil {
-		return Summary{}, "", fmt.Errorf("tracestore: %w", err)
-	}
-	enc := NewEncoder(f)
-	for {
-		b, ok := src.NextBlock()
-		if !ok {
-			break
+	return writeTrace(f, func(emit func(tracesim.Access)) error {
+		for {
+			b, ok := src.NextBlock()
+			if !ok {
+				return nil
+			}
+			for _, a := range b {
+				emit(a)
+			}
 		}
-		for _, a := range b {
-			enc.Append(a)
-		}
-	}
-	sum, id, err := enc.Finish()
-	if err != nil {
-		return Summary{}, "", err
-	}
-	hdr := encodeHeader(sum)
-	if _, err := f.WriteAt(hdr[:], 0); err != nil {
-		return Summary{}, "", fmt.Errorf("tracestore: %w", err)
-	}
-	return sum, id, nil
+	})
 }

@@ -6,12 +6,12 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
 
 	"repro/internal/faultfs"
+	"repro/internal/tracesim"
 	"repro/internal/units"
 )
 
@@ -167,6 +167,31 @@ func metaFrom(id string, sum Summary, fileBytes int64) Meta {
 	}
 }
 
+// writeTrace writes one trace file to f, Ingest's temp file or
+// Export's target: a placeholder header, the Encoder's block stream
+// (one frame per block, see appendFrame) of every access feed emits,
+// then the sealed header at offset 0, since the Summary is known only
+// once the stream ends. Errors from feed are returned as they are.
+func writeTrace(f fileOut, feed func(emit func(tracesim.Access)) error) (Summary, string, error) {
+	if _, err := f.Write(make([]byte, headerSize)); err != nil {
+		return Summary{}, "", fmt.Errorf("tracestore: %w", err)
+	}
+	enc := NewEncoder(f)
+	if err := feed(enc.Append); err != nil {
+		enc.Abort()
+		return Summary{}, "", err
+	}
+	sum, id, err := enc.Finish()
+	if err != nil {
+		return Summary{}, "", err
+	}
+	hdr := encodeHeader(sum)
+	if _, err := f.WriteAt(hdr[:], 0); err != nil {
+		return Summary{}, "", fmt.Errorf("tracestore: %w", err)
+	}
+	return sum, id, nil
+}
+
 // path returns the on-disk location of a trace id.
 func (s *Store) path(id string) string { return filepath.Join(s.dir, id+".trc") }
 
@@ -191,33 +216,12 @@ func (s *Store) Ingest(r io.Reader, maxBytes int64) (Meta, bool, error) {
 		s.fs.Remove(tmpPath)
 	}
 
-	if _, err := tmp.Write(make([]byte, headerSize)); err != nil {
-		discard()
-		return Meta{}, false, fmt.Errorf("tracestore: %w", err)
-	}
-	// With more than one CPU, block encoding is pipelined across
-	// workers; the output bytes and content address are identical
-	// either way (see parallelEncoder).
-	var enc streamEncoder
-	if n := runtime.GOMAXPROCS(0); n > 1 {
-		enc = newParallelEncoder(tmp, n)
-	} else {
-		enc = NewEncoder(tmp)
-	}
-	if err := decodeInto(r, maxBytes, enc.Append); err != nil {
-		enc.Abort()
-		discard()
-		return Meta{}, false, err
-	}
-	sum, id, err := enc.Finish()
+	sum, id, err := writeTrace(tmp, func(emit func(tracesim.Access)) error {
+		return decodeInto(r, maxBytes, emit)
+	})
 	if err != nil {
 		discard()
 		return Meta{}, false, err
-	}
-	hdr := encodeHeader(sum)
-	if _, err := tmp.WriteAt(hdr[:], 0); err != nil {
-		discard()
-		return Meta{}, false, fmt.Errorf("tracestore: %w", err)
 	}
 	if err := tmp.Sync(); err != nil {
 		discard()

@@ -90,17 +90,26 @@ func (c *Cache[V]) attach(store *journal.Results, errs *atomic.Int64) {
 // A nil fn never computes: a key neither tier holds fails with
 // errNotStored.
 func (c *Cache[V]) GetOrCompute(key string, fn func() (V, error)) (V, bool, error) {
+	return c.lookup(key, fn, true)
+}
+
+// lookup is GetOrCompute; with wait false a key whose fill is in
+// flight reports errNotStored instead of waiting for the fill.
+func (c *Cache[V]) lookup(key string, fn func() (V, error), wait bool) (V, bool, error) {
 	var zero V
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {
 		done := e.done
 		c.mu.Unlock()
+		if !wait && done != closedDone {
+			return zero, false, errNotStored
+		}
 		<-done
 		if e.err != nil {
 			// The filling caller failed and dropped its entry: retry
 			// through the cache, so the retry is single-flighted,
 			// counted, cached and persisted like any fill.
-			return c.GetOrCompute(key, fn)
+			return c.lookup(key, fn, wait)
 		}
 		c.hits.Add(1)
 		return e.val, true, nil
@@ -155,6 +164,14 @@ func (c *Cache[V]) GetOrCompute(key string, fn func() (V, error)) (V, bool, erro
 // computing anything. A value found counts as a hit.
 func (c *Cache[V]) Get(key string) (V, bool) {
 	v, _, err := c.GetOrCompute(key, nil)
+	return v, err == nil
+}
+
+// Peek is Get without the wait: a key whose fill is still in flight
+// reports absent at once, so the caller takes its own path (and joins
+// the fill there) instead of blocking where it peeked.
+func (c *Cache[V]) Peek(key string) (V, bool) {
+	v, _, err := c.lookup(key, nil, false)
 	return v, err == nil
 }
 

@@ -12,8 +12,8 @@ import (
 // TestCacheChurnRace is the guardedby audit's regression pin: it
 // hammers the exact paths the analyzer walks — miss-fill, eviction,
 // failed-entry drop (the one place entries and fifo are edited from a
-// re-acquired lock) and the compute-free Get — from many goroutines at
-// once, then
+// re-acquired lock), the compute-free Get and the wait-free Peek —
+// from many goroutines at once, then
 // checks the entries/fifo bookkeeping stayed exact. Run under
 // -race -count=2 it also pins the absence of data races on the
 // `guarded by mu` fields.
@@ -39,6 +39,9 @@ func TestCacheChurnRace(t *testing.T) {
 					t.Errorf("impossible value %d", v)
 				}
 				if v, ok := c.Get(key); ok && v < 0 {
+					t.Errorf("impossible value %d", v)
+				}
+				if v, ok := c.Peek(key); ok && v < 0 {
 					t.Errorf("impossible value %d", v)
 				}
 			}

@@ -195,7 +195,13 @@ func (c *Client) once(ctx context.Context, method, path string, body []byte, out
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
+	// Read the body to EOF before closing it, whatever was decoded: the
+	// transport keeps a connection alive only after the body's end was
+	// read, and a chunked body's end is past the JSON value.
+	defer func() {
+		_, _ = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+	}()
 	if resp.StatusCode/100 != 2 {
 		apiErr := &APIError{Method: method, Path: path, Status: resp.StatusCode}
 		var envelope apiError

@@ -105,6 +105,9 @@ type JobOptions struct {
 }
 
 // job is the internal record: a snapshot guarded by mu plus the work.
+// The work — fn, base and trace — is dropped when the job finishes: a
+// retained record must not pin its request's context or its trace
+// after the tracer's ring has evicted it.
 type job struct {
 	mu sync.Mutex
 	// info is the live job record. guarded by mu.
@@ -370,20 +373,48 @@ func (q *Queue) bumpSeq(id string) {
 // /v1/jobs/{id} keeps answering for jobs that finished before a
 // restart. The sequence is advanced past the restored ID.
 func (q *Queue) RestoreFinished(info JobInfo, resultKey string) {
+	_ = q.addFinished(&job{info: info, resultKey: resultKey})
+}
+
+// AddDone registers a done campaign job that no worker ever ran — the
+// campaign cache answered it at submission — with its result
+// attached. Its one stage is persist, the append of its done record
+// from info.Started to info.Finished, recorded under the root span of
+// tr (nil: none). It counts as a done job.
+func (q *Queue) AddDone(info JobInfo, res *CampaignResult, tr *obs.Trace) (JobInfo, error) {
+	j := &job{info: info, result: res}
+	start := *info.Started
+	var sp *obs.Span
+	if tr != nil {
+		sp = tr.NewSpan("persist", obs.RootSpanID, start)
+	}
+	q.recordStage(j, sp, "persist", start, info.Finished.Sub(start))
+	if err := q.addFinished(j); err != nil {
+		return JobInfo{}, err
+	}
+	q.completed.Add(1)
+	return j.snapshot(), nil
+}
+
+// addFinished registers a job that is born finished and advances the
+// sequence past its ID.
+func (q *Queue) addFinished(j *job) error {
+	j.finished = make(chan struct{})
+	close(j.finished)
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed {
-		return
+		return ErrShutdown
 	}
-	if _, dup := q.jobs[info.ID]; dup {
-		return
+	id := j.info.ID
+	if _, dup := q.jobs[id]; dup {
+		return fmt.Errorf("service: duplicate job id %q", id)
 	}
-	q.bumpSeq(info.ID)
-	j := &job{info: info, resultKey: resultKey, finished: make(chan struct{})}
-	close(j.finished)
-	q.jobs[info.ID] = j
-	q.order = append(q.order, info.ID)
+	q.bumpSeq(id)
+	q.jobs[id] = j
+	q.order = append(q.order, id)
 	q.pruneLocked()
+	return nil
 }
 
 // pruneLocked drops the oldest finished jobs beyond the retention cap.
@@ -499,6 +530,7 @@ func (q *Queue) runJob(ctx context.Context, j *job) {
 	q.recordStage(j, exec, "execute", started, finished.Sub(started))
 	j.mu.Lock()
 	j.info.Finished = &finished
+	j.fn, j.base, j.trace = nil, nil, nil
 	if err != nil {
 		j.info.State = JobFailed
 		j.info.Error = err.Error()

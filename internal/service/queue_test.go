@@ -327,6 +327,35 @@ func TestQueueResultPrunedWithRecord(t *testing.T) {
 	}
 }
 
+// TestFinishedJobDropsWork: a finished job keeps its record and
+// result, but not its work — the function, the request context and
+// the request's trace — done or failed alike.
+func TestFinishedJobDropsWork(t *testing.T) {
+	q := NewQueue(1, 4, 0, obs.NewRegistry())
+	defer q.Close(context.Background())
+	for _, fail := range []bool{false, true} {
+		tr, _ := obs.NewTrace("drop-work")
+		info, err := q.SubmitJob("campaign", JobOptions{Base: context.Background(), Trace: tr},
+			func(context.Context, func(int, int)) error {
+				if fail {
+					return errors.New("boom")
+				}
+				return nil
+			})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := q.Wait(context.Background(), info.ID); err != nil {
+			t.Fatal(err)
+		}
+		j := q.lookup(info.ID)
+		if j.fn != nil || j.base != nil || j.trace != nil {
+			t.Fatalf("finished job (failed=%t) still holds fn=%t base=%t trace=%t",
+				fail, j.fn != nil, j.base != nil, j.trace != nil)
+		}
+	}
+}
+
 // Submit is SubmitJob with default options.
 func (q *Queue) Submit(kind string, fn JobFunc) (JobInfo, error) {
 	return q.SubmitJob(kind, JobOptions{}, fn)

@@ -220,7 +220,8 @@ func TestCrashRecoveryIdempotent(t *testing.T) {
 
 // TestJournalFaultRefusesWork: when the journal cannot record an
 // accepted job, the server must answer 500 and enqueue NOTHING — a
-// 202 it cannot make durable is a lie.
+// 202 it cannot make durable is a lie. The same holds for a campaign
+// the cache already holds: its 200 stands for a durable done record.
 func TestJournalFaultRefusesWork(t *testing.T) {
 	dir := t.TempDir()
 	ctx := context.Background()
@@ -252,6 +253,27 @@ func TestJournalFaultRefusesWork(t *testing.T) {
 	if resp.Job.State != JobDone {
 		t.Fatalf("job %+v", resp.Job)
 	}
+
+	// The disk dies again: the now-cached campaign is refused too, and
+	// no job is registered for it.
+	fault.FailAfterWrites(0, false)
+	_, _, completed, _ = srv.queue.Counts()
+	for _, wait := range []bool{true, false} {
+		_, err = c.SubmitCampaign(ctx, quickSpec, wait)
+		if err == nil || !strings.Contains(err.Error(), "HTTP 500") || !strings.Contains(err.Error(), "journal") {
+			t.Fatalf("cached submit with a dead journal (wait=%t): %v, want a journal 500", wait, err)
+		}
+	}
+	if _, _, after, _ := srv.queue.Counts(); after != completed {
+		t.Fatalf("done jobs %d->%d after refused cached submissions", completed, after)
+	}
+	srv.queue.mu.Lock()
+	n := len(srv.queue.jobs)
+	srv.queue.mu.Unlock()
+	if n != 1 {
+		t.Fatalf("%d jobs registered, want only the one accepted while the disk worked", n)
+	}
+	fault.Reset()
 }
 
 // TestQueueFullAnswers429 pins graceful degradation server-side: a

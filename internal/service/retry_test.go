@@ -6,6 +6,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httptrace"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -181,5 +182,36 @@ func TestAPIErrorShape(t *testing.T) {
 	}
 	if !apiErr.Temporary() {
 		t.Fatal("429 must report Temporary")
+	}
+}
+
+// TestClientReusesConnection: the client reads every response to its
+// end, so back-to-back campaign submissions whose responses are
+// chunked (48 points run far past the server's 2 KiB buffer) share one
+// keep-alive connection instead of dialing per request.
+func TestClientReusesConnection(t *testing.T) {
+	_, c := newTestServer(t)
+	c.HTTPClient = &http.Client{Transport: &http.Transport{}}
+	spec := campaign.Spec{
+		Workloads: []string{"STREAM", "GUPS", "DGEMM", "MiniFE"},
+		Configs:   []string{"dram", "hbm", "cache"},
+		Sizes:     []string{"2GB", "8GB", "16GB", "24GB"},
+		Threads:   []int{64},
+	}
+	var reused []bool
+	ctx := httptrace.WithClientTrace(context.Background(), &httptrace.ClientTrace{
+		GotConn: func(info httptrace.GotConnInfo) { reused = append(reused, info.Reused) },
+	})
+	for i := 0; i < 3; i++ {
+		resp, err := c.SubmitCampaign(ctx, spec, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Result == nil || resp.Result.Points != 48 {
+			t.Fatalf("submission %d: %+v", i, resp.Job)
+		}
+	}
+	if len(reused) != 3 || !reused[1] || !reused[2] {
+		t.Fatalf("connection reused per request = %v, want every request after the first on the first connection", reused)
 	}
 }

@@ -553,25 +553,11 @@ func expandExperiments(ids []string) []string {
 // (each point through the shared cache), experiments run alongside,
 // and the whole result is content-addressed so an identical
 // resubmission never recomputes anything.
-func (s *Server) runCampaign(ctx context.Context, jobID string, spec campaign.Spec, progress func(done, total int)) (*CampaignResult, bool, error) {
-	key, err := spec.CampaignKey()
-	if err != nil {
+// key is spec.CampaignKey(), derived once by the submitting handler
+// (or read back from the journal) and passed along.
+func (s *Server) runCampaign(ctx context.Context, jobID, key string, spec campaign.Spec, progress func(done, total int)) (*CampaignResult, bool, error) {
+	if err := s.checkTraces(spec); err != nil {
 		return nil, false, err
-	}
-	// Replay campaigns check trace existence BEFORE the cache lookup,
-	// mirroring handleReplay: a deleted trace must fail even when the
-	// identical campaign is cached (re-uploading the same content
-	// revalidates the entry).
-	if spec.Fidelity == campaign.FidelityReplay {
-		st, err := s.traceStore()
-		if err != nil {
-			return nil, false, err
-		}
-		for _, id := range spec.Traces {
-			if _, ok := st.Get(strings.TrimSpace(id)); !ok {
-				return nil, false, fmt.Errorf("%w %q", tracestore.ErrNotFound, strings.TrimSpace(id))
-			}
-		}
 	}
 	lookup := time.Now()
 	lookupCtx, lookupSpan := obs.StartSpan(ctx, "cache.campaign")
@@ -586,13 +572,62 @@ func (s *Server) runCampaign(ctx context.Context, jobID string, spec campaign.Sp
 	}
 	if cached {
 		s.lookupSeconds.Observe(time.Since(lookup).Seconds(), "campaign")
-		// Serve a copy so the Cached flag never mutates the stored
-		// result.
-		cp := *res
-		cp.Cached = true
-		res = &cp
+		res = cachedCopy(res)
 	}
 	return res, cached, nil
+}
+
+// cachedCopy is a cached campaign result as served: a copy, so the
+// Cached flag never mutates the stored result.
+func cachedCopy(res *CampaignResult) *CampaignResult {
+	cp := *res
+	cp.Cached = true
+	return &cp
+}
+
+// checkTraces fails a replay spec that names a trace the store does
+// not hold. It runs before every campaign-cache lookup, mirroring
+// handleReplay: a deleted trace must fail even when the identical
+// campaign is cached (re-uploading the same content revalidates the
+// entry).
+func (s *Server) checkTraces(spec campaign.Spec) error {
+	if spec.Fidelity != campaign.FidelityReplay {
+		return nil
+	}
+	st, err := s.traceStore()
+	if err != nil {
+		return err
+	}
+	for _, id := range spec.Traces {
+		if _, ok := st.Get(strings.TrimSpace(id)); !ok {
+			return fmt.Errorf("%w %q", tracestore.ErrNotFound, strings.TrimSpace(id))
+		}
+	}
+	return nil
+}
+
+// peekCampaign returns spec's result when the campaign cache already
+// holds it — a filled memory entry, else the durable result store. It
+// never computes and never waits on an in-flight fill of key, and a
+// replay spec whose traces are not all stored is never served from it.
+// A hit is recorded as a cache.campaign span under the request's root.
+func (s *Server) peekCampaign(ctx context.Context, key string, spec campaign.Spec) (*CampaignResult, bool) {
+	if s.checkTraces(spec) != nil {
+		return nil, false
+	}
+	start := time.Now()
+	res, ok := s.campaigns.Peek(key)
+	if !ok {
+		return nil, false
+	}
+	end := time.Now()
+	s.lookupSeconds.Observe(end.Sub(start).Seconds(), "campaign")
+	if tr := obs.TraceFrom(ctx); tr != nil {
+		sp := tr.NewSpan("cache.campaign", obs.RootSpanID, start)
+		sp.SetAttr("hit", "true")
+		sp.EndAt(end)
+	}
+	return cachedCopy(res), true
 }
 
 func (s *Server) computeCampaign(ctx context.Context, jobID, key string, spec campaign.Spec, progress func(done, total int)) (*CampaignResult, error) {
@@ -727,7 +762,7 @@ func (s *Server) computeCampaign(ctx context.Context, jobID, key string, spec ca
 // of StateFailed.
 func (s *Server) campaignJob(id, key, rid string, spec campaign.Spec) JobFunc {
 	return func(ctx context.Context, progress func(done, total int)) error {
-		res, _, err := s.runCampaign(ctx, id, spec, progress)
+		res, _, err := s.runCampaign(ctx, id, key, spec, progress)
 		entry := journal.Entry{State: journal.StateFailed, Job: id, Kind: "campaign", Key: key, Req: rid}
 		switch {
 		case err == nil:
@@ -749,12 +784,13 @@ func (s *Server) campaignJob(id, key, rid string, spec campaign.Spec) JobFunc {
 
 // handleSubmitCampaign accepts a campaign spec, runs it as a queued
 // job, and returns the job record — plus the result when ?wait=1 is
-// set or the campaign cache already has it. On a durable server the
-// accepted record hits the journal BEFORE anything is enqueued or
-// acknowledged: a crash after the append owes the client an
-// execution; a crash before it owes nothing, because no 202 was
-// written. A full queue answers 429 with a Retry-After computed from
-// observed job service times.
+// set or the campaign cache already has it. A campaign the cache
+// holds is answered here, as a job born finished (serveCached). On a
+// durable server the accepted record of any other campaign hits the
+// journal BEFORE anything is enqueued or acknowledged: a crash after
+// the append owes the client an execution; a crash before it owes
+// nothing, because no 202 was written. A full queue answers 429 with
+// a Retry-After computed from observed job service times.
 func (s *Server) handleSubmitCampaign(w http.ResponseWriter, r *http.Request) {
 	var spec campaign.Spec
 	if !s.decodeBody(w, r, "campaign spec", &spec) {
@@ -785,8 +821,12 @@ func (s *Server) handleSubmitCampaign(w http.ResponseWriter, r *http.Request) {
 		base = r.Context()
 	}
 
-	id := s.queue.NextID()
 	rid := obs.RequestID(r.Context())
+	if res, ok := s.peekCampaign(r.Context(), key, spec); ok {
+		s.serveCached(w, r, key, rid, res)
+		return
+	}
+	id := s.queue.NextID()
 	if s.journal != nil {
 		raw, _ := json.Marshal(spec)
 		if err := s.journal.Append(journal.Entry{State: journal.StateAccepted, Job: id, Kind: "campaign", Key: key, Req: rid, Spec: raw}); err != nil {
@@ -823,6 +863,34 @@ func (s *Server) handleSubmitCampaign(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusAccepted, CampaignResponse{Job: info})
+}
+
+// serveCached answers a submission whose result the campaign cache
+// already holds, with or without ?wait=1: a 200 carrying a done job
+// and the result, with no accepted record, queue hop or worker. The
+// job's one done record is durable before the 200, as the accepted
+// record is before a 202; a journal that cannot write it refuses the
+// work with a 500 and registers nothing.
+func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, key, rid string, res *CampaignResult) {
+	id := s.queue.NextID()
+	n := res.Points + len(res.Experiments)
+	start := time.Now()
+	if s.journal != nil {
+		if err := s.journal.Append(journal.Entry{State: journal.StateDone, Job: id, Kind: "campaign", Key: key, Req: rid, Done: n, Total: n}); err != nil {
+			writeError(w, http.StatusInternalServerError, fmt.Errorf("service: journal write failed, not accepting work: %w", err))
+			return
+		}
+	}
+	finished := time.Now()
+	info, err := s.queue.AddDone(
+		JobInfo{ID: id, Kind: "campaign", State: JobDone, Done: n, Total: n,
+			Submitted: start, Started: &start, Finished: &finished, RequestID: rid},
+		res, obs.TraceFrom(r.Context()))
+	if err != nil {
+		writeError(w, http.StatusServiceUnavailable, err)
+		return
+	}
+	writeJSON(w, http.StatusOK, CampaignResponse{Job: info, Result: res})
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {

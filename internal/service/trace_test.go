@@ -289,7 +289,11 @@ func TestTraceCampaignSharesStreams(t *testing.T) {
 		// Cancel after the first member of the first group: the rest of
 		// that group is already replayed, so it completes; no other
 		// group starts.
-		_, _, err := srv.runCampaign(cctx, "", shareSpec, func(done, _ int) {
+		key, err := shareSpec.CampaignKey()
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _, err = srv.runCampaign(cctx, "", key, shareSpec, func(done, _ int) {
 			if done == 1 {
 				cancel()
 			}

@@ -464,21 +464,26 @@ func cmdCampaign(ctx context.Context, c *service.Client, args []string, stdout, 
 		return nil
 	}
 
-	// Follow the progress stream, then fetch the result.
-	err = c.StreamJob(ctx, resp.Job.ID, func(info service.JobInfo) {
-		if info.Total > 0 {
-			fmt.Fprintf(stderr, "\rjob %s: %s %d/%d", info.ID, info.State, info.Done, info.Total)
-		} else {
-			fmt.Fprintf(stderr, "\rjob %s: %s", info.ID, info.State)
+	// A job the POST answered finished (a cached resubmission) carries
+	// its result; any other is followed on the progress stream, then
+	// its result fetched.
+	final := resp
+	answered := resp.Job.State == service.JobFailed || (resp.Job.State == service.JobDone && resp.Result != nil)
+	if !answered {
+		err = c.StreamJob(ctx, resp.Job.ID, func(info service.JobInfo) {
+			if info.Total > 0 {
+				fmt.Fprintf(stderr, "\rjob %s: %s %d/%d", info.ID, info.State, info.Done, info.Total)
+			} else {
+				fmt.Fprintf(stderr, "\rjob %s: %s", info.ID, info.State)
+			}
+		})
+		fmt.Fprintln(stderr)
+		if err != nil {
+			return err
 		}
-	})
-	fmt.Fprintln(stderr)
-	if err != nil {
-		return err
-	}
-	final, err := c.WaitResult(ctx, resp.Job.ID)
-	if err != nil {
-		return err
+		if final, err = c.WaitResult(ctx, resp.Job.ID); err != nil {
+			return err
+		}
 	}
 	if final.Job.State == service.JobFailed {
 		return fmt.Errorf("campaign failed: %s", final.Job.Error)

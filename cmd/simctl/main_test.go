@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -262,6 +263,58 @@ func TestCampaignSubcommandFlags(t *testing.T) {
 	}
 	if !strings.Contains(out, "served from campaign cache") {
 		t.Errorf("resubmission not served from cache:\n%s", out)
+	}
+}
+
+// TestCachedCampaignNeedsOneRequest: a cold campaign follows the job's
+// progress stream and fetches its result; a cached resubmission, which
+// the POST answers with a finished job and its result, is rendered
+// from that one response.
+func TestCachedCampaignNeedsOneRequest(t *testing.T) {
+	srv := service.NewServer(service.Options{Workers: 2, QueueDepth: 8})
+	h := srv.Handler()
+	var mu sync.Mutex
+	var seen []string
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		seen = append(seen, r.Method+" "+r.URL.Path)
+		mu.Unlock()
+		h.ServeHTTP(w, r)
+	}))
+	t.Cleanup(func() {
+		ts.Close()
+		_ = srv.Close(context.Background())
+	})
+	requests := func() []string {
+		mu.Lock()
+		defer mu.Unlock()
+		out := seen
+		seen = nil
+		return out
+	}
+	args := []string{"-addr", ts.URL, "campaign", "-workloads", "STREAM", "-configs", "dram,hbm", "-sizes", "2GB,24GB"}
+
+	out, _, err := runCLI(t, args...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out, "4 points") || strings.Contains(out, "served from campaign cache") {
+		t.Fatalf("cold campaign output:\n%s", out)
+	}
+	cold := requests()
+	if len(cold) != 3 || !strings.HasSuffix(cold[1], "/stream") || !strings.HasSuffix(cold[2], "/result") {
+		t.Errorf("cold campaign requests %q, want the POST, the stream and the result", cold)
+	}
+
+	out, _, err = runCLI(t, args...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out, "served from campaign cache") || !strings.Contains(out, "4 points") {
+		t.Fatalf("cached campaign output:\n%s", out)
+	}
+	if cached := requests(); len(cached) != 1 || cached[0] != "POST /v1/campaigns" {
+		t.Errorf("cached campaign requests %q, want the POST alone", cached)
 	}
 }
 

@@ -11,12 +11,14 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
 	"repro/internal/cache"
 	"repro/internal/campaign"
 	"repro/internal/engine"
+	"repro/internal/obs"
 	"repro/internal/tracesim"
 )
 
@@ -333,6 +335,58 @@ func TestReplayCampaignSharesStreams(t *testing.T) {
 	}
 	if lanes != 1 || shared != 2 || replays != 1 {
 		t.Errorf("spans: %d compute with lanes=3, %d shared, %d replay; want 1, 2, 1", lanes, shared, replays)
+	}
+}
+
+// TestReplayCampaignRunsLongestTraceFirst: with one worker, a replay
+// campaign over two stored traces replays the longer one first, though
+// the spec names the shorter one first.
+func TestReplayCampaignRunsLongestTraceFirst(t *testing.T) {
+	ctx := context.Background()
+	const rid = "replay-longest-first-1"
+	_, c := newReplayServer(t, Options{Workers: 1})
+	short, err := c.UploadTrace(ctx, bytes.NewReader(ndjsonBody(replayAccesses(5000))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	long, err := c.UploadTrace(ctx, bytes.NewReader(ndjsonBody(replayAccesses(20000))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.RequestID = rid
+	resp, err := c.SubmitCampaign(ctx, campaign.Spec{
+		Fidelity: campaign.FidelityReplay,
+		Traces:   []string{short.ID, long.ID},
+		Configs:  []string{"dram", "hbm"},
+	}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.RequestID = ""
+	if resp.Job.State != JobDone || resp.Result.Points != 4 {
+		t.Fatalf("campaign job %+v result %+v", resp.Job, resp.Result)
+	}
+	tr, err := c.DebugTrace(ctx, rid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var replays []obs.SpanData
+	for _, sp := range tr.Spans {
+		if sp.Name == "replay" {
+			replays = append(replays, sp)
+		}
+	}
+	sort.SliceStable(replays, func(i, j int) bool { return replays[i].Start.Before(replays[j].Start) })
+	var order []string
+	for _, sp := range replays {
+		for _, a := range sp.Attrs {
+			if a.Key == "trace" {
+				order = append(order, a.Value)
+			}
+		}
+	}
+	if want := []string{long.ID, short.ID}; fmt.Sprint(order) != fmt.Sprint(want) {
+		t.Errorf("replayed traces in order %v, want the longer first %v", order, want)
 	}
 }
 

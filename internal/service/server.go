@@ -650,15 +650,19 @@ func (s *Server) computeCampaign(ctx context.Context, jobID, key string, spec ca
 	if err != nil {
 		return nil, err
 	}
+	// A replay group's work is its stored trace's length (pointGroups).
+	accesses := make(map[string]int64)
 	for _, p := range points {
 		if p.Fidelity == campaign.FidelityReplay {
 			st, err := s.traceStore()
 			if err != nil {
 				return nil, err
 			}
-			if _, ok := st.Get(p.TraceID); !ok {
+			meta, ok := st.Get(p.TraceID)
+			if !ok {
 				return nil, fmt.Errorf("%w %q", tracestore.ErrNotFound, p.TraceID)
 			}
+			accesses[p.TraceID] = meta.Accesses
 			continue
 		}
 		if _, err := sys.Workload(p.Workload); err != nil {
@@ -680,8 +684,9 @@ func (s *Server) computeCampaign(ctx context.Context, jobID, key string, spec ca
 		progress(d, total)
 	}
 
-	// Cancellation is honoured at group boundaries.
-	groups := pointGroups(points)
+	// Groups run longest first; cancellation is honoured at group
+	// boundaries.
+	groups := pointGroups(points, accesses)
 	workers := s.queue.Workers()
 	if workers > len(groups) {
 		workers = len(groups)
@@ -738,12 +743,15 @@ func (s *Server) computeCampaign(ctx context.Context, jobID, key string, spec ca
 		}
 	}
 
-	res := &CampaignResult{Key: key, Name: spec.Name, Expanded: raw, Points: len(points)}
+	// Presized: the campaign cache and the job record keep this slice
+	// as long as they keep the result.
+	res := &CampaignResult{Key: key, Name: spec.Name, Expanded: raw, Points: len(points),
+		Results: make([]RunResponse, len(outcomes))}
 	for i, o := range outcomes {
 		if cachedFlags[i] {
 			res.CacheHits++
 		}
-		res.Results = append(res.Results, runResponse(o, keys[i], cachedFlags[i], 0))
+		res.Results[i] = runResponse(o, keys[i], cachedFlags[i], 0)
 	}
 	res.Tables = campaign.Tables(outcomes)
 	for _, id := range exps {

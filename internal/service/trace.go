@@ -1,9 +1,11 @@
 package service
 
 import (
+	"cmp"
 	"context"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"strconv"
 
 	"repro/internal/cache"
@@ -41,9 +43,20 @@ const (
 	traceMaxFootprint = units.Bytes(32 << 20) // 32 MiB
 )
 
+// traceFootprint is the scaled, clamped footprint a trace point of
+// the given size replays. RunTraceGroup streams it and pointGroups
+// sizes a group's work by it, so the two cannot drift apart.
+func traceFootprint(size units.Bytes) units.Bytes {
+	return min(max(size>>traceScaleShift, traceMinFootprint), traceMaxFootprint)
+}
+
 // tracePasses is how many times the stream sweeps its footprint (the
 // second pass measures warm-cache behaviour).
 const tracePasses = 2
+
+// campaignReplayPasses is how many times a replay campaign sweeps each
+// stored trace.
+const campaignReplayPasses = 1
 
 // TraceGroupKey identifies the access stream of a FidelityTrace or
 // FidelityReplay point: the key of the point with its memory
@@ -185,14 +198,7 @@ func (e *Executor) RunTraceGroup(ctx context.Context, points []campaign.Point) (
 	}
 	info := mdl.Info()
 
-	foot := p.Size >> traceScaleShift
-	if foot < traceMinFootprint {
-		foot = traceMinFootprint
-	}
-	if foot > traceMaxFootprint {
-		foot = traceMaxFootprint
-	}
-
+	foot := traceFootprint(p.Size)
 	var src tracesim.BlockSource
 	lines := int64(foot / units.CacheLine)
 	if info.Pattern == workload.PatternRandom {
@@ -249,17 +255,22 @@ func (m *groupMemo[T]) get(ctx context.Context, i int, span *obs.Span) (T, error
 }
 
 // pointGroup is one pool task of a campaign: the indices of its
-// points, plus the points themselves when they share one stream.
+// points, plus the points themselves when they share one stream, and
+// the task's work estimate (streamWork; 0 without a stream).
 type pointGroup struct {
 	idx    []int
 	stream []campaign.Point // nil for a single point of another fidelity
+	work   int64
 }
 
-// pointGroups partitions a campaign's points into pool tasks: trace
-// and replay points that share a stream (equal TraceGroupKey) form one
-// group, in order of first appearance; every other point is a group of
-// its own.
-func pointGroups(points []campaign.Point) []pointGroup {
+// pointGroups partitions a campaign's points into pool tasks, longest
+// first: trace and replay points that share a stream (equal
+// TraceGroupKey) form one group, weighted by streamWork; every other
+// point is a group of its own with work 0. The sort is stable, so
+// groups of equal work keep their order of first appearance and the
+// other points follow the stream groups in point order. accesses maps
+// a stored trace id to its access count.
+func pointGroups(points []campaign.Point, accesses map[string]int64) []pointGroup {
 	var groups []pointGroup
 	byStream := make(map[string]int)
 	for i, p := range points {
@@ -272,12 +283,25 @@ func pointGroups(points []campaign.Point) []pointGroup {
 		if !ok {
 			g = len(groups)
 			byStream[k] = g
-			groups = append(groups, pointGroup{})
+			groups = append(groups, pointGroup{work: streamWork(p, accesses)})
 		}
 		groups[g].idx = append(groups[g].idx, i)
 		groups[g].stream = append(groups[g].stream, p)
 	}
+	slices.SortStableFunc(groups, func(a, b pointGroup) int { return cmp.Compare(b.work, a.work) })
 	return groups
+}
+
+// streamWork estimates the accesses one replay of p's stream makes:
+// the lines of the clamped footprint RunTraceGroup sweeps for a trace
+// point, the stored trace's length for a replay point, times the
+// passes. Lanes are left out: every group of one campaign shares one
+// config list, so they cannot change the order.
+func streamWork(p campaign.Point, accesses map[string]int64) int64 {
+	if p.Fidelity == campaign.FidelityReplay {
+		return accesses[p.TraceID] * campaignReplayPasses
+	}
+	return int64(traceFootprint(p.Size)/units.CacheLine) * tracePasses
 }
 
 // streamCompute returns the compute the members of one stream group
@@ -298,7 +322,7 @@ func (s *Server) streamCompute(stream []campaign.Point) func(context.Context, in
 	}
 	qs := make([]replayQuery, len(stream))
 	for i, p := range stream {
-		qs[i] = replayQuery{trace: p.TraceID, config: p.Config, sku: p.SKU, passes: 1, prefetch: true}
+		qs[i] = replayQuery{trace: p.TraceID, config: p.Config, sku: p.SKU, passes: campaignReplayPasses, prefetch: true}
 	}
 	m := &groupMemo[replayResult]{lanes: len(qs), run: func(ctx context.Context) ([]replayResult, error) {
 		return s.computeReplay(ctx, qs)

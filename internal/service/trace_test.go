@@ -3,10 +3,13 @@ package service
 import (
 	"context"
 	"errors"
+	"fmt"
+	"sort"
 	"testing"
 
 	"repro/internal/campaign"
 	"repro/internal/engine"
+	"repro/internal/obs"
 	"repro/internal/units"
 )
 
@@ -115,7 +118,7 @@ func TestTraceFidelityOverHTTP(t *testing.T) {
 }
 
 func TestTraceCampaign(t *testing.T) {
-	_, c := newTestServer(t)
+	srv, c := newTestServer(t)
 	spec := campaign.Spec{
 		Fidelity:  "trace",
 		Workloads: []string{"STREAM", "GUPS"},
@@ -137,6 +140,15 @@ func TestTraceCampaign(t *testing.T) {
 		if r.Fidelity != campaign.FidelityTrace || r.Trace == nil || r.Value <= 0 {
 			t.Fatalf("trace campaign result %+v", r)
 		}
+	}
+	// The campaign cache keeps the result as long as it lives: its
+	// results slice must hold no spare slots.
+	stored, ok := srv.campaigns.Peek(res.Key)
+	if !ok {
+		t.Fatal("campaign cache does not hold the result")
+	}
+	if len(stored.Results) != 12 || cap(stored.Results) != 12 {
+		t.Errorf("stored results: len %d cap %d, want 12 and 12", len(stored.Results), cap(stored.Results))
 	}
 }
 
@@ -305,4 +317,134 @@ func TestTraceCampaignSharesStreams(t *testing.T) {
 			t.Errorf("%d points computed, want the 3 of the first group", n)
 		}
 	})
+}
+
+// TestPointGroupsLongestFirst pins the campaign schedule: a trace
+// group's work is its clamped footprint's lines x tracePasses, a replay
+// group's is its stored trace's length, every other point weighs 0,
+// and groups run in descending work with ties in first-appearance
+// order.
+func TestPointGroupsLongestFirst(t *testing.T) {
+	spec := campaign.Spec{
+		Fidelity:  "trace",
+		Workloads: []string{"STREAM", "GUPS"},
+		Configs:   []string{"dram", "hbm"},
+		// Below, inside, inside and above the footprint clamp.
+		Sizes: []string{"512MB", "2GB", "20GB", "64GB"},
+	}
+	points, _, err := spec.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := func(foot units.Bytes) int64 { return int64(foot / units.CacheLine) }
+	work := map[units.Bytes]int64{
+		512 * units.MiB: lines(1*units.MiB) * tracePasses, // clamped up
+		2 * units.GiB:   lines(2*units.MiB) * tracePasses,
+		20 * units.GiB:  lines(20*units.MiB) * tracePasses,
+		64 * units.GiB:  lines(32*units.MiB) * tracePasses, // clamped down
+	}
+	type stream struct {
+		workload string
+		size     units.Bytes
+	}
+	want := []stream{
+		{"STREAM", 64 * units.GiB}, {"GUPS", 64 * units.GiB},
+		{"STREAM", 20 * units.GiB}, {"GUPS", 20 * units.GiB},
+		{"STREAM", 2 * units.GiB}, {"GUPS", 2 * units.GiB},
+		{"STREAM", 512 * units.MiB}, {"GUPS", 512 * units.MiB},
+	}
+	groups := pointGroups(points, nil)
+	if len(groups) != len(want) {
+		t.Fatalf("%d groups, want %d", len(groups), len(want))
+	}
+	for i, g := range groups {
+		p := g.stream[0]
+		if got := (stream{p.Workload, p.Size}); got != want[i] {
+			t.Errorf("group %d is %v, want %v", i, got, want[i])
+		}
+		if g.work != work[p.Size] {
+			t.Errorf("group %d (%s %v): work %d, want %d", i, p.Workload, p.Size, g.work, work[p.Size])
+		}
+		if len(g.idx) != 2 || len(g.stream) != 2 {
+			t.Errorf("group %d has %d members, want one per config", i, len(g.idx))
+		}
+		for j, k := range g.idx {
+			if points[k] != g.stream[j] {
+				t.Errorf("group %d member %d: index %d does not name its point", i, j, k)
+			}
+		}
+	}
+
+	// Replay groups weigh their stored trace's accesses; a point of
+	// another fidelity weighs 0 and keeps its place after the streams.
+	replay := func(id string, cfg engine.MemoryConfig) campaign.Point {
+		return campaign.Point{TraceID: id, Config: cfg, SKU: campaign.DefaultSKU, Fidelity: campaign.FidelityReplay}
+	}
+	model := campaign.Point{Workload: "STREAM", Config: engine.MemoryConfig{Kind: engine.BindDRAM}, Size: units.GiB,
+		Threads: 64, SKU: campaign.DefaultSKU, Fidelity: campaign.FidelityModel}
+	dram, hbm := engine.MemoryConfig{Kind: engine.BindDRAM}, engine.MemoryConfig{Kind: engine.BindHBM}
+	mixed := []campaign.Point{model, replay("short", dram), replay("short", hbm), replay("long", dram), replay("long", hbm), model}
+	groups = pointGroups(mixed, map[string]int64{"short": 1000, "long": 50000})
+	var got [][]int
+	var works []int64
+	for _, g := range groups {
+		got = append(got, g.idx)
+		works = append(works, g.work)
+	}
+	wantIdx := [][]int{{3, 4}, {1, 2}, {0}, {5}}
+	wantWork := []int64{50000 * campaignReplayPasses, 1000 * campaignReplayPasses, 0, 0}
+	if fmt.Sprint(got) != fmt.Sprint(wantIdx) || fmt.Sprint(works) != fmt.Sprint(wantWork) {
+		t.Errorf("groups %v with work %v, want %v with %v", got, works, wantIdx, wantWork)
+	}
+}
+
+// TestTraceCampaignRunsLongestGroupFirst: with one worker, a trace
+// campaign replays its streams in descending footprint order, not in
+// the spec's order (which lists each workload's 2GB size first).
+func TestTraceCampaignRunsLongestGroupFirst(t *testing.T) {
+	ctx := context.Background()
+	points, _, err := shareSpec.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := map[string]units.Bytes{}
+	for _, p := range points {
+		size[p.Key()] = p.Size
+	}
+	const rid = "longest-first-1"
+	_, c := newReplayServer(t, Options{Workers: 1})
+	c.RequestID = rid
+	if _, err := c.SubmitCampaign(ctx, shareSpec, true); err != nil {
+		t.Fatal(err)
+	}
+	c.RequestID = ""
+	tr, err := c.DebugTrace(ctx, rid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keyOf := map[int]string{}
+	for _, sp := range tr.Spans {
+		for _, a := range sp.Attrs {
+			if sp.Name == "cache.point" && a.Key == "key" {
+				keyOf[sp.ID] = a.Value
+			}
+		}
+	}
+	var computes []obs.SpanData
+	for _, sp := range tr.Spans {
+		for _, a := range sp.Attrs {
+			if sp.Name == "compute" && a.Key == "lanes" {
+				computes = append(computes, sp)
+			}
+		}
+	}
+	sort.SliceStable(computes, func(i, j int) bool { return computes[i].Start.Before(computes[j].Start) })
+	var got []units.Bytes
+	for _, sp := range computes {
+		got = append(got, size[keyOf[sp.Parent]])
+	}
+	want := []units.Bytes{20 * units.GiB, 20 * units.GiB, 2 * units.GiB, 2 * units.GiB}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("stream replays ran by size %v, want %v", got, want)
+	}
 }

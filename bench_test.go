@@ -7,13 +7,16 @@ package repro
 // `go test -bench=. -benchmem` reprints the paper's evaluation.
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/cache"
+	"repro/internal/campaign"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/harness"
 	"repro/internal/placement"
+	"repro/internal/service"
 	"repro/internal/tracesim"
 	"repro/internal/units"
 	"repro/internal/workloads/dgemm"
@@ -34,16 +37,24 @@ func newSys(b *testing.B) *core.System {
 	return sys
 }
 
+// runExperiment regenerates one table or figure, evaluating its points
+// through the service executor as cmd/figures does.
 func runExperiment(b *testing.B, id string, metrics func(*harness.Table, *testing.B)) {
-	sys := newSys(b)
+	exec := service.NewExecutor()
+	sys, err := exec.System(campaign.DefaultSKU)
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := harness.Runner{SKU: campaign.DefaultSKU, Sys: sys, Eval: exec.RunPoint}
 	exp, err := harness.ByID(id)
 	if err != nil {
 		b.Fatal(err)
 	}
+	ctx := context.Background()
 	var tbl *harness.Table
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tbl, err = exp.Run(sys)
+		tbl, err = r.Run(ctx, exp)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -510,10 +510,6 @@ func renderResult(stdout io.Writer, res *service.CampaignResult) error {
 	}
 	for _, e := range res.Experiments {
 		fmt.Fprintln(stdout)
-		if e.Error != "" {
-			fmt.Fprintf(stdout, "%s: error: %s\n", e.ID, e.Error)
-			continue
-		}
 		fmt.Fprint(stdout, e.Rendered)
 	}
 	return nil

@@ -96,9 +96,12 @@
 //     writer, keeping the content address byte-identical to serial
 //     encoding. simbench's upload_replay workload measures the
 //     service-level numbers (see BENCHMARK.json).
-//   - Concurrent experiments. harness.RunAll and harness.VerifyAll
-//     fan the independent paper experiments out over a bounded worker
-//     pool (cmd/figures -j) with deterministic, paper-ordered output.
+//   - Figures are campaign points. Each figure panel of
+//     internal/harness is data (a campaign axis plus a table layout)
+//     evaluated through one point function: cmd/figures passes
+//     service.Executor.RunPoint, and simd passes its cached point
+//     path, so a figure cell and a /v1/run of the same point share
+//     one point-cache entry.
 //
 // The compute kernels back the same story: DGEMM uses a
 // register-blocked microkernel with a runtime-detected AVX2+FMA
@@ -136,8 +139,7 @@
 //     bash simbench/run.sh --workload cold_trace_campaign and
 //     --workload warm_query_mix).
 //   - Bounded job queue. POST /v1/campaigns enqueues onto a fixed
-//     worker pool (the PR-1 harness pool pattern made long-lived);
-//     the pending queue is bounded and overflow returns 429 with a
+//     worker pool; the pending queue is bounded and overflow returns 429 with a
 //     Retry-After computed from observed job service times (the Go
 //     client and simctl retry it with capped jittered backoff). Jobs
 //     carry deadlines (-job-timeout, or X-Simd-Timeout per request),

@@ -1,9 +1,8 @@
 package harness
 
 import (
+	"context"
 	"fmt"
-
-	"repro/internal/core"
 )
 
 // Check is one paper-vs-reproduction comparison.
@@ -19,19 +18,14 @@ type Check struct {
 // of the paper against the reproduction. The same claims are enforced
 // by the test suite; this function exists so that cmd/figures can emit
 // the EXPERIMENTS.md comparison table.
-//
-// The experiments are independent, so their tables are produced
-// through the bounded concurrent pool (RunAll, workers <= 0 uses
-// GOMAXPROCS); the checks themselves are evaluated serially afterwards,
-// which keeps the check order — and therefore the rendered comparison
-// table — deterministic.
-func VerifyAll(sys *core.System, workers int) ([]Check, error) {
+func (r Runner) VerifyAll(ctx context.Context) ([]Check, error) {
 	tables := map[string]*Table{}
-	for _, r := range RunAll(sys, workers) {
-		if r.Err != nil {
-			return nil, fmt.Errorf("harness: %s: %w", r.Experiment.ID, r.Err)
+	for _, e := range All() {
+		t, err := r.Run(ctx, e)
+		if err != nil {
+			return nil, err
 		}
-		tables[r.Experiment.ID] = r.Table
+		tables[e.ID] = t
 	}
 	var checks []Check
 	add := func(exp, name, paper string, got float64, gotFmt string, pass bool) {
@@ -42,7 +36,7 @@ func VerifyAll(sys *core.System, workers int) ([]Check, error) {
 	}
 
 	// --- §IV-A idle latencies.
-	d, h := sys.Machine.IdleLatencies()
+	d, h := r.Sys.Machine.IdleLatencies()
 	add("latency", "DRAM idle latency", "130.4 ns", float64(d), "%.1f ns", d == 130.4)
 	add("latency", "HBM idle latency", "154.0 ns", float64(h), "%.1f ns", h == 154.0)
 
@@ -127,7 +121,7 @@ func VerifyAll(sys *core.System, workers int) ([]Check, error) {
 	a192, _ := fig6a.ValueAt(192, "HBM spdup")
 	add("fig6a", "DGEMM HBM speedup at 192 threads", "1.7x", a192, "%.2fx", within(a192, 1.7, 1.15))
 	c256, _ := fig6a.CellAt(256, "HBM")
-	add("fig6a", "DGEMM at 256 threads", "run fails", 0, "absent%.0s", c256.Err != nil)
+	add("fig6a", "DGEMM at 256 threads", "run fails", 0, "absent%.0s", c256.Unavailable != "")
 
 	// --- Fig. 6b.
 	fig6b := tables["fig6b"]

@@ -1,42 +1,149 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
+	"repro/internal/campaign"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/units"
 	"repro/internal/workload"
+	"repro/internal/workloads/dgemm"
+	"repro/internal/workloads/graph500"
+	"repro/internal/workloads/gups"
 	"repro/internal/workloads/latbench"
+	"repro/internal/workloads/minife"
 	"repro/internal/workloads/stream"
+	"repro/internal/workloads/xsbench"
 )
 
-// Experiment is one reproducible table or figure.
+// Eval evaluates one resolved campaign point: service.Executor.RunPoint,
+// or a server's cached point path.
+type Eval func(context.Context, campaign.Point) (campaign.Outcome, error)
+
+// Runner runs experiments on one machine: figure panels as campaign
+// points through Eval, Table I, Table II and the latency probe straight
+// from Sys.
+type Runner struct {
+	SKU  string       // stamped on every figure point
+	Sys  *core.System // the SKU's machine
+	Eval Eval
+}
+
+// Experiment is one reproducible table or figure: a figure panel as
+// data, or a table read off the machine.
 type Experiment struct {
 	ID    string
 	Title string
-	Run   func(sys *core.System) (*Table, error)
+	panel *panel
+	table func(*core.System) (*Table, error)
+}
+
+// panel is one figure as data: the campaign axis it evaluates and the
+// layout of the table its outcomes fill.
+type panel struct {
+	title    string
+	workload string
+	configs  []engine.MemoryConfig
+	sizes    []units.Bytes
+	threads  []int
+	// byThreads makes one row per thread count at the panel's single
+	// size (Fig. 6); otherwise there is one row per size, at x(size),
+	// and one value column per (config, thread count).
+	byThreads bool
+	x         func(units.Bytes) float64
+	xLabel    string
+	xFmt      string
+	valFmt    string
+	derived   []derived
+	notes     []string
+}
+
+// derived is a column computed from a row's value columns.
+type derived struct {
+	name     string
+	op       op
+	num, den int // value-column indices
+}
+
+type op int
+
+const (
+	ratio   op = iota // num / den
+	speedup           // num / num in the first row
+	gapPct            // (num - den) / den, in percent
+)
+
+// vsDRAM are the improvement columns of Fig. 2 and Fig. 4's right-hand
+// axes.
+var vsDRAM = []derived{{"HBM/DRAM", ratio, 1, 0}, {"Cache/DRAM", ratio, 2, 0}}
+
+// configSweep is a Fig. 2/4 panel: sizes x the paper's configurations
+// at 64 threads.
+func configSweep(title, name string, sizes []units.Bytes, valFmt string, notes ...string) *panel {
+	return &panel{
+		title: title, workload: name, configs: engine.PaperConfigs(), sizes: sizes, threads: []int{64},
+		x: units.Bytes.GiBf, xLabel: "Size (GB)", xFmt: "%.1f", valFmt: valFmt,
+		derived: vsDRAM, notes: notes,
+	}
+}
+
+// threadSweep is a Fig. 6 panel: the paper's thread counts x its
+// configurations at the workload's Fig. 6 size, with speedups over 64
+// threads.
+func threadSweep(title, name string, size units.Bytes, valFmt, note string) *panel {
+	return &panel{
+		title:    fmt.Sprintf("%s (problem size %.1f GB)", title, size.GiBf()),
+		workload: name, configs: engine.PaperConfigs(), sizes: []units.Bytes{size}, threads: workload.PaperThreads(),
+		byThreads: true, xLabel: "Threads", xFmt: "%.0f", valFmt: valFmt,
+		derived: []derived{{"DRAM spdup", speedup, 0, 0}, {"HBM spdup", speedup, 1, 1}, {"Cache spdup", speedup, 2, 2}},
+		notes:   []string{note},
+	}
 }
 
 // All returns every experiment in paper order.
 func All() []Experiment {
+	flat := []engine.MemoryConfig{engine.DRAM, engine.HBM}
 	return []Experiment{
-		{"table1", "List of Evaluated Applications", Table1},
-		{"table2", "NUMA distances (numactl --hardware)", Table2},
-		{"latency", "Idle memory latencies (§IV-A)", LatencyProbe},
-		{"fig2", "STREAM triad bandwidth vs size, 64 threads", Fig2},
-		{"fig3", "Dual random read latency vs block size", Fig3},
-		{"fig4a", "DGEMM GFLOPS vs array size", Fig4a},
-		{"fig4b", "MiniFE CG MFLOPS vs matrix size", Fig4b},
-		{"fig4c", "GUPS vs table size", Fig4c},
-		{"fig4d", "Graph500 TEPS vs graph size", Fig4d},
-		{"fig4e", "XSBench lookups/s vs problem size", Fig4e},
-		{"fig5", "STREAM bandwidth vs size per hardware-thread count", Fig5},
-		{"fig6a", "DGEMM GFLOPS vs threads", Fig6a},
-		{"fig6b", "MiniFE CG MFLOPS vs threads", Fig6b},
-		{"fig6c", "Graph500 TEPS vs threads", Fig6c},
-		{"fig6d", "XSBench lookups/s vs threads", Fig6d},
+		{ID: "table1", Title: "List of Evaluated Applications", table: Table1},
+		{ID: "table2", Title: "NUMA distances (numactl --hardware)", table: Table2},
+		{ID: "latency", Title: "Idle memory latencies (§IV-A)", table: LatencyProbe},
+		{ID: "fig2", Title: "STREAM triad bandwidth vs size, 64 threads", panel: configSweep(
+			"STREAM triad bandwidth (GB/s), 64 threads", "STREAM", stream.Model{}.PaperSizes(), "%.0f",
+			"paper: DRAM 77 GB/s, HBM 330 GB/s, cache ~260 peak then cliff below DRAM past ~24 GB")},
+		{ID: "fig3", Title: "Dual random read latency vs block size", panel: &panel{
+			title: "Dual random read latency (ns)", workload: "TinyMemBench", configs: flat,
+			sizes: latbench.Model{}.PaperSizes(), threads: []int{1},
+			x: units.Bytes.MiBf, xLabel: "Block (MiB)", xFmt: "%.3f", valFmt: "%.1f",
+			derived: []derived{{"Gap (%)", gapPct, 1, 0}},
+			notes:   []string{"paper: ~10 ns under 1 MB, ~200 ns to 64 MB, rising past 128 MB; DRAM 15-20% faster"},
+		}},
+		{ID: "fig4a", Title: "DGEMM GFLOPS vs array size", panel: configSweep(
+			"DGEMM (GFLOPS), 64 threads", "DGEMM", dgemm.Model{}.PaperSizes(), "%.0f")},
+		{ID: "fig4b", Title: "MiniFE CG MFLOPS vs matrix size", panel: configSweep(
+			"MiniFE CG (MFLOPS), 64 threads", "MiniFE", minife.Model{}.PaperSizes(), "%.0f")},
+		{ID: "fig4c", Title: "GUPS vs table size", panel: configSweep(
+			"GUPS (giga-updates/s), 64 threads", "GUPS", gups.Model{}.PaperSizes(), "%.5f")},
+		{ID: "fig4d", Title: "Graph500 TEPS vs graph size", panel: configSweep(
+			"Graph500 (TEPS), 64 threads", "Graph500", graph500.Model{}.PaperSizes(), "%.3g")},
+		{ID: "fig4e", Title: "XSBench lookups/s vs problem size", panel: configSweep(
+			"XSBench (lookups/s), 64 threads", "XSBench", xsbench.Model{}.PaperSizes(), "%.3g")},
+		{ID: "fig5", Title: "STREAM bandwidth vs size per hardware-thread count", panel: &panel{
+			title: "STREAM bandwidth (GB/s) by hardware threads/core", workload: "STREAM", configs: flat,
+			sizes: stream.Model{}.Fig5Sizes(), threads: workload.PaperThreads(),
+			x: units.Bytes.GiBf, xLabel: "Size (GB)", xFmt: "%.0f", valFmt: "%.0f",
+			notes: []string{"paper: HBM ht=2 reaches 1.27x ht=1 (up to ~420-450 GB/s); DRAM lines overlap"},
+		}},
+		{ID: "fig6a", Title: "DGEMM GFLOPS vs threads", panel: threadSweep("DGEMM GFLOPS vs threads", "DGEMM",
+			dgemm.Model{}.Fig6Size(), "%.0f", "paper: 1.7x at 192 threads on HBM; 256-thread runs do not complete")},
+		{ID: "fig6b", Title: "MiniFE CG MFLOPS vs threads", panel: threadSweep("MiniFE CG MFLOPS vs threads", "MiniFE",
+			minife.Model{}.Fig6Size(), "%.0f", "paper: 1.7x at 192 threads on HBM; 3.8x vs DRAM with 4 HT/core")},
+		{ID: "fig6c", Title: "Graph500 TEPS vs threads", panel: threadSweep("Graph500 TEPS vs threads", "Graph500",
+			graph500.Model{}.Fig6Size(), "%.3g", "paper: every configuration peaks at 128 threads (~1.5x); DRAM stays best")},
+		{ID: "fig6d", Title: "XSBench lookups/s vs threads", panel: threadSweep("XSBench lookups/s vs threads", "XSBench",
+			xsbench.Model{}.Fig6Size(), "%.3g", "paper: 2.5x at 256 threads on HBM/cache, 1.5x on DRAM; HBM overtakes DRAM")},
 	}
 }
 
@@ -53,6 +160,126 @@ func ByID(id string) (Experiment, error) {
 	}
 	sort.Strings(ids)
 	return Experiment{}, fmt.Errorf("harness: unknown experiment %q (have %v)", id, ids)
+}
+
+// Resolve canonicalises an experiment list: "all" expands to every
+// experiment, duplicates drop, and the ids come back in paper order.
+// An unknown id is an error naming it.
+func Resolve(ids []string) ([]string, error) {
+	if len(ids) == 0 {
+		return nil, nil
+	}
+	want := make(map[string]bool, len(ids))
+	for _, id := range ids {
+		if id != "all" {
+			if _, err := ByID(id); err != nil {
+				return nil, err
+			}
+		}
+		want[id] = true
+	}
+	var out []string
+	for _, e := range All() {
+		if want["all"] || want[e.ID] {
+			out = append(out, e.ID)
+		}
+	}
+	return out, nil
+}
+
+// Run produces one experiment's table.
+func (r Runner) Run(ctx context.Context, e Experiment) (*Table, error) {
+	var t *Table
+	var err error
+	if e.table != nil {
+		t, err = e.table(r.Sys)
+	} else {
+		t, err = r.runPanel(ctx, e.ID, e.panel)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("harness: %s: %w", e.ID, err)
+	}
+	return t, nil
+}
+
+// runPanel evaluates every point of p, in (config, size, threads)
+// order, and lays the outcomes out as p's table.
+func (r Runner) runPanel(ctx context.Context, id string, p *panel) (*Table, error) {
+	cells := make([]Cell, 0, len(p.configs)*len(p.sizes)*len(p.threads))
+	for _, cfg := range p.configs {
+		for _, size := range p.sizes {
+			for _, th := range p.threads {
+				out, err := r.Eval(ctx, campaign.Point{Workload: p.workload, Config: cfg, Size: size,
+					Threads: th, SKU: r.SKU, Fidelity: campaign.FidelityModel})
+				if err != nil {
+					return nil, err
+				}
+				cells = append(cells, Cell{Value: out.Value, Unavailable: out.Unavailable})
+			}
+		}
+	}
+	at := func(c, s, th int) Cell { return cells[(c*len(p.sizes)+s)*len(p.threads)+th] }
+
+	t := &Table{ID: id, Title: p.title, XLabel: p.xLabel, XFmt: p.xFmt, ValFmt: p.valFmt, Notes: p.notes}
+	for _, cfg := range p.configs {
+		if p.byThreads || len(p.threads) == 1 {
+			t.Cols = append(t.Cols, cfg.Kind.String())
+			continue
+		}
+		for _, th := range p.threads {
+			// Hardware threads per core of the 64-core 7210.
+			t.Cols = append(t.Cols, fmt.Sprintf("%s ht=%d", cfg.Kind, th/64))
+		}
+	}
+	for _, d := range p.derived {
+		t.Cols = append(t.Cols, d.name)
+	}
+	if p.byThreads {
+		for th, threads := range p.threads {
+			row := Row{X: float64(threads)}
+			for c := range p.configs {
+				row.Cells = append(row.Cells, at(c, 0, th))
+			}
+			t.Rows = append(t.Rows, row)
+		}
+	} else {
+		for s, size := range p.sizes {
+			row := Row{X: p.x(size)}
+			for c := range p.configs {
+				for th := range p.threads {
+					row.Cells = append(row.Cells, at(c, s, th))
+				}
+			}
+			t.Rows = append(t.Rows, row)
+		}
+	}
+	values := len(t.Cols) - len(p.derived)
+	for i := range t.Rows {
+		row := t.Rows[i].Cells[:values]
+		for _, d := range p.derived {
+			t.Rows[i].Cells = append(t.Rows[i].Cells, d.cell(row, t.Rows[0].Cells))
+		}
+	}
+	return t, nil
+}
+
+// cell computes d for one row, given the table's first row.
+func (d derived) cell(row, first []Cell) Cell {
+	num, den := row[d.num], row[d.den]
+	if d.op == speedup {
+		den = first[d.den]
+	}
+	switch {
+	case num.Unavailable != "":
+		return Cell{Unavailable: num.Unavailable}
+	case den.Unavailable != "":
+		return Cell{Unavailable: den.Unavailable}
+	case den.Value == 0:
+		return Cell{Unavailable: "zero baseline"}
+	case d.op == gapPct:
+		return Cell{Value: (num.Value - den.Value) / den.Value * 100}
+	}
+	return Cell{Value: num.Value / den.Value}
 }
 
 // Table1 regenerates Table I from the registered workload metadata.
@@ -103,214 +330,5 @@ func LatencyProbe(sys *core.System) (*Table, error) {
 		}}},
 		Notes: []string{"paper: 130.4 ns DRAM, 154.0 ns HBM (~18% gap)"},
 	}
-	return t, nil
-}
-
-// configSweep runs a workload model over sizes x paper configurations
-// and appends improvement columns (HBM/DRAM and Cache/DRAM, the
-// right-hand axes of Fig. 4).
-func configSweep(sys *core.System, id, title, name string, sizes []units.Bytes, threads int, valFmt string) (*Table, error) {
-	mdl, err := sys.Workload(name)
-	if err != nil {
-		return nil, err
-	}
-	t := &Table{
-		ID: id, Title: title,
-		XLabel: "Size (GB)", XFmt: "%.1f", ValFmt: valFmt,
-		Cols: []string{"DRAM", "HBM", "Cache Mode", "HBM/DRAM", "Cache/DRAM"},
-	}
-	for _, s := range sizes {
-		row := Row{X: s.GiBf()}
-		var vals [3]Cell
-		for i, cfg := range engine.PaperConfigs() {
-			v, err := mdl.Predict(sys.Machine, cfg, s, threads)
-			vals[i] = Cell{Value: v, Err: err}
-		}
-		row.Cells = append(row.Cells, vals[0], vals[1], vals[2])
-		row.Cells = append(row.Cells, ratio(vals[1], vals[0]), ratio(vals[2], vals[0]))
-		t.Rows = append(t.Rows, row)
-	}
-	return t, nil
-}
-
-func ratio(num, den Cell) Cell {
-	if num.Err != nil {
-		return Cell{Err: num.Err}
-	}
-	if den.Err != nil {
-		return Cell{Err: den.Err}
-	}
-	if den.Value == 0 {
-		return Cell{Err: fmt.Errorf("harness: zero baseline")}
-	}
-	return Cell{Value: num.Value / den.Value}
-}
-
-// Fig2 sweeps STREAM triad over sizes under the three configurations.
-func Fig2(sys *core.System) (*Table, error) {
-	mdl := stream.Model{}
-	t, err := configSweep(sys, "fig2", "STREAM triad bandwidth (GB/s), 64 threads",
-		"STREAM", mdl.PaperSizes(), 64, "%.0f")
-	if err != nil {
-		return nil, err
-	}
-	t.Notes = append(t.Notes,
-		"paper: DRAM 77 GB/s, HBM 330 GB/s, cache ~260 peak then cliff below DRAM past ~24 GB")
-	return t, nil
-}
-
-// Fig3 sweeps the dual random read latency and the DRAM-vs-HBM gap.
-func Fig3(sys *core.System) (*Table, error) {
-	mdl := latbench.Model{}
-	t := &Table{
-		ID: "fig3", Title: "Dual random read latency (ns)",
-		XLabel: "Block (MiB)", XFmt: "%.3f", ValFmt: "%.1f",
-		Cols: []string{"DRAM", "HBM", "Gap (%)"},
-	}
-	for _, s := range mdl.PaperSizes() {
-		d, err := mdl.Predict(sys.Machine, engine.DRAM, s, 1)
-		if err != nil {
-			return nil, err
-		}
-		h, err := mdl.Predict(sys.Machine, engine.HBM, s, 1)
-		if err != nil {
-			return nil, err
-		}
-		t.Rows = append(t.Rows, Row{X: s.MiBf(), Cells: []Cell{
-			{Value: d}, {Value: h}, {Value: (h - d) / d * 100},
-		}})
-	}
-	t.Notes = append(t.Notes,
-		"paper: ~10 ns under 1 MB, ~200 ns to 64 MB, rising past 128 MB; DRAM 15-20% faster")
-	return t, nil
-}
-
-// Fig4a-e sweep each application over its problem sizes.
-func Fig4a(sys *core.System) (*Table, error) {
-	mdl, _ := sys.Workload("DGEMM")
-	return configSweep(sys, "fig4a", "DGEMM (GFLOPS), 64 threads", "DGEMM", mdl.PaperSizes(), 64, "%.0f")
-}
-
-// Fig4b is the MiniFE panel.
-func Fig4b(sys *core.System) (*Table, error) {
-	mdl, _ := sys.Workload("MiniFE")
-	return configSweep(sys, "fig4b", "MiniFE CG (MFLOPS), 64 threads", "MiniFE", mdl.PaperSizes(), 64, "%.0f")
-}
-
-// Fig4c is the GUPS panel.
-func Fig4c(sys *core.System) (*Table, error) {
-	mdl, _ := sys.Workload("GUPS")
-	return configSweep(sys, "fig4c", "GUPS (giga-updates/s), 64 threads", "GUPS", mdl.PaperSizes(), 64, "%.5f")
-}
-
-// Fig4d is the Graph500 panel.
-func Fig4d(sys *core.System) (*Table, error) {
-	mdl, _ := sys.Workload("Graph500")
-	return configSweep(sys, "fig4d", "Graph500 (TEPS), 64 threads", "Graph500", mdl.PaperSizes(), 64, "%.3g")
-}
-
-// Fig4e is the XSBench panel.
-func Fig4e(sys *core.System) (*Table, error) {
-	mdl, _ := sys.Workload("XSBench")
-	return configSweep(sys, "fig4e", "XSBench (lookups/s), 64 threads", "XSBench", mdl.PaperSizes(), 64, "%.3g")
-}
-
-// Fig5 sweeps STREAM over sizes for 1-4 hardware threads per core on
-// each flat device.
-func Fig5(sys *core.System) (*Table, error) {
-	mdl := stream.Model{}
-	t := &Table{
-		ID: "fig5", Title: "STREAM bandwidth (GB/s) by hardware threads/core",
-		XLabel: "Size (GB)", XFmt: "%.0f", ValFmt: "%.0f",
-	}
-	for ht := 1; ht <= 4; ht++ {
-		t.Cols = append(t.Cols, fmt.Sprintf("DRAM ht=%d", ht))
-	}
-	for ht := 1; ht <= 4; ht++ {
-		t.Cols = append(t.Cols, fmt.Sprintf("HBM ht=%d", ht))
-	}
-	for _, s := range mdl.Fig5Sizes() {
-		row := Row{X: s.GiBf()}
-		for _, cfg := range []engine.MemoryConfig{engine.DRAM, engine.HBM} {
-			for ht := 1; ht <= 4; ht++ {
-				v, err := mdl.Predict(sys.Machine, cfg, s, 64*ht)
-				row.Cells = append(row.Cells, Cell{Value: v, Err: err})
-			}
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	t.Notes = append(t.Notes, "paper: HBM ht=2 reaches 1.27x ht=1 (up to ~420-450 GB/s); DRAM lines overlap")
-	return t, nil
-}
-
-// threadSweep runs a workload's Fig. 6 panel.
-func threadSweep(sys *core.System, id, title, name, valFmt string) (*Table, error) {
-	mdl, err := sys.Workload(name)
-	if err != nil {
-		return nil, err
-	}
-	size := mdl.Fig6Size()
-	t := &Table{
-		ID: id, Title: fmt.Sprintf("%s (problem size %.1f GB)", title, size.GiBf()),
-		XLabel: "Threads", XFmt: "%.0f", ValFmt: valFmt,
-		Cols: []string{"DRAM", "HBM", "Cache Mode", "DRAM spdup", "HBM spdup", "Cache spdup"},
-	}
-	var base [3]Cell
-	for i, threads := range workload.PaperThreads() {
-		row := Row{X: float64(threads)}
-		var vals [3]Cell
-		for j, cfg := range engine.PaperConfigs() {
-			v, err := mdl.Predict(sys.Machine, cfg, size, threads)
-			vals[j] = Cell{Value: v, Err: err}
-		}
-		if i == 0 {
-			base = vals
-		}
-		row.Cells = append(row.Cells, vals[0], vals[1], vals[2])
-		for j := range vals {
-			row.Cells = append(row.Cells, ratio(vals[j], base[j]))
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	return t, nil
-}
-
-// Fig6a is the DGEMM thread sweep.
-func Fig6a(sys *core.System) (*Table, error) {
-	t, err := threadSweep(sys, "fig6a", "DGEMM GFLOPS vs threads", "DGEMM", "%.0f")
-	if err != nil {
-		return nil, err
-	}
-	t.Notes = append(t.Notes, "paper: 1.7x at 192 threads on HBM; 256-thread runs do not complete")
-	return t, nil
-}
-
-// Fig6b is the MiniFE thread sweep.
-func Fig6b(sys *core.System) (*Table, error) {
-	t, err := threadSweep(sys, "fig6b", "MiniFE CG MFLOPS vs threads", "MiniFE", "%.0f")
-	if err != nil {
-		return nil, err
-	}
-	t.Notes = append(t.Notes, "paper: 1.7x at 192 threads on HBM; 3.8x vs DRAM with 4 HT/core")
-	return t, nil
-}
-
-// Fig6c is the Graph500 thread sweep.
-func Fig6c(sys *core.System) (*Table, error) {
-	t, err := threadSweep(sys, "fig6c", "Graph500 TEPS vs threads", "Graph500", "%.3g")
-	if err != nil {
-		return nil, err
-	}
-	t.Notes = append(t.Notes, "paper: every configuration peaks at 128 threads (~1.5x); DRAM stays best")
-	return t, nil
-}
-
-// Fig6d is the XSBench thread sweep.
-func Fig6d(sys *core.System) (*Table, error) {
-	t, err := threadSweep(sys, "fig6d", "XSBench lookups/s vs threads", "XSBench", "%.3g")
-	if err != nil {
-		return nil, err
-	}
-	t.Notes = append(t.Notes, "paper: 2.5x at 256 threads on HBM/cache, 1.5x on DRAM; HBM overtakes DRAM")
 	return t, nil
 }

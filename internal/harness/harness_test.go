@@ -1,15 +1,14 @@
-package harness
+package harness_test
 
 import (
-	"errors"
-	"runtime"
+	"context"
 	"strings"
 	"testing"
 
+	"repro/internal/campaign"
 	"repro/internal/core"
-	"repro/internal/engine"
-	"repro/internal/units"
-	"repro/internal/workload"
+	"repro/internal/harness"
+	"repro/internal/service"
 )
 
 func sys(t *testing.T) *core.System {
@@ -21,10 +20,36 @@ func sys(t *testing.T) *core.System {
 	return s
 }
 
+// runner evaluates figure points through the service executor, as
+// cmd/figures does.
+func runner(t *testing.T) harness.Runner {
+	t.Helper()
+	exec := service.NewExecutor()
+	s, err := exec.System(campaign.DefaultSKU)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return harness.Runner{SKU: campaign.DefaultSKU, Sys: s, Eval: exec.RunPoint}
+}
+
+// fig2 runs the Fig. 2 panel.
+func fig2(t *testing.T) *harness.Table {
+	t.Helper()
+	e, err := harness.ByID("fig2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := runner(t).Run(context.Background(), e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tbl
+}
+
 func TestAllExperimentsRun(t *testing.T) {
-	s := sys(t)
-	for _, e := range All() {
-		tbl, err := e.Run(s)
+	r := runner(t)
+	for _, e := range harness.All() {
+		tbl, err := r.Run(context.Background(), e)
 		if err != nil {
 			t.Errorf("%s: %v", e.ID, err)
 			continue
@@ -41,36 +66,25 @@ func TestAllExperimentsRun(t *testing.T) {
 }
 
 func TestByID(t *testing.T) {
-	if _, err := ByID("fig2"); err != nil {
+	if _, err := harness.ByID("fig2"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ByID("nope"); err == nil {
+	if _, err := harness.ByID("nope"); err == nil {
 		t.Fatal("unknown id accepted")
 	}
 }
 
 func TestCellFormat(t *testing.T) {
-	if got := (Cell{Value: 3.14159}).Format("%.2f"); got != "3.14" {
+	if got := (harness.Cell{Value: 3.14159}).Format("%.2f"); got != "3.14" {
 		t.Errorf("value cell = %q", got)
 	}
-	nofit := engine.ErrDoesNotFit{Config: engine.HBM, Need: 20 * units.GiB, Have: 16 * units.GiB}
-	if got := (Cell{Err: nofit}).Format("%.2f"); got != "-" {
-		t.Errorf("does-not-fit cell = %q (paper prints no bar)", got)
-	}
-	if got := (Cell{Err: workload.ErrNotMeasured}).Format("%.2f"); got != "-" {
-		t.Errorf("not-measured cell = %q", got)
-	}
-	if got := (Cell{Err: errors.New("boom")}).Format("%.2f"); got != "err" {
-		t.Errorf("error cell = %q", got)
+	if got := (harness.Cell{Unavailable: "working set does not fit HBM"}).Format("%.2f"); got != "-" {
+		t.Errorf("unavailable cell = %q (paper prints no bar)", got)
 	}
 }
 
 func TestTableAccessors(t *testing.T) {
-	s := sys(t)
-	tbl, err := Fig2(s)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := fig2(t)
 	if _, err := tbl.Col("DRAM"); err != nil {
 		t.Error(err)
 	}
@@ -94,8 +108,7 @@ func TestTableAccessors(t *testing.T) {
 }
 
 func TestFig2CSV(t *testing.T) {
-	s := sys(t)
-	tbl, _ := Fig2(s)
+	tbl := fig2(t)
 	csv := tbl.RenderCSV()
 	lines := strings.Split(strings.TrimSpace(csv), "\n")
 	if len(lines) != len(tbl.Rows)+1 {
@@ -113,7 +126,7 @@ func TestFig2CSV(t *testing.T) {
 
 func TestTable1HasFiveApplications(t *testing.T) {
 	s := sys(t)
-	tbl, err := Table1(s)
+	tbl, err := harness.Table1(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +143,7 @@ func TestTable1HasFiveApplications(t *testing.T) {
 
 func TestTable2MatchesPaper(t *testing.T) {
 	s := sys(t)
-	tbl, err := Table2(s)
+	tbl, err := harness.Table2(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,8 +156,7 @@ func TestTable2MatchesPaper(t *testing.T) {
 }
 
 func TestVerifyAllPasses(t *testing.T) {
-	s := sys(t)
-	checks, err := VerifyAll(s, 0)
+	checks, err := runner(t).VerifyAll(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,63 +176,6 @@ func TestVerifyAllPasses(t *testing.T) {
 	for _, id := range []string{"latency", "fig2", "fig3", "fig4a", "fig4b", "fig4c", "fig4d", "fig4e", "fig5", "fig6a", "fig6b", "fig6c", "fig6d"} {
 		if !covered[id] {
 			t.Errorf("no checks for %s", id)
-		}
-	}
-}
-
-// TestRunAllMatchesSerial requires the concurrent pool to produce the
-// same tables, in the same order, as a serial loop over All().
-func TestRunAllMatchesSerial(t *testing.T) {
-	s := sys(t)
-	serial := RunAll(s, 1)
-	concurrent := RunAll(s, 8)
-	if len(serial) != len(concurrent) || len(serial) != len(All()) {
-		t.Fatalf("result lengths: serial %d, concurrent %d, experiments %d",
-			len(serial), len(concurrent), len(All()))
-	}
-	for i := range serial {
-		if serial[i].Err != nil || concurrent[i].Err != nil {
-			t.Fatalf("%s: serial err %v, concurrent err %v",
-				serial[i].Experiment.ID, serial[i].Err, concurrent[i].Err)
-		}
-		if serial[i].Experiment.ID != concurrent[i].Experiment.ID {
-			t.Fatalf("order diverged at %d: %s vs %s", i,
-				serial[i].Experiment.ID, concurrent[i].Experiment.ID)
-		}
-		if serial[i].Table.Render() != concurrent[i].Table.Render() {
-			t.Errorf("%s: concurrent table differs from serial", serial[i].Experiment.ID)
-		}
-	}
-}
-
-// TestVerifyAllConcurrentDeterministic runs VerifyAll with eight
-// experiment workers and requires the exact check list of a serial
-// run: same order, same rendered values, all passing.
-func TestVerifyAllConcurrentDeterministic(t *testing.T) {
-	prev := runtime.GOMAXPROCS(0)
-	if prev < 4 {
-		runtime.GOMAXPROCS(4)
-		defer runtime.GOMAXPROCS(prev)
-	}
-	s := sys(t)
-	first, err := VerifyAll(s, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	again, err := VerifyAll(s, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(first) != len(again) {
-		t.Fatalf("check counts differ: %d vs %d", len(first), len(again))
-	}
-	for i := range first {
-		if first[i] != again[i] {
-			t.Errorf("check %d differs across runs: %+v vs %+v", i, first[i], again[i])
-		}
-		if !first[i].Pass {
-			t.Errorf("%s / %s failed under concurrency: paper %s, got %s",
-				first[i].Experiment, first[i].Name, first[i].Paper, first[i].Got)
 		}
 	}
 }

@@ -1,34 +1,28 @@
-// Package harness defines the reproduction experiments: one runner per
-// table and figure of the paper, a text/CSV renderer for their
-// results, and the paper-expectation checks that EXPERIMENTS.md and
-// the shape tests are built from.
+// Package harness defines the reproduction experiments: each figure
+// panel as data (the campaign points it evaluates and its table
+// layout), Table I, Table II and the latency probe as functions of the
+// machine, a text/CSV renderer for their results, and the
+// paper-expectation checks that EXPERIMENTS.md and the shape tests are
+// built from.
 package harness
 
 import (
-	"errors"
 	"fmt"
 	"strings"
-
-	"repro/internal/engine"
-	"repro/internal/workload"
 )
 
 // Cell is one measurement: a value or the reason it is absent (the
 // paper prints no bar when a configuration cannot run).
 type Cell struct {
-	Value float64
-	Err   error
+	Value       float64
+	Unavailable string
 }
 
 // Format renders the cell, using "-" for absent measurements as the
 // paper's figures do.
 func (c Cell) Format(format string) string {
-	if c.Err != nil {
-		var nofit engine.ErrDoesNotFit
-		if errors.As(c.Err, &nofit) || errors.Is(c.Err, workload.ErrNotMeasured) {
-			return "-"
-		}
-		return "err"
+	if c.Unavailable != "" {
+		return "-"
 	}
 	return fmt.Sprintf(format, c.Value)
 }
@@ -88,9 +82,7 @@ func (t *Table) RenderCSV() string {
 		fmt.Fprintf(&b, t.XFmt, r.X)
 		for _, c := range r.Cells {
 			b.WriteString(",")
-			if c.Err != nil {
-				b.WriteString("")
-			} else {
+			if c.Unavailable == "" {
 				fmt.Fprintf(&b, "%g", c.Value)
 			}
 		}
@@ -135,8 +127,8 @@ func (t *Table) ValueAt(x float64, col string) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if c.Err != nil {
-		return 0, fmt.Errorf("harness: cell (%v, %s) absent: %w", x, col, c.Err)
+	if c.Unavailable != "" {
+		return 0, fmt.Errorf("harness: cell (%v, %s) absent: %s", x, col, c.Unavailable)
 	}
 	return c.Value, nil
 }

@@ -15,8 +15,8 @@ import (
 
 // Results is the durable result store: one CRC-framed file per
 // terminal result, named by the SHA-256 of (kind, key) so every cache
-// family (point, campaign, advice, cluster, replay, experiment)
-// shares one directory without filename collisions. Writes follow the
+// family (point, campaign, advice, cluster, replay) shares one
+// directory without filename collisions. Writes follow the
 // tracestore discipline — temp file, fsync, atomic rename — so a
 // crash mid-persist leaves either the old file or nothing, never a
 // half-written result.

@@ -142,7 +142,6 @@ type ExperimentResult struct {
 	Title    string `json:"title"`
 	Rendered string `json:"rendered,omitempty"`
 	CSV      string `json:"csv,omitempty"`
-	Error    string `json:"error,omitempty"`
 }
 
 // CampaignResult is a completed campaign: every point outcome, the

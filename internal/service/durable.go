@@ -125,7 +125,6 @@ func NewDurableServer(opt Options) (*Server, RecoveryStats, error) {
 	s.journal = jnl
 	s.points.attach(results, &s.persistErrs)
 	s.campaigns.attach(results, &s.persistErrs)
-	s.experiments.attach(results, &s.persistErrs)
 	s.advices.attach(results, &s.persistErrs)
 	s.clusters.attach(results, &s.persistErrs)
 	s.replays.attach(results, &s.persistErrs)

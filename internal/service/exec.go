@@ -15,8 +15,9 @@ import (
 
 // Executor owns the simulated machines: one core.System per KNL SKU,
 // built lazily and shared by every worker (the machine model is
-// read-only after construction, which is what lets the harness pool
-// and this service fan out over it).
+// read-only after construction, which is what lets the service's
+// workers fan out over it). Its RunPoint is the point evaluator
+// cmd/figures hands the harness.
 type Executor struct {
 	mu      sync.Mutex
 	systems map[string]*core.System

@@ -62,9 +62,9 @@ func expositionInventory(t *testing.T, body string) []string {
 // TestMetricsInventory pins the shape of /metrics on a durable server
 // after one campaign, one replay and one experiment: the same families,
 // types, label names and fixed label values as the hand-rendered
-// exposition it replaced, plus the experiment cache's rows, which the
-// old exposition never listed, and the per-cache disk-hit family of
-// the durable second tier.
+// exposition it replaced, plus the per-cache disk-hit family of the
+// durable second tier. Experiments run through the point cache, so
+// they add no cache rows of their own.
 func TestMetricsInventory(t *testing.T) {
 	_, c, ts, _ := newDurableTestServer(t, t.TempDir(), Options{})
 	ctx := context.Background()
@@ -110,32 +110,27 @@ func TestMetricsInventory(t *testing.T) {
 }
 
 // metricsInventory is the exposition shape recorded from the
-// hand-rendered /metrics, plus the three cache="experiment" rows and
-// the simd_cache_disk_hits_total family.
+// hand-rendered /metrics, plus the simd_cache_disk_hits_total family.
 var metricsInventory = []string{
 	"simd_build_info gauge {go_version,revision}",
 	"simd_cache_disk_hits_total counter {cache=advice}", // added: hits the durable result store served
 	"simd_cache_disk_hits_total counter {cache=campaign}",
 	"simd_cache_disk_hits_total counter {cache=cluster}",
-	"simd_cache_disk_hits_total counter {cache=experiment}",
 	"simd_cache_disk_hits_total counter {cache=point}",
 	"simd_cache_disk_hits_total counter {cache=replay}",
 	"simd_cache_entries gauge {cache=advice}",
 	"simd_cache_entries gauge {cache=campaign}",
 	"simd_cache_entries gauge {cache=cluster}",
-	"simd_cache_entries gauge {cache=experiment}", // added: the experiment cache never reached the hand-rendered exposition
 	"simd_cache_entries gauge {cache=point}",
 	"simd_cache_entries gauge {cache=replay}",
 	"simd_cache_hits_total counter {cache=advice}",
 	"simd_cache_hits_total counter {cache=campaign}",
 	"simd_cache_hits_total counter {cache=cluster}",
-	"simd_cache_hits_total counter {cache=experiment}", // added: the experiment cache never reached the hand-rendered exposition
 	"simd_cache_hits_total counter {cache=point}",
 	"simd_cache_hits_total counter {cache=replay}",
 	"simd_cache_misses_total counter {cache=advice}",
 	"simd_cache_misses_total counter {cache=campaign}",
 	"simd_cache_misses_total counter {cache=cluster}",
-	"simd_cache_misses_total counter {cache=experiment}", // added: the experiment cache never reached the hand-rendered exposition
 	"simd_cache_misses_total counter {cache=point}",
 	"simd_cache_misses_total counter {cache=replay}",
 	"simd_event_subscribers gauge {}",

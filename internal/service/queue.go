@@ -157,8 +157,7 @@ func (j *job) span(stage string, parent int, start time.Time) *obs.Span {
 // durMS renders a duration in milliseconds at microsecond resolution.
 func durMS(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
 
-// Queue is a bounded job queue drained by a fixed worker pool — the
-// PR-1 harness pool pattern lifted to long-lived service form.
+// Queue is a bounded job queue drained by a fixed worker pool.
 // Completed jobs are retained (up to a cap) for result polling.
 type Queue struct {
 	pending chan *job

@@ -89,21 +89,20 @@ const timeoutHeader = "X-Simd-Timeout"
 // Server wires the executor, queue, caches and metrics behind an
 // http.Handler.
 type Server struct {
-	exec        *Executor
-	reg         *obs.Registry
-	queue       *Queue
-	points      *Cache[campaign.Outcome]
-	campaigns   *Cache[*CampaignResult]
-	experiments *Cache[ExperimentResult]
-	advices     *Cache[AdviseResponse]
-	clusters    *Cache[ClusterResponse]
-	replays     *Cache[replayResult]
-	mux         *http.ServeMux
-	logger      *slog.Logger
-	slowReq     time.Duration
-	tracer      *obs.Tracer
-	events      *events.Bus
-	keepAlive   time.Duration
+	exec      *Executor
+	reg       *obs.Registry
+	queue     *Queue
+	points    *Cache[campaign.Outcome]
+	campaigns *Cache[*CampaignResult]
+	advices   *Cache[AdviseResponse]
+	clusters  *Cache[ClusterResponse]
+	replays   *Cache[replayResult]
+	mux       *http.ServeMux
+	logger    *slog.Logger
+	slowReq   time.Duration
+	tracer    *obs.Tracer
+	events    *events.Bus
+	keepAlive time.Duration
 
 	httpSeconds   *obs.HistogramVec // end-to-end request latency by route and status
 	pointSeconds  *obs.HistogramVec // fresh point compute latency by fidelity (cache misses only)
@@ -137,25 +136,24 @@ type Server struct {
 func NewServer(opt Options) *Server {
 	reg := obs.NewRegistry()
 	s := &Server{
-		exec:        NewExecutor(),
-		reg:         reg,
-		queue:       NewQueue(opt.Workers, opt.QueueDepth, 0, reg),
-		points:      NewCache[campaign.Outcome]("point", reg, opt.CacheSize),
-		campaigns:   NewCache[*CampaignResult]("campaign", reg, opt.CacheSize),
-		experiments: NewCache[ExperimentResult]("experiment", reg, opt.CacheSize),
-		advices:     NewCache[AdviseResponse]("advice", reg, opt.CacheSize),
-		clusters:    NewCache[ClusterResponse]("cluster", reg, opt.CacheSize),
-		replays:     NewCache[replayResult]("replay", reg, opt.CacheSize),
-		mux:         http.NewServeMux(),
-		logger:      opt.Logger,
-		slowReq:     opt.SlowRequest,
-		events:      events.NewBus(),
-		keepAlive:   opt.KeepAlive,
-		maxBody:     opt.MaxBodyBytes,
-		maxTrace:    opt.MaxTraceBytes,
-		jobTimeout:  opt.JobTimeout,
-		traceDir:    opt.TraceDir,
-		traceFS:     opt.DataFS,
+		exec:       NewExecutor(),
+		reg:        reg,
+		queue:      NewQueue(opt.Workers, opt.QueueDepth, 0, reg),
+		points:     NewCache[campaign.Outcome]("point", reg, opt.CacheSize),
+		campaigns:  NewCache[*CampaignResult]("campaign", reg, opt.CacheSize),
+		advices:    NewCache[AdviseResponse]("advice", reg, opt.CacheSize),
+		clusters:   NewCache[ClusterResponse]("cluster", reg, opt.CacheSize),
+		replays:    NewCache[replayResult]("replay", reg, opt.CacheSize),
+		mux:        http.NewServeMux(),
+		logger:     opt.Logger,
+		slowReq:    opt.SlowRequest,
+		events:     events.NewBus(),
+		keepAlive:  opt.KeepAlive,
+		maxBody:    opt.MaxBodyBytes,
+		maxTrace:   opt.MaxTraceBytes,
+		jobTimeout: opt.JobTimeout,
+		traceDir:   opt.TraceDir,
+		traceFS:    opt.DataFS,
 	}
 	if s.logger == nil {
 		s.logger = obs.NopLogger()
@@ -509,46 +507,6 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// runExperiment executes one paper experiment through its cache.
-func (s *Server) runExperiment(id, sku string) ExperimentResult {
-	key := fmt.Sprintf("exp|%s|%s", id, sku)
-	res, _, err := s.experiments.GetOrCompute(key, func() (ExperimentResult, error) {
-		exp, err := harness.ByID(id)
-		if err != nil {
-			return ExperimentResult{}, err
-		}
-		sys, err := s.exec.System(sku)
-		if err != nil {
-			return ExperimentResult{}, err
-		}
-		tbl, err := exp.Run(sys)
-		if err != nil {
-			return ExperimentResult{}, fmt.Errorf("service: experiment %s: %w", id, err)
-		}
-		return ExperimentResult{ID: exp.ID, Title: exp.Title, Rendered: tbl.Render(), CSV: tbl.RenderCSV()}, nil
-	})
-	if err != nil {
-		return ExperimentResult{ID: id, Error: err.Error()}
-	}
-	return res
-}
-
-// expandExperiments resolves the experiment axis ("all" is the whole
-// paper).
-func expandExperiments(ids []string) []string {
-	var out []string
-	for _, id := range ids {
-		if id == "all" {
-			for _, e := range harness.All() {
-				out = append(out, e.ID)
-			}
-			continue
-		}
-		out = append(out, id)
-	}
-	return out
-}
-
 // runCampaign executes a campaign: points fan out over a bounded pool
 // (each point through the shared cache), experiments run alongside,
 // and the whole result is content-addressed so an identical
@@ -636,7 +594,10 @@ func (s *Server) computeCampaign(ctx context.Context, jobID, key string, spec ca
 	if err != nil {
 		return nil, err
 	}
-	exps := expandExperiments(spec.Experiments)
+	exps, err := harness.Resolve(spec.Experiments)
+	if err != nil {
+		return nil, err
+	}
 	total := len(points) + len(exps)
 	progress(0, total)
 
@@ -754,8 +715,19 @@ func (s *Server) computeCampaign(ctx context.Context, jobID, key string, spec ca
 		res.Results[i] = runResponse(o, keys[i], cachedFlags[i], 0)
 	}
 	res.Tables = campaign.Tables(outcomes)
+	// Figure panels are points too: they run through the point cache,
+	// so a Fig. 2 cell and a /v1/run of the same point are one entry.
+	run := harness.Runner{SKU: sku, Sys: sys, Eval: func(ctx context.Context, p campaign.Point) (campaign.Outcome, error) {
+		out, _, err := s.runPoint(ctx, p, p.Key())
+		return out, err
+	}}
 	for _, id := range exps {
-		res.Experiments = append(res.Experiments, s.runExperiment(id, sku))
+		e, _ := harness.ByID(id) // exps came from Resolve
+		tbl, err := run.Run(ctx, e)
+		if err != nil {
+			return nil, err
+		}
+		res.Experiments = append(res.Experiments, ExperimentResult{ID: e.ID, Title: e.Title, Rendered: tbl.Render(), CSV: tbl.RenderCSV()})
 		bump()
 	}
 	res.ElapsedMS = float64(time.Since(start).Microseconds()) / 1000
@@ -805,7 +777,15 @@ func (s *Server) handleSubmitCampaign(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Reject malformed specs before queueing so the client gets a 400,
-	// not a failed job.
+	// not a failed job. The experiment axis is canonical before the key
+	// is: reordered, repeated or "all" spellings of one set are one
+	// campaign.
+	exps, err := harness.Resolve(spec.Experiments)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("service: bad campaign spec: %w", err))
+		return
+	}
+	spec.Experiments = exps
 	key, err := spec.CampaignKey()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)

@@ -40,12 +40,10 @@ func newSys(b *testing.B) *core.System {
 // runExperiment regenerates one table or figure, evaluating its points
 // through the service executor as cmd/figures does.
 func runExperiment(b *testing.B, id string, metrics func(*harness.Table, *testing.B)) {
-	exec := service.NewExecutor()
-	sys, err := exec.System(campaign.DefaultSKU)
+	r, err := service.NewExecutor().Runner(campaign.DefaultSKU)
 	if err != nil {
 		b.Fatal(err)
 	}
-	r := harness.Runner{SKU: campaign.DefaultSKU, Sys: sys, Eval: exec.RunPoint}
 	exp, err := harness.ByID(id)
 	if err != nil {
 		b.Fatal(err)

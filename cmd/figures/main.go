@@ -44,12 +44,10 @@ func main() {
 // to w and returns the number of failed checks.
 func run(w io.Writer, exp string, csv, verify, md bool) (int, error) {
 	ctx := context.Background()
-	exec := service.NewExecutor()
-	sys, err := exec.System(campaign.DefaultSKU)
+	r, err := service.NewExecutor().Runner(campaign.DefaultSKU)
 	if err != nil {
 		return 0, err
 	}
-	r := harness.Runner{SKU: campaign.DefaultSKU, Sys: sys, Eval: exec.RunPoint}
 	if verify {
 		return writeChecks(ctx, w, r, md)
 	}

@@ -24,12 +24,11 @@ func sys(t *testing.T) *core.System {
 // cmd/figures does.
 func runner(t *testing.T) harness.Runner {
 	t.Helper()
-	exec := service.NewExecutor()
-	s, err := exec.System(campaign.DefaultSKU)
+	r, err := service.NewExecutor().Runner(campaign.DefaultSKU)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return harness.Runner{SKU: campaign.DefaultSKU, Sys: s, Eval: exec.RunPoint}
+	return r
 }
 
 // fig2 runs the Fig. 2 panel.

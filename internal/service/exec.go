@@ -9,6 +9,7 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/harness"
 	"repro/internal/knl"
 	"repro/internal/workload"
 )
@@ -16,8 +17,8 @@ import (
 // Executor owns the simulated machines: one core.System per KNL SKU,
 // built lazily and shared by every worker (the machine model is
 // read-only after construction, which is what lets the service's
-// workers fan out over it). Its RunPoint is the point evaluator
-// cmd/figures hands the harness.
+// workers fan out over it). Its Runner is the figure runner
+// cmd/figures uses.
 type Executor struct {
 	mu      sync.Mutex
 	systems map[string]*core.System
@@ -56,6 +57,19 @@ func (e *Executor) System(sku string) (*core.System, error) {
 	}
 	e.systems[sku] = sys
 	return sys, nil
+}
+
+// Runner returns a harness runner for one SKU that evaluates figure
+// points through RunPoint, uncached.
+func (e *Executor) Runner(sku string) (harness.Runner, error) {
+	if sku == "" {
+		sku = campaign.DefaultSKU
+	}
+	sys, err := e.System(sku)
+	if err != nil {
+		return harness.Runner{}, err
+	}
+	return harness.Runner{SKU: sku, Sys: sys, Eval: e.RunPoint}, nil
 }
 
 // RunPoint executes one resolved point at its fidelity. A point whose
